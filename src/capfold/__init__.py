@@ -62,7 +62,6 @@ from .moebius import (
     RenormResult,
     ball_moebius,
     disk_moebius,
-    monotonicity_check,
     reflection,
     reflection_disk,
     renormalize,

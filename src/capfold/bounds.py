@@ -297,8 +297,7 @@ def sphere_modified_quotient(
     tf = TestFunction(cap=cap, direction=np.asarray(s, dtype=float), trace=trace)
     values = lift_evaluate(tf, g.points)
     denominator = float(np.sum(g.weights * values**2))
-    image = image_cap_of_trace(cap, trace)
-    integral = cap_gradient_integral(n, image, s)
+    integral = cap_gradient_integral(n, trace.b, s)
     numerator = (2.0 * integral) ** (2.0 / n)
     quotient = numerator / denominator
     constant = (n + 1) * (2.0 * k_n(n)) ** (2.0 / n)
@@ -310,11 +309,6 @@ def sphere_modified_quotient(
         "constant": constant,
         "holds": quotient < constant * (1.0 + CERTIFICATE_SLACK),
     }
-
-
-def image_cap_of_trace(cap: Cap, trace: RearrangeTrace) -> Cap:
-    """Image cap recorded by the rearrangement (the Moebius image of ``cap``)."""
-    return trace.b
 
 
 def holder_gap_check(

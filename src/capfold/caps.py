@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BarycentricInterpolator
+from scipy.linalg import null_space
 
 from .exceptions import (
     EvaluationOutsideCapError,
@@ -177,6 +178,9 @@ def image_cap(cap: Cap, xi) -> Cap:
 
     Moebius maps send geodesics to geodesics and preserve orientation, so the
     ordered corners of the image determine the image cap including its side.
+    On the sphere the image is symmetric about span(p, xi), and in that plane
+    the ball map is the disk map: the disk construction in the frame (p, q)
+    gives the image cap.
     """
     if cap.space == "disk":
         cp, cm = _cap_corners(cap)
@@ -184,48 +188,15 @@ def image_cap(cap: Cap, xi) -> Cap:
             complex(disk_moebius(complex(xi), cp)),
             complex(disk_moebius(complex(xi), cm)),
         )
-    # sphere: the image of a metric cap is a metric cap; fit its hyperplane
-    p = np.asarray(cap.p, dtype=float)
-    dim = len(p)
-    basis = _orthonormal_complement(p)
-    # boundary-sphere samples spanning the full equatorial complement, so
-    # the hyperplane fit below is determined in every dimension
-    t = cap.height
-    rad = np.sqrt(max(0.0, 1.0 - t * t))
-    rng = np.random.default_rng(1234)
-    coeffs = rng.normal(size=(3 * dim + 4, dim - 1))
-    coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
-    samples = t * p + rad * (coeffs @ basis)
-    mapped = ball_moebius(xi, samples)
-    # solve (y, c) = t' for all boundary images: nullspace of [y | -1]
-    a = np.concatenate([mapped, -np.ones((len(mapped), 1))], axis=1)
-    _, _, vt = np.linalg.svd(a)
-    sol = vt[-1]
-    c, tprime = sol[:-1], sol[-1]
-    norm = float(np.linalg.norm(c))
-    c /= norm
-    tprime /= norm
-    interior = ball_moebius(xi, p)
-    if float(interior @ c) < tprime:
-        c, tprime = -c, -tprime
-    tprime = float(np.clip(tprime, -1.0 + 1e-15, 1.0 - 1e-15))
-    # (r', p') from the height relation t' = 2r'/(1+r'^2)
-    rprime = tprime / (1.0 + np.sqrt(1.0 - tprime * tprime))
-    return Cap(float(rprime), c, "sphere")
-
-
-def _orthonormal_complement(p: np.ndarray) -> np.ndarray:
-    dim = len(p)
-    mats = np.eye(dim)
-    cols = [p]
-    for e in mats:
-        v = e - sum((e @ u) * u for u in cols)
-        n = np.linalg.norm(v)
-        if n > 1e-8:
-            cols.append(v / n)
-        if len(cols) == dim:
-            break
-    return np.asarray(cols[1:])
+    p = cap.p
+    xi = np.asarray(xi, dtype=float)
+    along = float(xi @ p)
+    perp = xi - along * p
+    across = float(np.linalg.norm(perp))
+    # q completes the frame; when xi is parallel to p any q orthogonal to p does
+    q = perp / across if across > 0.0 else null_space(p[None, :])[:, 0]
+    b = image_cap(Cap(cap.r, 1.0, "disk"), complex(along, across))
+    return Cap(b.r, b.p.real * p + b.p.imag * q, "sphere")
 
 
 class CapDiskMap:

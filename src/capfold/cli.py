@@ -4,7 +4,8 @@ Subcommands mirror the library pipeline: ``constants``, ``renormalize``,
 ``rearrange``, ``scan``, ``certify``, ``fem``, ``corpus``, ``sphere``.
 Reports are JSON (or CSV where tabular), embed the resolved configuration,
 and are byte-identical for a fixed configuration and seed.  Exit codes:
-0 success, 1 usage or IO error, 2 an asserted inequality failed.
+0 success, 1 usage, IO or input error, 2 an asserted inequality failed,
+3 a numerical failure (a solver did not converge; nothing was decided).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import bounds as bounds_mod
 from . import fem as fem_mod
 from .caps import Cap, rearrange
 from .directions import scan_caps, sphere_degree_check
-from .exceptions import CapfoldError
+from .exceptions import CapfoldError, NumericalFailureError
 from .measures import (
     ConformalDomain,
     measure_from_json,
@@ -29,7 +30,7 @@ from .measures import (
 from .moebius import renormalize
 from .specfun import bound_constants, find_zeta, mu1_disk, planar_bound
 
-USAGE_ERROR, BOUND_VIOLATION = 1, 2
+USAGE_ERROR, BOUND_VIOLATION, NUMERICAL_FAILURE = 1, 2, 3
 
 
 def _write_text(text: str, args) -> None:
@@ -412,12 +413,12 @@ def run(argv=None) -> int:
                 setattr(args, attr, _cast_like(value, getattr(args, attr)))
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except NumericalFailureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return NUMERICAL_FAILURE
+    except (OSError, json.JSONDecodeError, CapfoldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except CapfoldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BOUND_VIOLATION
 
 
 def main() -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import null_space
 
 from .caps import Cap, rearrange
 from .exceptions import (
@@ -162,8 +163,7 @@ class CapScanResult:
 
 
 def _traceless(m: DiscreteMeasure, cap: Cap) -> np.ndarray:
-    nu, _ = rearrange(m, cap, tol=1e-9)
-    mat = direction_form(nu).matrix
+    mat = _field_entry(m, cap)[2].matrix
     return np.array([mat[0, 0] - mat[1, 1], 2.0 * mat[0, 1]])
 
 
@@ -241,17 +241,7 @@ def scan_caps(
 
 
 def _winding_from_field(entries) -> int:
-    lift = None
-    first = None
-    for gap, s in entries:
-        a = float(np.arctan2(s[1], s[0]))
-        if lift is None:
-            lift = a
-            first = a
-        else:
-            lift += _projective_delta(lift, a)
-    lift += _projective_delta(lift, first)
-    return int(round((lift - first) / np.pi))
+    return int(round(_loop_rotation([s for _, s in entries]) / np.pi))
 
 
 def _find_singular_cell(table, r_grid, theta_grid):
@@ -494,7 +484,7 @@ def _psi_preimages(q, e1):
 
 
 def _orientation_sign(psi_map, p, q, n, h=1e-6):
-    basis_p = _tangent_basis(p)
+    basis_p = null_space(p[None, :]).T
     cols = []
     for t in basis_p:
         plus = p + h * t
@@ -505,18 +495,3 @@ def _orientation_sign(psi_map, p, q, n, h=1e-6):
     det_source = np.linalg.det(np.column_stack([p] + list(basis_p)))
     det_target = np.linalg.det(np.column_stack([q] + cols))
     return int(np.sign(det_source * det_target))
-
-
-def _tangent_basis(p):
-    dim = len(p)
-    vecs = []
-    for e in np.eye(dim):
-        v = e - (e @ p) * p
-        for u in vecs:
-            v = v - (v @ u) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            vecs.append(v / norm)
-        if len(vecs) == dim - 1:
-            break
-    return vecs

@@ -17,7 +17,11 @@ class ZeroMassError(CapfoldError):
     """Operation requires a measure with positive total mass."""
 
 
-class NonConvergenceError(CapfoldError):
+class NumericalFailureError(CapfoldError):
+    """A solver failed on valid input; no bound was decided either way."""
+
+
+class NonConvergenceError(NumericalFailureError):
     """The renormalization solver failed to reach the requested residual.
 
     Typically signals a measure concentrated too close to a single boundary
@@ -47,7 +51,7 @@ class NotMultipleError(CapfoldError):
     """Measure is not multiple within the requested eigenvalue-gap tolerance."""
 
 
-class CapScanError(CapfoldError):
+class CapScanError(NumericalFailureError):
     """Cap scan exhausted its refinement budget without a multiple cap.
 
     Carries the minimal-gap cap found so far in ``best_cap`` / ``best_gap``.
@@ -59,7 +63,7 @@ class CapScanError(CapfoldError):
         self.best_gap = best_gap
 
 
-class DegenerateFieldError(CapfoldError):
+class DegenerateFieldError(NumericalFailureError):
     """Direction field degenerates (vanishing gap) along a winding loop."""
 
 
@@ -83,5 +87,5 @@ class DegenerateTriangleError(CapfoldError):
     """Mesh contains a triangle with non-positive area."""
 
 
-class EigSolveError(CapfoldError):
+class EigSolveError(NumericalFailureError):
     """Sparse eigenvalue solve did not converge."""

@@ -8,7 +8,6 @@ and a shift-invert sparse eigensolve.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay
 
 from .exceptions import (
+    CapfoldError,
     DegenerateTriangleError,
     EigSolveError,
     InvalidSpecError,
@@ -33,8 +33,6 @@ __all__ = [
     "neumann_eigs",
     "verify_corpus",
     "two_disk_area",
-    "mesh_to_text",
-    "mesh_from_text",
     "parse_domain_spec",
 ]
 
@@ -93,12 +91,13 @@ def _orient_and_wrap(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
 
 
 def _boundary_edges(triangles: np.ndarray) -> np.ndarray:
-    edges = {}
-    for tri in triangles:
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            key = (min(tri[i], tri[j]), max(tri[i], tri[j]))
-            edges[key] = edges.get(key, 0) + 1
-    return np.array([e for e, cnt in edges.items() if cnt == 1], dtype=np.int64)
+    # sorted (i, j) edges keyed as i * n + j; boundary edges occur once
+    n = int(triangles.max()) + 1
+    pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys = pairs.min(axis=1) * n + pairs.max(axis=1)
+    unique, counts = np.unique(keys, return_counts=True)
+    once = unique[counts == 1]
+    return np.stack([once // n, once % n], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -119,24 +118,22 @@ def _disk_vertices(h: float, radius: float = 1.0):
 
 
 def _disk_triangles(ring_index):
-    tris = []
     start0, count0 = ring_index[0]
-    for j in range(count0):
-        tris.append((0, start0 + j, start0 + (j + 1) % count0))
+    j = np.arange(count0)
+    tris = [np.stack([np.zeros_like(j), start0 + j, start0 + (j + 1) % count0], 1)]
     for (sa, ka), (sb, kb) in zip(ring_index[:-1], ring_index[1:]):
+        # walk both rings by angle: each step advances the ring whose next
+        # vertex comes first (ring a on ties) and closes one triangle
         ang_a = 2.0 * np.pi * np.arange(ka) / ka
         ang_b = 2.0 * np.pi * np.arange(kb) / kb
-        ia = ib = 0
-        while ia < ka or ib < kb:
-            nxt_a = ang_a[(ia + 1) % ka] + (2.0 * np.pi if ia + 1 >= ka else 0.0)
-            nxt_b = ang_b[(ib + 1) % kb] + (2.0 * np.pi if ib + 1 >= kb else 0.0)
-            if ia < ka and (nxt_a <= nxt_b or ib >= kb):
-                tris.append((sa + ia % ka, sb + ib % kb, sa + (ia + 1) % ka))
-                ia += 1
-            else:
-                tris.append((sa + ia % ka, sb + ib % kb, sb + (ib + 1) % kb))
-                ib += 1
-    return np.asarray(tris, dtype=np.int64)
+        nxt = np.concatenate([ang_a[1:], [ang_a[0] + 2.0 * np.pi],
+                              ang_b[1:], [ang_b[0] + 2.0 * np.pi]])
+        step_a = np.argsort(nxt, kind="stable") < ka
+        ia = np.cumsum(step_a) - step_a
+        ib = np.cumsum(~step_a) - ~step_a
+        third = np.where(step_a, sa + (ia + 1) % ka, sb + (ib + 1) % kb)
+        tris.append(np.stack([sa + ia % ka, sb + ib % kb, third], 1))
+    return np.concatenate(tris).astype(np.int64)
 
 
 def _disk_mesh(h: float, radius: float = 1.0) -> Mesh:
@@ -152,15 +149,11 @@ def _rectangle_mesh(a: float, b: float, h: float) -> Mesh:
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     verts = np.stack([xg.ravel(), yg.ravel()], axis=1)
 
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            tris.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    return _orient_and_wrap(verts, np.asarray(tris, dtype=np.int64))
+    # cell (i, j) has lower-left vertex i * (ny + 1) + j and two triangles
+    v00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    v10, v01 = v00 + ny + 1, v00 + 1
+    tris = np.stack([v00, v10, v10 + 1, v00, v10 + 1, v01], 1).reshape(-1, 3)
+    return _orient_and_wrap(verts, tris)
 
 
 def _conformal_mesh(domain: ConformalDomain, h: float) -> Mesh:
@@ -260,17 +253,20 @@ def build_mesh(spec, h: float) -> Mesh:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidSpecError(f"malformed domain spec: {spec!r}")
     kind = spec["kind"]
-    if kind == "disk":
-        return _disk_mesh(h, float(spec.get("radius", 1.0)))
-    if kind == "rectangle":
-        return _rectangle_mesh(float(spec["a"]), float(spec["b"]), h)
-    if kind == "conformal":
-        coeffs = [complex(c[0], c[1]) for c in spec["coeffs"]]
-        return _conformal_mesh(ConformalDomain(coeffs), h)
-    if kind == "two_disks_neck":
-        return _two_disk_mesh(
-            float(spec["eps"]), float(spec.get("neck_length", 0.2)), h
-        )
+    try:
+        if kind == "disk":
+            return _disk_mesh(h, float(spec.get("radius", 1.0)))
+        if kind == "rectangle":
+            return _rectangle_mesh(float(spec["a"]), float(spec["b"]), h)
+        if kind == "conformal":
+            coeffs = [complex(c[0], c[1]) for c in spec["coeffs"]]
+            return _conformal_mesh(ConformalDomain(coeffs), h)
+        if kind == "two_disks_neck":
+            return _two_disk_mesh(
+                float(spec["eps"]), float(spec.get("neck_length", 0.2)), h
+            )
+    except KeyError as exc:
+        raise InvalidSpecError(f"{kind} spec lacks parameter {exc}") from None
     raise InvalidSpecError(f"unknown domain kind {kind!r}")
 
 
@@ -393,8 +389,9 @@ def verify_corpus(specs, h: float = 0.02, k: int = 2) -> dict:
 
     Each row reports mu_1 * area and mu_2 * area next to the first-eigenvalue
     bound (szego), the k = 2 tiling bound (polya-k2), and the two-disk bound;
-    violations beyond the FEM tolerance are flagged, failures collected
-    without aborting the sweep.
+    violations beyond the FEM tolerance are flagged.  A spec that raises a
+    ``CapfoldError`` lands in ``failures`` without aborting the sweep; any
+    other exception is a bug and propagates.
     """
     from .specfun import mu1_disk, planar_bound
 
@@ -426,7 +423,7 @@ def verify_corpus(specs, h: float = 0.02, k: int = 2) -> dict:
                     "polya_k2_ok": bool(mu2_area <= polya2 * (1 + tol)),
                 }
             )
-        except Exception as exc:  # noqa: BLE001 - aggregate per-domain failures
+        except CapfoldError as exc:
             failures[name] = repr(exc)
     return {
         "bounds": {"szego": szego, "two-disk": two_disk, "polya-k2": polya2},
@@ -438,44 +435,6 @@ def verify_corpus(specs, h: float = 0.02, k: int = 2) -> dict:
         )
         and not failures,
     }
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def mesh_to_text(mesh: Mesh) -> str:
-    """Plain text format: `nv nt nb`, vertex lines, triangle lines, edge lines."""
-    out = io.StringIO()
-    nv, nt, nb = len(mesh.vertices), len(mesh.triangles), len(mesh.boundary_edges)
-    out.write(f"{nv} {nt} {nb}\n")
-    for x, y in mesh.vertices:
-        out.write(f"{float(x)!r} {float(y)!r}\n")
-    for i, j, k in mesh.triangles:
-        out.write(f"{int(i)} {int(j)} {int(k)}\n")
-    for i, j in mesh.boundary_edges:
-        out.write(f"{int(i)} {int(j)}\n")
-    return out.getvalue()
-
-
-def mesh_from_text(text: str) -> Mesh:
-    lines = text.strip().splitlines()
-    nv, nt, nb = map(int, lines[0].split())
-    verts = np.array(
-        [[float(tok) for tok in line.split()] for line in lines[1 : 1 + nv]]
-    )
-    tris = np.array(
-        [[int(tok) for tok in line.split()] for line in lines[1 + nv : 1 + nv + nt]],
-        dtype=np.int64,
-    )
-    edges = np.array(
-        [
-            [int(tok) for tok in line.split()]
-            for line in lines[1 + nv + nt : 1 + nv + nt + nb]
-        ],
-        dtype=np.int64,
-    )
-    return Mesh(verts, tris, edges)
 
 
 def parse_domain_spec(token: str) -> dict:

@@ -283,15 +283,19 @@ def pullback_measure(
     return disk_quadrature(n_r, n_theta, domain.density)
 
 
+def _disk_xy_factors(points: np.ndarray):
+    amp = find_zeta() * j1_over_x(find_zeta() * np.abs(points))
+    return amp * points.real, amp * points.imag
+
+
 def disk_coordinate_values(z, s) -> np.ndarray:
     """Disk eigenfunction coordinate X_s(z) = J1(zeta |z|) (z . s)/|z|.
 
     ``s`` is a complex unit; the J1(x)/x form keeps the origin stable.
     """
     s = complex(s)
-    z = np.asarray(z, dtype=complex)
-    amp = find_zeta() * j1_over_x(find_zeta() * np.abs(z))
-    return amp * (z.real * s.real + z.imag * s.imag)
+    x1, x2 = _disk_xy_factors(np.asarray(z, dtype=complex))
+    return x1 * s.real + x2 * s.imag
 
 
 def coordinate_values(m: DiscreteMeasure, s) -> np.ndarray:
@@ -303,11 +307,6 @@ def coordinate_values(m: DiscreteMeasure, s) -> np.ndarray:
         return disk_coordinate_values(m.points, s)
     s = np.asarray(s, dtype=float)
     return m.points @ s
-
-
-def _disk_xy_factors(points: np.ndarray):
-    amp = find_zeta() * j1_over_x(find_zeta() * np.abs(points))
-    return amp * points.real, amp * points.imag
 
 
 def moment_vector_raw(space: str, points, weights) -> np.ndarray:
@@ -329,10 +328,6 @@ def moment_scale(m: DiscreteMeasure) -> float:
     if m.space == "disk":
         return m.total_mass * bessel_j1(find_zeta())
     return m.total_mass
-
-
-def is_renormalized(m: DiscreteMeasure, tol: float = 1e-8) -> bool:
-    return bool(np.max(np.abs(moment_vector(m))) < tol * moment_scale(m))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ __all__ = [
     "pushforward",
     "RenormResult",
     "renormalize",
-    "monotonicity_check",
 ]
 
 _BOUNDARY_GUARD = 1.0 - 1e-9
@@ -222,26 +221,3 @@ def renormalize(
             xi=xi, residual=rn, iterations=iterations,
         )
     return RenormResult(xi=xi, residual=rn, iterations=iterations)
-
-
-def monotonicity_check(r: float, samples: int = 100_000, seed: int = 0) -> bool:
-    """Check X_{e1}(d_r(z)) > X_{e1}(z) at uniformly sampled interior points.
-
-    Underpins uniqueness of the balancing point: a nonzero real translation
-    strictly increases the first coordinate moment everywhere on the disk.
-    """
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    pts = np.empty(0, dtype=complex)
-    while len(pts) < samples:
-        block = rng.uniform(-1, 1, size=(2 * samples, 2))
-        z = block[:, 0] + 1j * block[:, 1]
-        z = z[np.abs(z) < 1.0 - 1e-12]
-        pts = np.concatenate([pts, z])[:samples]
-    probe = DiscreteMeasure("disk", pts, np.ones(len(pts)))
-    from .measures import coordinate_values
-
-    before = coordinate_values(probe, 1.0)
-    after = coordinate_values(probe.with_points(disk_moebius(r, pts)), 1.0)
-    return bool(np.all(after > before))

@@ -1,9 +1,8 @@
 """Special functions and closed-form constants.
 
-Everything here is plain 64-bit floating point: Gamma on the positive axis
-via a Lanczos approximation, Bessel J0/J1 via power series and Miller's
-downward recurrence, the first positive zero of J1', sphere volumes, and the
-eigenvalue-bound constants built from them.
+Gamma, Bessel J0/J1 and the first positive zero of J1' come from ``math`` and
+``scipy.special``; on top of them sit the disk radial profile, sphere
+volumes, and the eigenvalue-bound constants built from them.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "gamma",
@@ -32,24 +32,9 @@ __all__ = [
     "planar_bound",
 ]
 
-# Lanczos coefficients, g = 7, 9 terms.  Relative error below 1e-13 on the
-# positive real axis up to the double-precision overflow threshold (~171.6).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma(x: float) -> float:
-    """Gamma function for positive real arguments.
+    """Gamma function for positive real arguments (``math.gamma``).
 
     Parameters
     ----------
@@ -59,104 +44,22 @@ def gamma(x: float) -> float:
     x = float(x)
     if x <= 0.0:
         raise ValueError("gamma requires a positive argument")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum well conditioned near zero
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    if x > 20.0:
-        # descend into the high-accuracy Lanczos window, multiply back up
-        shift = math.ceil(x - 20.0)
-        factor = 1.0
-        for k in range(1, shift + 1):
-            factor *= x - k
-        return factor * gamma(x - shift)
-    x -= 1.0
-    a = _LANCZOS_C[0]
-    t = x + _LANCZOS_G + 0.5
-    for i in range(1, 9):
-        a += _LANCZOS_C[i] / (x + i)
-    # split the power so intermediates stay finite up to the ~171.6 overflow
-    half = t ** (0.5 * (x + 0.5))
-    return math.sqrt(2.0 * math.pi) * a * half * math.exp(-t) * half
-
-
-_SERIES_CUT = 6.0
-
-
-def _j01_series(x: float) -> tuple[float, float]:
-    # alternating power series; used only for |x| <= _SERIES_CUT where the
-    # largest term stays small enough for 1e-14 relative accuracy
-    q = 0.25 * x * x
-    t0 = 1.0
-    t1 = 1.0
-    s0 = t0
-    s1 = t1
-    for k in range(1, 40):
-        t0 *= -q / (k * k)
-        t1 *= -q / (k * (k + 1))
-        s0 += t0
-        s1 += t1
-        if abs(t0) < 1e-18 * abs(s0) and abs(t1) < 1e-18 * abs(s1):
-            break
-    return s0, 0.5 * x * s1
-
-
-def _j01_miller(x: float) -> tuple[float, float]:
-    # downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, normalized with
-    # J0 + 2*sum_{k>=1} J_{2k} = 1; near machine precision for moderate x
-    ax = abs(x)
-    n = int(2 * (ax + 20))
-    if n % 2:
-        n += 1
-    jp = 0.0
-    jc = 1e-300
-    j0 = j1 = 0.0
-    even_sum = 0.0
-    for k in range(n, 0, -1):
-        jm = (2.0 * k / ax) * jc - jp
-        jp = jc
-        jc = jm
-        if k - 1 == 1:
-            j1 = jc
-        elif k - 1 == 0:
-            j0 = jc
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            even_sum += 2.0 * jc
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            even_sum *= 1e-250
-            j0 *= 1e-250
-            j1 *= 1e-250
-    lam = j0 + even_sum
-    j0 /= lam
-    j1 /= lam
-    if x < 0.0:
-        j1 = -j1  # J1 odd, J0 even
-    return j0, j1
+    return math.gamma(x)
 
 
 def bessel_j0(x: float) -> float:
     """Bessel function of the first kind, order zero."""
-    x = float(x)
-    if abs(x) <= _SERIES_CUT:
-        return _j01_series(x)[0]
-    return _j01_miller(x)[0]
+    return float(special.j0(x))
 
 
 def bessel_j1(x: float) -> float:
     """Bessel function of the first kind, order one."""
-    x = float(x)
-    if abs(x) <= _SERIES_CUT:
-        return _j01_series(x)[1]
-    return _j01_miller(x)[1]
+    return float(special.j1(x))
 
 
 def bessel_j1_derivative(x: float) -> float:
-    """J1'(x) through the identity J1'(x) = J0(x) - J1(x)/x."""
-    x = float(x)
-    if x == 0.0:
-        return 0.5
-    return bessel_j0(x) - bessel_j1(x) / x
+    """J1'(x) = (J0(x) - J2(x)) / 2."""
+    return float(special.jvp(1, x))
 
 
 def j1_over_x(x):
@@ -179,27 +82,16 @@ _zeta_cache: list[float] = []
 
 
 def find_zeta() -> float:
-    """First positive zero of J1', bracketed in (1, 3).  Cached, write-once."""
-    if _zeta_cache:
-        return _zeta_cache[0]
-    lo, hi = 1.0, 3.0
-    flo = bessel_j1_derivative(lo)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = bessel_j1_derivative(mid)
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-13:
-            break
-    zeta = 0.5 * (lo + hi)
-    # one Newton polish; J1''(x) = -J1'(x)/x - (1 - 1/x^2) J1(x)
-    d1 = bessel_j1_derivative(zeta)
-    d2 = -d1 / zeta - (1.0 - 1.0 / (zeta * zeta)) * bessel_j1(zeta)
-    zeta -= d1 / d2
-    _zeta_cache.append(zeta)
-    return zeta
+    """First positive zero of J1'.  Cached, write-once.
+
+    ``jnp_zeros`` gives the float one ulp above the zero; one Newton step on
+    J1' gives the float one ulp below, the value earlier versions computed,
+    so reports keep their digits.
+    """
+    if not _zeta_cache:
+        z = special.jnp_zeros(1, 1)[0]
+        _zeta_cache.append(float(z - special.jvp(1, z) / special.jvp(1, z, 2)))
+    return _zeta_cache[0]
 
 
 def mu1_disk() -> float:
@@ -219,13 +111,7 @@ def radial_profile_derivative(r):
     """d/dr of J1(zeta r), via zeta * (J0(zeta r) - J1(zeta r)/(zeta r))."""
     z = find_zeta()
     x = z * np.asarray(r, dtype=float)
-    q = 0.25 * x * x
-    term = np.ones_like(q)
-    j0 = term.copy()
-    for k in range(1, 36):
-        term = -term * q / (k * k)
-        j0 += term
-    return z * (j0 - j1_over_x(x))
+    return z * (special.j0(x) - j1_over_x(x))
 
 
 def radial_square_integral() -> float:

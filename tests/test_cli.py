@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from capfold.cli import run
-from capfold.measures import disk_quadrature, measure_to_json
+from capfold.measures import DiscreteMeasure, disk_quadrature, measure_to_json
 
 
 @pytest.fixture()
@@ -54,8 +54,17 @@ def test_constants_deterministic(tmp_path):
 
 def test_usage_error_exit_code():
     assert run(["constants", "--bogus"]) == 1
-    assert run(["fem", "heptagon"]) in (1, 2)
+    assert run(["fem", "heptagon"]) == 1
     assert run(["renormalize", "/nonexistent/measure.json"]) == 1
+
+
+def test_numerical_failure_exit_code(tmp_path):
+    # mass pinned on the boundary has no balancing point: the solver fails,
+    # which is neither bad input nor a violated bound
+    m = DiscreteMeasure("disk", np.array([1.0 + 0j, 0j]), np.array([1.0, 1e-6]))
+    path = tmp_path / "pinned.json"
+    path.write_text(measure_to_json(m))
+    assert run(["renormalize", str(path)]) == 3
 
 
 def test_renormalize_roundtrip(measure_file, tmp_path):

@@ -10,8 +10,6 @@ from capfold.fem import (
     Mesh,
     assemble,
     build_mesh,
-    mesh_from_text,
-    mesh_to_text,
     neumann_eigs,
     parse_domain_spec,
     two_disk_area,
@@ -48,6 +46,8 @@ def test_mesh_is_edge_connected_and_boundary_consistent():
     counts = np.array(list(edges.values()))
     assert set(np.unique(counts)) <= {1, 2}
     assert (counts == 1).sum() == len(mesh.boundary_edges)
+    once = {key for key, cnt in edges.items() if cnt == 1}
+    assert {tuple(e) for e in mesh.boundary_edges.tolist()} == once
     # connectivity via union-find over shared edges
     parent = list(range(len(mesh.vertices)))
 
@@ -64,6 +64,38 @@ def test_mesh_is_edge_connected_and_boundary_consistent():
                 parent[ra] = rb
     roots = {find(v) for tri in mesh.triangles for v in tri}
     assert len(roots) == 1
+
+
+def _ring_walk_triangles(ring_index):
+    # loop reference for the vectorized ring merge in fem._disk_triangles
+    start0, count0 = ring_index[0]
+    tris = [(0, start0 + j, start0 + (j + 1) % count0) for j in range(count0)]
+    for (sa, ka), (sb, kb) in zip(ring_index[:-1], ring_index[1:]):
+        ang_a = 2.0 * np.pi * np.arange(ka) / ka
+        ang_b = 2.0 * np.pi * np.arange(kb) / kb
+        ia = ib = 0
+        while ia < ka or ib < kb:
+            nxt_a = ang_a[(ia + 1) % ka] + (2.0 * np.pi if ia + 1 >= ka else 0.0)
+            nxt_b = ang_b[(ib + 1) % kb] + (2.0 * np.pi if ib + 1 >= kb else 0.0)
+            if ia < ka and (nxt_a <= nxt_b or ib >= kb):
+                tris.append((sa + ia % ka, sb + ib % kb, sa + (ia + 1) % ka))
+                ia += 1
+            else:
+                tris.append((sa + ia % ka, sb + ib % kb, sb + (ib + 1) % kb))
+                ib += 1
+    return np.asarray(tris, dtype=np.int64)
+
+
+@pytest.mark.parametrize("h", [0.3, 0.07, 0.02])
+def test_mesh_builders_match_loop_references(h):
+    from capfold.fem import _disk_triangles, _disk_vertices, _rectangle_mesh
+
+    _, rings = _disk_vertices(h)
+    assert np.array_equal(_disk_triangles(rings), _ring_walk_triangles(rings))
+    nx, ny = max(2, round(2.0 / h)), max(2, round(1.0 / h))
+    cells = [(i * (ny + 1) + j, (i + 1) * (ny + 1) + j) for i in range(nx) for j in range(ny)]
+    ref = [t for a, b in cells for t in ((a, b, b + 1), (a, b + 1, a + 1))]
+    assert np.array_equal(_rectangle_mesh(2.0, 1.0, h).triangles, ref)
 
 
 def test_no_duplicate_vertices():
@@ -110,14 +142,6 @@ def test_invalid_spec():
 def test_conformal_mesh_area(bent_domain):
     mesh = build_mesh(bent_domain, 0.02)
     assert mesh.area == pytest.approx(bent_domain.area, rel=1e-3)
-
-
-def test_mesh_text_roundtrip():
-    mesh = build_mesh({"kind": "rectangle", "a": 1, "b": 2}, 0.25)
-    back = mesh_from_text(mesh_to_text(mesh))
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.allclose(back.vertices, mesh.vertices)
-    assert np.array_equal(back.boundary_edges, mesh.boundary_edges)
 
 
 def test_parse_domain_spec():
@@ -227,6 +251,24 @@ def test_corpus_sweep():
     szego = report["bounds"]["szego"]
     for row in report["rows"]:
         assert row["mu1_area"] <= szego * 1.02
+
+
+def test_corpus_collects_capfold_errors():
+    specs = [
+        {"kind": "rectangle", "a": 1.0, "b": 1.0, "name": "square"},
+        {"kind": "heptagon", "name": "bad-kind"},
+        {"kind": "rectangle", "a": 1.0, "name": "no-b"},
+    ]
+    report = verify_corpus(specs, h=0.1)
+    assert [r["name"] for r in report["rows"]] == ["square"]
+    assert set(report["failures"]) == {"bad-kind", "no-b"}
+    assert "InvalidSpecError" in report["failures"]["bad-kind"]
+    assert not report["all_ok"]
+
+
+def test_corpus_propagates_programming_errors():
+    with pytest.raises(TypeError):
+        verify_corpus([{"kind": "rectangle", "a": None, "b": 1.0}], h=0.1)
 
 
 @pytest.mark.slow

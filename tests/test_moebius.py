@@ -9,7 +9,6 @@ from capfold.moebius import (
     ball_moebius,
     disk_moebius,
     disk_moebius_derivative,
-    monotonicity_check,
     pushforward,
     reflection,
     reflection_disk,
@@ -230,12 +229,3 @@ def test_renormalize_sphere_planted(sphere3_uniform):
     planted = pushforward(sphere3_uniform, xi0)
     res = renormalize(planted)
     assert np.linalg.norm(res.xi + xi0) < 1e-8
-
-
-def test_monotonicity_check():
-    assert monotonicity_check(0.5, samples=100_000, seed=1)
-    assert monotonicity_check(0.99, samples=100_000, seed=2)
-    # the center is moved strictly up from zero
-    from capfold.specfun import radial_profile
-
-    assert radial_profile(0.5) > 0.0
