@@ -19,6 +19,7 @@ from scipy.linalg import null_space
 from .exceptions import (
     EvaluationOutsideCapError,
     GridMismatchError,
+    InvalidInputError,
     SpaceMismatchError,
 )
 from .measures import DiscreteMeasure, disk_grid
@@ -59,21 +60,22 @@ class Cap:
     space: str = "disk"
 
     def __post_init__(self):
+        # each check is written to fail on NaN
         if not -1.0 < self.r < 1.0:
-            raise ValueError("cap parameter r must lie in (-1, 1)")
+            raise InvalidInputError(f"cap parameter r must lie in (-1, 1), got {self.r}")
         if self.space == "disk":
             p = complex(self.p)
-            if abs(abs(p) - 1.0) > 1e-12:
-                raise ValueError("cap direction p must be a unit complex number")
+            if not abs(abs(p) - 1.0) <= 1e-12:
+                raise InvalidInputError("cap direction p must be a unit complex number")
             object.__setattr__(self, "p", p / abs(p))
         elif self.space == "sphere":
             p = np.asarray(self.p, dtype=float)
             norm = float(np.linalg.norm(p))
-            if abs(norm - 1.0) > 1e-12:
-                raise ValueError("cap direction p must be a unit vector")
+            if not abs(norm - 1.0) <= 1e-12:
+                raise InvalidInputError("cap direction p must be a unit vector")
             object.__setattr__(self, "p", p / norm)
         else:
-            raise ValueError(f"unknown space {self.space!r}")
+            raise InvalidInputError(f"unknown space {self.space!r}")
 
     @property
     def height(self) -> float:

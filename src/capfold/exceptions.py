@@ -5,6 +5,13 @@ class CapfoldError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidInputError(CapfoldError, ValueError):
+    """An argument or input document lies outside what a function accepts.
+
+    Also a ``ValueError``, so callers that catch that keep working.
+    """
+
+
 class NegativeDensityError(CapfoldError):
     """A quadrature density was sampled below zero."""
 

@@ -3,7 +3,9 @@
 Independent ground truth for the eigenvalue bounds: structured meshes for
 disks and rectangles, mapped disk meshes for conformal images, a Delaunay
 construction for the two-disk-with-passage family, consistent-mass assembly,
-and a shift-invert sparse eigensolve.
+and a shift-invert sparse eigensolve.  The eigensolve orders the unknowns by
+geometric nested dissection of the mesh and factors ``K - sigma M`` once as
+a symmetric LU with diagonal pivots, which the Lanczos iteration reuses.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .exceptions import (
     CapfoldError,
     DegenerateTriangleError,
     EigSolveError,
+    InvalidInputError,
     InvalidSpecError,
     NeckTooNarrowError,
 )
@@ -246,8 +249,8 @@ def build_mesh(spec, h: float) -> Mesh:
     (a, b), ``conformal`` (coeffs), or ``two_disks_neck`` (eps, neck_length).
     A ``ConformalDomain`` may be passed directly.
     """
-    if h <= 0:
-        raise InvalidSpecError("mesh size must be positive")
+    if not np.isfinite(h) or h <= 0:
+        raise InvalidSpecError(f"mesh size must be positive and finite, got {h}")
     if isinstance(spec, ConformalDomain):
         return _conformal_mesh(spec, h)
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -316,13 +319,20 @@ class SpectralResult:
     """Ascending Neumann eigenvalues with the kernel mode dropped.
 
     ``eigenvalues[0]`` is the numerically zero constant mode; ``products``
-    are the scale-invariant values mu_i * area.
+    are the scale-invariant values mu_i * area.  ``residuals`` are the
+    relative residuals of the generalized problem per mode, ``solves`` the
+    number of shift-invert solves Lanczos made and ``factor_nnz`` the
+    entries SuperLU stores for the L and U factors of ``K - sigma M``
+    (``SuperLU.nnz``: supernodal storage, counting the explicit zeros of
+    relaxed supernodes).
     """
 
     eigenvalues: np.ndarray
     area: float
     h: float
     residuals: np.ndarray
+    solves: int
+    factor_nnz: int
 
     @property
     def products(self) -> np.ndarray:
@@ -339,23 +349,124 @@ class SpectralResult:
                 "area": self.area,
                 "h": self.h,
                 "products": [float(x) for x in self.products],
+                "residuals": [float(x) for x in self.residuals],
+                "solves": self.solves,
+                "factor_nnz": self.factor_nnz,
             }
         )
+
+
+# vertices per leaf cell of the dissection, and a depth cap that keeps the
+# cell codes inside int64
+_LEAF = 32
+_LEVELS = 40
+
+
+def _dissection_order(mesh: Mesh) -> np.ndarray:
+    """Geometric nested-dissection order of the mesh vertices.
+
+    The bounding box is halved along its longer side, recursively, until a
+    cell holds at most ``_LEAF`` vertices.  The left (lower) endpoints of the
+    edges a cut crosses form the separator of that cut, ordered after both
+    halves: with it removed the halves share no edge, so their blocks of the
+    factor fill in apart.  ``order[i]`` is the old index of new vertex ``i``.
+    """
+    v = mesh.vertices
+    n = len(v)
+    lo = v.min(axis=0)
+    size = np.maximum(v.max(axis=0) - lo, 1e-300)
+    # the halves of a box are congruent, so one level cuts every cell along
+    # the same axis; bit d of a vertex's code is its side of the level-d cut
+    axes, cell = [], size.copy()
+    for _ in range(_LEVELS):
+        axes.append(int(cell[1] > cell[0]))
+        cell[axes[-1]] /= 2.0
+    bits = [axes.count(0), axes.count(1)]
+    grid = [
+        np.minimum(((v[:, a] - lo[a]) / size[a] * 2.0 ** bits[a]).astype(np.int64),
+                   2 ** bits[a] - 1)
+        for a in (0, 1)
+    ]
+    code = np.zeros(n, dtype=np.int64)
+    taken = [0, 0]
+    for a in axes:
+        taken[a] += 1
+        code = 2 * code + ((grid[a] >> (bits[a] - taken[a])) & 1)
+
+    # leaf depth: the number of levels whose cell holds more than _LEAF
+    # vertices; sorted by code, every cell is a contiguous run
+    by_code = np.argsort(code, kind="stable")
+    sorted_code = code[by_code]
+    depth = np.zeros(n, dtype=np.int64)
+    for d in range(_LEVELS):
+        starts = np.flatnonzero(np.diff(sorted_code >> (_LEVELS - d), prepend=-1))
+        sizes = np.diff(starts, append=n)
+        split = np.repeat(sizes > _LEAF, sizes)
+        if not split.any():
+            break
+        depth[by_code[split]] += 1
+    shift = _LEVELS - depth
+    code = code >> shift << shift
+
+    # an edge between two leaves crosses the cut at their first differing
+    # bit; its lower endpoint joins that cut's separator unless it already
+    # sits in a separator higher up
+    edges = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    cu, cv = code[edges[:, 0]], code[edges[:, 1]]
+    cut = cu != cv
+    edges, cu, cv = edges[cut], cu[cut], cv[cut]
+    level = _LEVELS - np.frexp((cu ^ cv).astype(float))[1].astype(np.int64)
+    node_depth = depth.copy()
+    np.minimum.at(node_depth, np.where(cu < cv, edges[:, 0], edges[:, 1]), level)
+
+    # post-order: a vertex goes with the end of its node's code range, and a
+    # shallower node (a separator) after the deeper ones ending there
+    shift = _LEVELS - node_depth
+    end = ((code >> shift) + 1) << shift
+    return np.lexsort((-node_depth, end))
 
 
 def neumann_eigs(mesh: Mesh, k: int = 2, h: float = float("nan")) -> SpectralResult:
     """Smallest k+1 Neumann eigenvalues by shift-invert Lanczos.
 
     Deterministic all-ones start vector; the shift sits just below zero so
-    the constant mode comes out first.  Residuals are checked against the
-    generalized problem.
+    the constant mode comes out first.  The unknowns are relabelled in
+    geometric nested-dissection order (``_dissection_order``), and
+    ``K - sigma M``, symmetric positive definite for sigma < 0, is factored
+    once by SuperLU in that order as a symmetric LU with diagonal pivots;
+    every Lanczos step solves with that factor.  Residuals are checked
+    against the generalized problem.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    stiffness, mass = assemble(mesh)
+    if not 1 <= k < len(mesh.vertices) - 1:
+        raise InvalidInputError(
+            f"need 1 <= k < vertices - 1 = {len(mesh.vertices) - 1}, got {k}"
+        )
+    perm = _dissection_order(mesh)
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(len(perm))
+    # triangles sorted by their lowest new label keep the assembly's scatter
+    # into the sparse matrices local
+    triangles = rank[mesh.triangles]
+    triangles = triangles[np.argsort(triangles.min(axis=1), kind="stable")]
+    stiffness, mass = assemble(
+        Mesh(mesh.vertices[perm], triangles, rank[mesh.boundary_edges])
+    )
     n = stiffness.shape[0]
     scale = float(stiffness.diagonal().mean())
     sigma = -1e-8 * scale
+    lu = spla.splu(
+        stiffness - sigma * mass,
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    solves = 0
+
+    def solve(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
+
     try:
         vals, vecs = spla.eigsh(
             stiffness,
@@ -365,6 +476,7 @@ def neumann_eigs(mesh: Mesh, k: int = 2, h: float = float("nan")) -> SpectralRes
             which="LM",
             v0=np.ones(n),
             maxiter=2000,
+            OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float),
         )
     except spla.ArpackNoConvergence as exc:
         raise EigSolveError(f"shift-invert Lanczos failed: {exc}") from exc
@@ -381,6 +493,8 @@ def neumann_eigs(mesh: Mesh, k: int = 2, h: float = float("nan")) -> SpectralRes
         area=mesh.area,
         h=h,
         residuals=np.asarray(residuals),
+        solves=solves,
+        factor_nnz=int(lu.nnz),
     )
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import (
+    InvalidInputError,
     NegativeDensityError,
     SpaceMismatchError,
     UnivalenceError,
@@ -63,16 +64,17 @@ class DiscreteMeasure:
         object.__setattr__(self, "points", np.asarray(self.points))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.space not in ("disk", "sphere"):
-            raise ValueError(f"unknown space {self.space!r}")
-        if np.any(self.weights < 0):
+            raise InvalidInputError(f"unknown space {self.space!r}")
+        # each check is written to fail on NaN
+        if not np.all(self.weights >= 0):
             raise NegativeDensityError("atom weights must be nonnegative")
         if self.space == "disk":
-            if np.any(np.abs(self.points) > 1.0 + _BOUNDARY_SLACK):
-                raise ValueError("disk atoms must lie in the closed unit disk")
+            if not np.all(np.abs(self.points) <= 1.0 + _BOUNDARY_SLACK):
+                raise InvalidInputError("disk atoms must lie in the closed unit disk")
         else:
             norms = np.linalg.norm(self.points, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise ValueError("sphere atoms must lie on the unit sphere")
+            if not np.all(np.abs(norms - 1.0) <= 1e-9):
+                raise InvalidInputError("sphere atoms must lie on the unit sphere")
 
     @property
     def total_mass(self) -> float:
@@ -117,7 +119,7 @@ def disk_grid(n_r: int = 96, n_theta: int = 192):
     has total mass pi.
     """
     if n_r < 4 or n_theta < 4:
-        raise ValueError("need n_r, n_theta >= 4")
+        raise InvalidInputError(f"need n_r, n_theta >= 4, got {n_r}, {n_theta}")
     x, wx = np.polynomial.legendre.leggauss(n_r)
     radii = 0.5 * (x + 1.0)
     wr = 0.5 * wx
@@ -152,8 +154,8 @@ def sphere_quadrature(n: int, resolution: int = 24) -> "DiscreteMeasure":
     Total mass equals omega_n to quadrature accuracy (exactly, for the
     trigonometric-polynomial weights involved).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 1 or resolution < 1:
+        raise InvalidInputError(f"need n, resolution >= 1, got {n}, {resolution}")
     if n == 1:
         m = 2 * resolution
         theta = 2.0 * np.pi * np.arange(m) / m
@@ -430,12 +432,22 @@ def measure_to_json(m: DiscreteMeasure) -> str:
 
 
 def measure_from_json(text: str) -> DiscreteMeasure:
+    """Read a schema-1 measure document as written by ``measure_to_json``.
+
+    A malformed document raises ``InvalidInputError``.
+    """
     doc = json.loads(text)
-    if doc.get("schema") != 1:
-        raise ValueError("unsupported measure schema")
-    atoms = np.asarray(doc["atoms"], dtype=float)
-    if doc["space"] == "disk":
+    if not isinstance(doc, dict) or doc.get("schema") != 1:
+        raise InvalidInputError("unsupported measure schema")
+    space = doc.get("space")
+    try:
+        atoms = np.asarray(doc["atoms"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"measure atoms missing or not numeric: {exc!r}") from None
+    if atoms.ndim != 2 or atoms.shape[1] < 3 or (space == "disk" and atoms.shape[1] != 3):
+        raise InvalidInputError(f"measure atoms have shape {atoms.shape}")
+    if space == "disk":
         return DiscreteMeasure(
             "disk", atoms[:, 0] + 1j * atoms[:, 1], atoms[:, 2]
         )
-    return DiscreteMeasure("sphere", atoms[:, :-1], atoms[:, -1])
+    return DiscreteMeasure(space, atoms[:, :-1], atoms[:, -1])

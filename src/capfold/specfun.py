@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .exceptions import InvalidInputError
+
 __all__ = [
     "gamma",
     "bessel_j0",
@@ -128,7 +130,7 @@ def radial_square_integral() -> float:
 def omega_n(n: int) -> float:
     """Volume of the unit round n-sphere: 2 pi^((n+1)/2) / Gamma((n+1)/2)."""
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise InvalidInputError(f"n must be a positive integer, got {n}")
     return 2.0 * math.pi ** ((n + 1) / 2.0) / gamma((n + 1) / 2.0)
 
 
@@ -138,7 +140,7 @@ def k_n(n: int) -> float:
     Closed form 2 pi^((n+1)/2) Gamma(n) / (Gamma(n/2) Gamma(n + 1/2)).
     """
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise InvalidInputError(f"n must be a positive integer, got {n}")
     return 2.0 * math.pi ** ((n + 1) / 2.0) * gamma(float(n)) / (
         gamma(n / 2.0) * gamma(n + 0.5)
     )
@@ -151,7 +153,7 @@ def k_n_quadrature(n: int, nodes: int = 200) -> float:
     Gauss-Legendre nodes; omega_0 = 2 covers the circle case.
     """
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise InvalidInputError(f"n must be a positive integer, got {n}")
     w_lower = 2.0 if n == 1 else omega_n(n - 1)
     x, w = np.polynomial.legendre.leggauss(nodes)
     theta = 0.5 * math.pi * (x + 1.0)
@@ -178,7 +180,7 @@ class BoundConstants:
 def bound_constants(n: int) -> BoundConstants:
     """Evaluate both constants and their ratio for sphere dimension n."""
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise InvalidInputError(f"n must be a positive integer, got {n}")
     theorem = (n + 1) * (2.0 * k_n(n)) ** (2.0 / n)
     conjecture = n * (2.0 * omega_n(n)) ** (2.0 / n)
     return BoundConstants(

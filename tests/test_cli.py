@@ -67,6 +67,40 @@ def test_numerical_failure_exit_code(tmp_path):
     assert run(["renormalize", str(path)]) == 3
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"schema": 2, "space": "disk", "n": 1, "atoms": [[0.0, 0.0, 1.0]]},
+        {"schema": 1, "space": "disk", "n": 1},
+        {"schema": 1, "space": "disk", "n": 1, "atoms": [[2.0, 0.0, 1.0]]},
+    ],
+    ids=["schema-2", "no-atoms", "atom-outside-disk"],
+)
+def test_bad_measure_file_exit_code(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["renormalize", str(path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fem", "disk", "--k", "0"],
+        ["fem", "disk", "--h", "0.5", "--k", "19"],  # 20 vertices
+        ["fem", "disk", "--h", "nan"],
+        ["rearrange", "MEASURE", "--r", "2", "--angle", "0"],
+        ["rearrange", "MEASURE", "--r", "0.5", "--angle", "nan"],
+        ["certify", "DOMAIN", "--n-r", "2", "--n-theta", "4"],
+        ["constants", "--n", "0"],
+        ["sphere", "--n", "3", "--resolution", "0"],
+    ],
+    ids=["k-0", "k-19-of-20", "h-nan", "r-2", "angle-nan", "n-r-2", "n-0", "resolution-0"],
+)
+def test_bad_numeric_argument_exit_code(measure_file, domain_file, argv):
+    files = {"MEASURE": measure_file, "DOMAIN": domain_file}
+    assert run([files.get(a, a) for a in argv]) == 1
+
+
 def test_renormalize_roundtrip(measure_file, tmp_path):
     out = tmp_path / "renorm.json"
     code = run(["renormalize", measure_file, "--output", str(out)])
@@ -101,6 +135,10 @@ def test_fem_disk(tmp_path):
     tags = {q["tag"] for q in doc["inequalities"]}
     assert tags == {"szego", "two-disk", "polya-k2"}
     assert all(q["holds"] for q in doc["inequalities"])
+    assert len(doc["residuals"]) == 3
+    assert max(doc["residuals"]) < 1e-9
+    assert doc["solves"] > 0
+    assert doc["factor_nnz"] > len(doc["eigenvalues"])
 
 
 def test_certify_subcommand(domain_file, tmp_path):

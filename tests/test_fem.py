@@ -4,10 +4,13 @@ corpus/extremal-family sweeps."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from capfold.exceptions import InvalidSpecError, NeckTooNarrowError
 from capfold.fem import (
     Mesh,
+    _dissection_order,
     assemble,
     build_mesh,
     neumann_eigs,
@@ -137,6 +140,8 @@ def test_invalid_spec():
         build_mesh({"kind": "pentagon"}, 0.1)
     with pytest.raises(InvalidSpecError):
         build_mesh({"no": "kind"}, 0.1)
+    with pytest.raises(InvalidSpecError):
+        build_mesh({"kind": "disk"}, float("nan"))
 
 
 def test_conformal_mesh_area(bent_domain):
@@ -234,6 +239,68 @@ def test_scale_invariance():
     assert res2.mu(1) * res2.area == pytest.approx(
         res1.mu(1) * res1.area, rel=1e-9
     )
+
+
+# ---------------------------------------------- ordering and factorization
+
+@pytest.mark.parametrize(
+    "spec,h",
+    [
+        ("disk", 0.5),  # 20 vertices: a single leaf
+        ("disk", 0.3),
+        ("rectangle:2x1", 0.05),
+        ("two_disks:0.2,0.2", 0.05),
+    ],
+)
+def test_dissection_order_is_permutation(spec, h):
+    mesh = build_mesh(parse_domain_spec(spec), h)
+    order = _dissection_order(mesh)
+    assert np.array_equal(np.sort(order), np.arange(len(mesh.vertices)))
+
+
+def _sigma(stiffness):
+    return -1e-8 * float(stiffness.diagonal().mean())
+
+
+@pytest.mark.parametrize("spec", ["two_disks:0.1,0.2", "disk"])
+def test_dissection_fill_below_colamd(spec):
+    # a silent fall back to the identity or the COLAMD order fails this
+    # count: the dissection stores 0.62x (two disks) and 0.66x (disk) of
+    # COLAMD's factor, COLAMD in the dissection's place 0.97x
+    mesh = build_mesh(parse_domain_spec(spec), 0.02)
+    res = neumann_eigs(mesh, k=2, h=0.02)
+    stiffness, mass = assemble(mesh)
+    colamd = spla.splu(stiffness - _sigma(stiffness) * mass)
+    assert res.factor_nnz < 0.8 * colamd.nnz
+
+
+@pytest.mark.parametrize(
+    "spec,h", [("disk", 0.1), ("rectangle:2x1", 0.1), ("two_disks:0.4,0.2", 0.1)]
+)
+def test_eigenvalues_match_dense_solve(spec, h):
+    mesh = build_mesh(parse_domain_spec(spec), h)
+    res = neumann_eigs(mesh, k=2, h=h)
+    stiffness, mass = assemble(mesh)
+    dense = scipy.linalg.eigh(
+        stiffness.toarray(), mass.toarray(), eigvals_only=True, subset_by_index=[0, 2]
+    )
+    for i in (1, 2):
+        assert res.mu(i) == pytest.approx(dense[i], rel=1e-10)
+
+
+def test_eigenvalues_match_default_ordered_eigsh():
+    # reference: eigsh factoring K - sigma M itself, in the caller's order
+    mesh = build_mesh(parse_domain_spec("two_disks:0.1,0.2"), 0.02)
+    res = neumann_eigs(mesh, k=2, h=0.02)
+    stiffness, mass = assemble(mesh)
+    vals = spla.eigsh(
+        stiffness, k=3, M=mass, sigma=_sigma(stiffness), which="LM",
+        v0=np.ones(stiffness.shape[0]), maxiter=2000, return_eigenvectors=False,
+    )
+    vals = np.sort(vals)
+    for i in (1, 2):
+        assert res.mu(i) == pytest.approx(vals[i], rel=1e-10)
+    assert np.all(res.residuals < 1e-9)
 
 
 @pytest.mark.slow
