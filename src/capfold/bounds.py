@@ -20,7 +20,11 @@ from .caps import (
     rearrange_map,
 )
 from .directions import SCAN_GAP_TOL, canonicalize, classify, scan_caps
-from .exceptions import DimensionUnsupportedError, NotMultipleError
+from .exceptions import (
+    DimensionUnsupportedError,
+    InvalidInputError,
+    NotMultipleError,
+)
 from .measures import (
     ConformalDomain,
     DiscreteMeasure,
@@ -290,8 +294,8 @@ def sphere_modified_quotient(
     if g.space != "sphere":
         raise DimensionUnsupportedError("needs a sphere measure")
     n = g.sphere_dim
-    if abs(g.total_mass - 1.0) > 1e-8:
-        raise ValueError("sphere measure must be normalized to unit mass")
+    if not abs(g.total_mass - 1.0) <= 1e-8:
+        raise InvalidInputError("sphere measure must be normalized to unit mass")
     if trace is None:
         _, trace = rearrange(g, cap)
     tf = TestFunction(cap=cap, direction=np.asarray(s, dtype=float), trace=trace)

@@ -119,6 +119,8 @@ def cmd_renormalize(args) -> int:
             "xi": xi_out,
             "residual": result.residual,
             "iterations": result.iterations,
+            "evaluations": result.evaluations,
+            "halvings": result.halvings,
         },
         args,
     )

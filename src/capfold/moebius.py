@@ -90,19 +90,56 @@ def pushforward(m: DiscreteMeasure, xi) -> DiscreteMeasure:
 
 @dataclass(frozen=True)
 class RenormResult:
-    """Balancing point xi with the residual and iteration count of the solve."""
+    """Balancing point xi with the work the solve took.
+
+    ``evaluations`` counts moment-map evaluations, one per closed-form ball
+    Jacobian and one per moment vector of a disk central difference;
+    ``halvings`` counts the Newton line-search step halvings.
+    """
 
     xi: object  # complex (disk) or ndarray (sphere)
     residual: float
     iterations: int
+    evaluations: int = 0
+    halvings: int = 0
 
 
-def _moments_after(space: str, points, weights, xi) -> np.ndarray:
-    if space == "disk":
-        moved = disk_moebius(complex(xi), points)
-    else:
-        moved = ball_moebius(xi, points)
-    return moment_vector_raw(space, moved, weights)
+def _disk_moments_after(points, weights, xi) -> np.ndarray:
+    return moment_vector_raw("disk", disk_moebius(complex(xi), points), weights)
+
+
+def _ball_moments(points, sq, weights, xi, jacobian=False):
+    """First moments F(xi) = sum w_i M_i of the ball pushforward, in closed form.
+
+    With t_i = (x_i, xi), s = |xi|^2, a_i = 1 + 2 t_i + q_i and
+    d_i = 1 + 2 t_i + s q_i (q_i = |x_i|^2, passed as ``sq``), the moved atom
+    is M_i = ((1-s) x_i + a_i xi) / d_i, so with u_i = w_i / d_i and
+    v = X^T u the moments are F = (1-s) v + (u.a) xi.  With ``jacobian`` the
+    derivative dF/dxi = (u.a) I + 2 (xi v^T - v xi^T)
+    - 2 sum u_i M_i (x_i + q_i xi)^T is returned as well.  Neither builds the
+    moved atoms.
+    """
+    t = points @ xi
+    s = float(xi @ xi)
+    a = 1.0 + 2.0 * t + sq
+    d = 1.0 + 2.0 * t + s * sq
+    u = weights / d
+    v = points.T @ u
+    ua = float(u @ a)
+    mom = (1.0 - s) * v + ua * xi
+    if not jacobian:
+        return mom
+    # u_i M_i = r_i ((1-s) x_i + a_i xi) with r_i = w_i / d_i^2
+    r = u / d
+    ra = r * a
+    um_x = (1.0 - s) * (points.T * r) @ points + np.outer(xi, points.T @ ra)
+    um_q = (1.0 - s) * (points.T @ (r * sq)) + float(ra @ sq) * xi
+    jac = (
+        ua * np.eye(len(xi))
+        + 2.0 * (np.outer(xi, v) - np.outer(v, xi))
+        - 2.0 * (um_x + np.outer(um_q, xi))
+    )
+    return mom, jac
 
 
 def renormalize(
@@ -117,7 +154,12 @@ def renormalize(
     measure, normalized by mass times the boundary value of the radial
     profile.  The point is unique, so the result does not depend on the
     starting point; ``seed`` = 0 starts at the origin, any other seed starts
-    from a random interior point.
+    from a random interior point of norm at most 0.9.
+
+    A damped drift brings the residual under 1e-3, then Newton with a
+    halving line search finishes.  On the ball the moments and the Newton
+    Jacobian are closed form (``_ball_moments``); the disk still builds its
+    Jacobian from central differences of the moment vector (ROADMAP 2(b)).
 
     Raises
     ------
@@ -140,9 +182,17 @@ def renormalize(
     else:
         rng = np.random.default_rng(seed)
         vec = rng.uniform(-0.5, 0.5, size=dim)
+        # in dimension 3 and up a draw from the cube can leave the ball
+        norm_vec = float(np.linalg.norm(vec))
+        if norm_vec >= 0.9:
+            vec = vec * (0.9 / norm_vec)
         xi = complex(vec[0], vec[1]) if disk else vec
 
     points, weights = m.points, m.weights
+    if not disk:
+        sq = np.sum(points * points, axis=1)
+    evaluations = 0
+    halvings = 0
 
     def compose(xi, step):
         # group-like update: the new map is (moebius with the returned
@@ -152,8 +202,27 @@ def renormalize(
         return ball_moebius(xi, step)
 
     def resid(xi):
-        mom = _moments_after(m.space, points, weights, xi)
+        nonlocal evaluations
+        evaluations += 1
+        if disk:
+            mom = _disk_moments_after(points, weights, xi)
+        else:
+            mom = _ball_moments(points, sq, weights, xi)
         return mom, float(np.max(np.abs(mom))) / scale
+
+    def jacobian(xi):
+        nonlocal evaluations
+        if not disk:
+            evaluations += 1
+            return _ball_moments(points, sq, weights, xi, jacobian=True)[1]
+        fd = 1e-6
+        jac = np.empty((dim, dim))
+        for j, dxi in enumerate((fd, 1j * fd)):
+            plus = _disk_moments_after(points, weights, xi + dxi)
+            minus = _disk_moments_after(points, weights, xi - dxi)
+            jac[:, j] = (plus - minus) / (2.0 * fd)
+        evaluations += 2 * dim
+        return jac
 
     mom, rn = resid(xi)
     iterations = 0
@@ -175,23 +244,11 @@ def renormalize(
         mom, rn = resid(xi)
         iterations += 1
 
-    # stage 2: Newton with central finite differences
-    fd = 1e-6
+    # stage 2: Newton; closed-form Jacobian on the ball, central
+    # differences on the disk until ROADMAP 2(b) gives it a closed form
     while rn > tol and iterations < max_iterations:
-        jac = np.empty((dim, dim))
-        for j in range(dim):
-            if disk:
-                dxi = fd if j == 0 else 1j * fd
-                plus = _moments_after(m.space, points, weights, xi + dxi)
-                minus = _moments_after(m.space, points, weights, xi - dxi)
-            else:
-                e = np.zeros(dim)
-                e[j] = fd
-                plus = _moments_after(m.space, points, weights, xi + e)
-                minus = _moments_after(m.space, points, weights, xi - e)
-            jac[:, j] = (plus - minus) / (2.0 * fd)
         try:
-            delta = np.linalg.solve(jac, -mom)
+            delta = np.linalg.solve(jacobian(xi), -mom)
         except np.linalg.LinAlgError:
             raise NonConvergenceError(
                 "singular moment Jacobian",
@@ -208,6 +265,7 @@ def renormalize(
                     xi, mom, rn = cand, cand_mom, cand_rn
                     break
             lam *= 0.5
+            halvings += 1
         else:
             raise NonConvergenceError(
                 "Newton stage stalled near the boundary",
@@ -220,4 +278,7 @@ def renormalize(
             "renormalization did not reach tolerance",
             xi=xi, residual=rn, iterations=iterations,
         )
-    return RenormResult(xi=xi, residual=rn, iterations=iterations)
+    return RenormResult(
+        xi=xi, residual=rn, iterations=iterations,
+        evaluations=evaluations, halvings=halvings,
+    )

@@ -44,8 +44,8 @@ def gamma(x: float) -> float:
         Argument in (0, 171.6); larger values overflow double precision.
     """
     x = float(x)
-    if x <= 0.0:
-        raise ValueError("gamma requires a positive argument")
+    if not x > 0.0:
+        raise InvalidInputError(f"gamma requires a positive argument, got {x}")
     return math.gamma(x)
 
 

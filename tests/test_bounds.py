@@ -16,7 +16,7 @@ from capfold.bounds import (
 )
 from capfold.caps import Cap, cap_contains, fold_measure, rearrange
 from capfold.directions import canonicalize
-from capfold.exceptions import NotMultipleError
+from capfold.exceptions import InvalidInputError, NotMultipleError
 from capfold.measures import (
     ConformalDomain,
     DiscreteMeasure,
@@ -312,7 +312,7 @@ def test_modified_quotient_uniform(sphere3_uniform):
 
 def test_modified_quotient_needs_unit_mass():
     g = sphere_quadrature(3, resolution=6)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInputError):
         sphere_modified_quotient(g, Cap(0.2, np.eye(4)[0], "sphere"), np.eye(4)[0])
 
 

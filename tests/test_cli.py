@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from capfold.cli import run
-from capfold.measures import DiscreteMeasure, disk_quadrature, measure_to_json
+from capfold.measures import (
+    DiscreteMeasure,
+    disk_quadrature,
+    measure_to_json,
+    sphere_quadrature,
+)
 
 
 @pytest.fixture()
@@ -108,6 +113,21 @@ def test_renormalize_roundtrip(measure_file, tmp_path):
     doc = json.loads(out.read_text())
     assert abs(complex(*doc["xi"])) < 1e-9
     assert doc["residual"] < 1e-10
+    # already balanced: one moment evaluation, no Newton step
+    assert (doc["iterations"], doc["evaluations"], doc["halvings"]) == (0, 1, 0)
+
+
+def test_renormalize_sphere_seeded_start(tmp_path):
+    # seed 79 draws a start of norm >= 1 in R^6; it is pulled back inside
+    g = sphere_quadrature(5, resolution=6)
+    m = DiscreteMeasure("sphere", g.points, g.weights * (1.0 + 0.1 * g.points[:, 1]))
+    path, out = tmp_path / "s5.json", tmp_path / "renorm.json"
+    path.write_text(measure_to_json(m))
+    assert run(["renormalize", str(path), "--seed", "79", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["residual"] < 1e-10
+    assert doc["evaluations"] >= doc["iterations"] + 1
+    assert doc["halvings"] >= 0
 
 
 def test_rearrange_subcommand(measure_file, tmp_path):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from capfold.exceptions import NonConvergenceError, ZeroMassError
-from capfold.measures import DiscreteMeasure, coordinate_values, disk_quadrature
+from capfold.measures import (
+    DiscreteMeasure,
+    coordinate_values,
+    disk_quadrature,
+    sphere_quadrature,
+)
 from capfold.moebius import (
     ball_moebius,
     disk_moebius,
@@ -167,6 +172,26 @@ def test_renormalize_restart_uniqueness(bent_canonical):
     results = [renormalize(moved, seed=seed).xi for seed in range(1, 8)]
     base = results[0]
     assert all(abs(x - base) < 1e-9 for x in results)
+
+
+def test_renormalize_restart_uniqueness_s5():
+    # in R^6 a start drawn from the cube can leave the ball (seeds 79, 126
+    # and 249 do); every seeded start must still reach the same point
+    g = sphere_quadrature(5, resolution=6)
+    m = DiscreteMeasure("sphere", g.points, g.weights * (1.0 + 0.1 * g.points[:, 1]))
+    base = renormalize(m).xi
+    for seed in [*range(1, 21), 79, 126, 249]:
+        assert np.max(np.abs(renormalize(m, seed=seed).xi - base)) < 1e-12
+
+
+def test_renormalize_counts_its_work(uniform_disk, sphere3_uniform):
+    # drift steps cost one evaluation each, a Newton step one for the
+    # residual plus its Jacobian: one in closed form on the ball, four
+    # central-difference moment vectors on the disk
+    disk = renormalize(pushforward(uniform_disk, 0.3 + 0j))
+    ball = renormalize(pushforward(sphere3_uniform, np.array([0.25, -0.1, 0.3, 0.05])))
+    assert (disk.iterations, disk.evaluations, disk.halvings) == (9, 18, 0)
+    assert (ball.iterations, ball.evaluations, ball.halvings) == (7, 10, 0)
 
 
 def test_renormalize_idempotent(bent_canonical):

@@ -8,6 +8,7 @@ import pytest
 import scipy.special as sp
 
 from capfold import specfun
+from capfold.exceptions import InvalidInputError
 
 # frozen from the independent oracle below (series J1' + bisection)
 ZETA_REF = 1.8411837813406593
@@ -108,6 +109,12 @@ def test_gamma_against_scipy_and_half_integers():
     assert abs(specfun.gamma(0.5) - root_pi) < 1e-14
     assert abs(specfun.gamma(1.5) - root_pi / 2) < 1e-15
     assert abs(specfun.gamma(3.5) - 15 * root_pi / 8) < 1e-14
+
+
+@pytest.mark.parametrize("x", [0.0, -1.5, float("nan")])
+def test_gamma_rejects_non_positive_argument(x):
+    with pytest.raises(InvalidInputError):
+        specfun.gamma(x)
 
 
 def test_omega_closed_forms():
