@@ -273,7 +273,9 @@ def renormalize(
             )
         iterations += 1
 
-    if rn > tol:
+    # written so that a NaN residual (moments of a point pushed onto the
+    # boundary by rounding) fails it too
+    if not rn <= tol:
         raise NonConvergenceError(
             "renormalization did not reach tolerance",
             xi=xi, residual=rn, iterations=iterations,

@@ -236,6 +236,19 @@ def test_renormalize_boundary_concentration_fails():
         renormalize(m)
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_renormalize_heavy_sphere_atom_fails(dim):
+    # an atom with more than half the mass has no balancing point; the
+    # drift drives xi to the boundary, where the moments turn to NaN
+    x = np.vstack([np.eye(dim), -np.eye(dim)])
+    w = np.full(2 * dim, 0.1 / (2 * dim - 1))
+    w[0] = 0.9
+    with pytest.raises(NonConvergenceError):
+        renormalize(DiscreteMeasure("sphere", x, w))
+
+
 def test_renormalize_mass_scale_invariance(uniform_disk):
     # the residual normalization makes recovery independent of total mass
     big = uniform_disk.scaled(1e6)
