@@ -375,64 +375,95 @@ def winding_diagnostic(
 # sphere-side diagnostics
 # ---------------------------------------------------------------------------
 
-def sphere_cap_search(
-    m: DiscreteMeasure,
-    eps: float = SCAN_GAP_TOL,
-    r_grid=None,
-    resolution: int = 8,
-    refine_steps: int = 60,
-    seed: int = 0,
-) -> tuple[Cap, float]:
-    """Coarse grid plus local descent for a small-gap spherical cap.
+def _sphere_form(m: DiscreteMeasure, r: float, p: np.ndarray):
+    cap = Cap(float(r), p, "sphere")
+    nu, _ = rearrange(m, cap)
+    return cap, direction_form(nu)
 
-    The multiple caps form positive-codimension sets; for the mildly
-    perturbed test measures a Nelder-Mead style descent on the gap reaches
-    the scan tolerance quickly.
+
+def _compressed_traceless(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    # traceless part of the 2x2 compression onto ``basis``, over its trace;
+    # its norm is the relative gap when ``basis`` spans the top eigenspace
+    c = basis.T @ mat @ basis
+    return np.array([c[0, 0] - c[1, 1], 2.0 * c[0, 1]]) / (c[0, 0] + c[1, 1])
+
+
+def _sphere_gauss_newton(m: DiscreteMeasure, r: float, p: np.ndarray):
+    """Min-norm Gauss-Newton for a multiple cap, started at the cap (r, p).
+
+    Unknowns are r and a tangent step of p, retracted onto the sphere; the
+    residual is ``_compressed_traceless`` on the top-2 eigenspace picked at
+    the current cap and held fixed for the step.  The Jacobian is a forward
+    difference, so a step costs 1 + (n+1) rearrangements plus its line
+    search.  Stops at gap 1e-10, after 20 steps, or when no halving of the
+    step lowers the gap.
+    """
+    h = 1e-5
+    cap, form = _sphere_form(m, r, p)
+    for _ in range(20):
+        if form.gap <= 1e-10:
+            break
+        basis = np.linalg.eigh(form.matrix)[1][:, -2:]
+        f = _compressed_traceless(form.matrix, basis)
+        tangent = null_space(cap.p[None, :])
+        trials = [(cap.r + h, cap.p)] + [
+            (cap.r, (cap.p + h * t) / np.linalg.norm(cap.p + h * t))
+            for t in tangent.T
+        ]
+        jac = np.column_stack([
+            (_compressed_traceless(_sphere_form(m, rk, pk)[1].matrix, basis) - f) / h
+            for rk, pk in trials
+        ])
+        step = -np.linalg.pinv(jac) @ f
+        for lam in 0.5 ** np.arange(6):
+            r_new = cap.r + lam * step[0]
+            if abs(r_new) >= 0.95:
+                # rounding in the fold puts atoms off the sphere as the cap
+                # shrinks to a point (r = 0.99 does)
+                continue
+            p_new = cap.p + lam * (tangent @ step[1:])
+            cand, cand_form = _sphere_form(m, r_new, p_new / np.linalg.norm(p_new))
+            if cand_form.gap < form.gap:
+                cap, form = cand, cand_form
+                break
+        else:
+            break
+    return cap, form.gap
+
+
+def sphere_cap_search(
+    m: DiscreteMeasure, eps: float = SCAN_GAP_TOL
+) -> tuple[Cap, float]:
+    """Find a spherical cap whose rearranged measure is multiple.
+
+    Solves for a zero of the traceless part of the direction form,
+    compressed onto its top-2 eigenspace, by min-norm Gauss-Newton over the
+    cap parameters (``_sphere_gauss_newton``).  The first start is the
+    hemisphere r = 0 around the top eigenvector of ``direction_form(m)``
+    (e1 for a canonicalized measure).  If that stalls at gap ``eps`` or
+    above, the search restarts from r = +-0.3 around the top and the second
+    eigenvector; the caps (r, p) and (-r, -p) fold to the same gap, so these
+    four starts also cover -p.  Returns the cap and the gap of
+    ``direction_form(rearrange(m, cap))``; raises ``CapScanError`` with the
+    smallest gap reached when every start ends at ``eps`` or above.
     """
     if m.space != "sphere":
         raise DimensionUnsupportedError("sphere_cap_search needs a sphere measure")
-    dim = m.ambient_dim
-    if r_grid is None:
-        r_grid = np.linspace(-0.6, 0.6, 5)
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(resolution, dim))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-
-    def gap_of(vec):
-        r = float(np.tanh(vec[0]))
-        p = vec[1:]
-        n = np.linalg.norm(p)
-        if n < 1e-12:
-            return 1.0, None
-        cap = Cap(float(np.clip(r, -0.95, 0.95)), p / n, "sphere")
-        nu, _ = rearrange(m, cap, tol=1e-9)
-        return direction_form(nu).gap, cap
-
-    best = (np.inf, None, None)
-    for r in r_grid:
-        for p in dirs:
-            vec = np.concatenate([[np.arctanh(np.clip(r, -0.9, 0.9))], p])
-            g, cap = gap_of(vec)
-            if g < best[0]:
-                best = (g, cap, vec)
-
-    from scipy.optimize import minimize
-
-    res = minimize(
-        lambda v: gap_of(v)[0],
-        best[2],
-        method="Nelder-Mead",
-        options={"maxfev": refine_steps, "xatol": 1e-8, "fatol": 1e-12},
+    evecs = np.linalg.eigh(direction_form(m).matrix)[1]
+    starts = [(0.0, evecs[:, -1])] + [
+        (r, evecs[:, k]) for k in (-1, -2) for r in (0.3, -0.3)
+    ]
+    best_cap, best_gap = None, np.inf
+    for r, p in starts:
+        cap, gap = _sphere_gauss_newton(m, r, p)
+        if gap < best_gap:
+            best_cap, best_gap = cap, gap
+        if best_gap < eps:
+            return best_cap, float(best_gap)
+    raise CapScanError(
+        f"no spherical cap below gap {eps}",
+        best_cap=best_cap, best_gap=float(best_gap),
     )
-    g, cap = gap_of(res.x)
-    if g < best[0]:
-        best = (g, cap, res.x)
-    if best[0] >= eps:
-        raise CapScanError(
-            f"no spherical cap below gap {eps}",
-            best_cap=best[1], best_gap=best[0],
-        )
-    return best[1], float(best[0])
 
 
 def sphere_degree_check(n: int, n_targets: int = 6, seed: int = 0) -> dict:

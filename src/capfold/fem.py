@@ -164,11 +164,10 @@ def _conformal_mesh(domain: ConformalDomain, h: float) -> Mesh:
     scale = float(np.max(np.abs(domain.derivative(
         np.exp(1j * np.linspace(0, 2 * np.pi, 256))
     ))))
-    base = _disk_mesh(h / max(scale, 1.0))
-    z = base.vertices[:, 0] + 1j * base.vertices[:, 1]
-    w = domain.map(z)
-    verts = np.stack([w.real, w.imag], axis=1)
-    return _orient_and_wrap(verts, base.triangles)
+    # the map keeps orientation, so one pass orients the mapped triangles
+    verts, rings = _disk_vertices(h / max(scale, 1.0))
+    w = domain.map(verts[:, 0] + 1j * verts[:, 1])
+    return _orient_and_wrap(np.stack([w.real, w.imag], axis=1), _disk_triangles(rings))
 
 
 def two_disk_area(eps: float, neck_length: float) -> float:

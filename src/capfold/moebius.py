@@ -142,6 +142,9 @@ def _ball_moments(points, sq, weights, xi, jacobian=False):
     return mom, jac
 
 
+# near the boundary guard the moments of a measure without a balancing point
+# divide by zero; the NaN residual this leaves raises NonConvergenceError
+@np.errstate(divide="ignore", invalid="ignore")
 def renormalize(
     m: DiscreteMeasure,
     tol: float = 1e-10,
@@ -166,7 +169,8 @@ def renormalize(
     NonConvergenceError
         If the iteration is driven into the boundary guard zone or stalls;
         this signals a measure concentrated near a single boundary point,
-        which admits no interior balancing point.
+        which admits no interior balancing point.  A sphere atom with more
+        than half the mass raises at once, with ``iterations`` = 0.
     ZeroMassError
         If the measure has no mass.
     """
@@ -226,6 +230,13 @@ def renormalize(
 
     mom, rn = resid(xi)
     iterations = 0
+    if not disk and np.max(weights) > 0.5 * mass:
+        # a Moebius map moves an atom of weight w > mass/2 to some y on the
+        # sphere, where the first moment along y is at least w - (mass - w)
+        raise NonConvergenceError(
+            "an atom carries more than half the mass: no balancing point",
+            xi=xi, residual=rn, iterations=iterations,
+        )
 
     # stage 1: damped drift toward the balancing point
     while rn > 1e-3 and iterations < max_iterations:

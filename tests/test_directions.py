@@ -183,3 +183,71 @@ def test_sphere_cap_search_finds_small_gap():
     canon, _ = canonicalize(bumped)
     cap, gap = sphere_cap_search(canon, eps=1e-3)
     assert gap < 1e-3
+
+
+def _sphere_density_measure(resolution, density):
+    from capfold.measures import DiscreteMeasure
+
+    g = sphere_quadrature(3, resolution=resolution)
+    m = DiscreteMeasure("sphere", g.points, g.weights * density(g.points))
+    return m.scaled(1.0 / m.total_mass)
+
+
+def _seeded_sweep(count):
+    # densities 1 + (a, x) + b x0^2 on S^3 at res 10, |a| <= 0.4, b <= 0.2
+    rng = np.random.default_rng(12345)
+    for _ in range(count):
+        a = rng.normal(size=4)
+        a *= rng.uniform(0.0, 0.4) / np.linalg.norm(a)
+        b = rng.uniform(0.0, 0.2)
+        yield _sphere_density_measure(
+            10, lambda x, a=a, b=b: 1.0 + x @ a + b * x[:, 0] ** 2
+        )
+
+
+def test_sphere_cap_search_known_res16_density():
+    # Nelder-Mead on the gap stopped at 2.5e-3 on this measure
+    m = _sphere_density_measure(
+        16, lambda x: 1.0 + 0.3 * x[:, 1] + 0.1 * x[:, 0] ** 2
+    )
+    canon, _ = canonicalize(m)
+    _, gap = sphere_cap_search(canon)
+    assert gap < 1e-3
+
+
+def test_sphere_cap_search_seeded_sweep():
+    # the first 14 draws hold two on which Nelder-Mead missed gap 1e-3
+    for m in _seeded_sweep(14):
+        canon, _ = canonicalize(m)
+        _, gap = sphere_cap_search(canon)
+        assert gap < 1e-3
+
+
+def test_sphere_cap_search_gap_is_recomputable():
+    # the solve runs far below the 1e-3 tolerance (Nelder-Mead: 3.8e-4 here),
+    # and the gap it reports is that of the returned cap
+    canon, _ = canonicalize(next(_seeded_sweep(1)))
+    cap, gap = sphere_cap_search(canon)
+    assert gap < 1e-8
+    assert gap == direction_form(rearrange(canon, cap)[0]).gap
+
+
+def test_sphere_cap_search_without_canonicalizing():
+    # neither balanced nor rotated: the first start is the top eigenvector
+    for m in _seeded_sweep(3):
+        cap, gap = sphere_cap_search(m)
+        assert gap < 1e-3
+        assert gap == direction_form(rearrange(m, cap)[0]).gap
+
+
+def test_sphere_cap_search_reports_best_gap_when_every_start_stalls():
+    # no cap reaches gap 0 exactly, so every start runs and the error carries
+    # the smallest gap any of them reached
+    from capfold.exceptions import CapScanError
+
+    canon, _ = canonicalize(next(_seeded_sweep(1)))
+    with pytest.raises(CapScanError) as info:
+        sphere_cap_search(canon, eps=0.0)
+    best = info.value
+    assert best.best_gap < 1e-8
+    assert best.best_gap == direction_form(rearrange(canon, best.best_cap)[0]).gap

@@ -149,6 +149,26 @@ def test_conformal_mesh_area(bent_domain):
     assert mesh.area == pytest.approx(bent_domain.area, rel=1e-3)
 
 
+@pytest.mark.parametrize("coeffs", [[1.0, 0.3], [1.0, 0.25j], [1.0, 0.2, 0.05]])
+def test_conformal_mesh_matches_two_pass_build(coeffs):
+    # reference: orient the disk mesh, map it, orient and find the boundary
+    # again, as the builder did before it skipped the first pass
+    from capfold.fem import _conformal_mesh, _disk_mesh, _orient_and_wrap
+
+    domain = ConformalDomain(coeffs)
+    h = 0.02
+    scale = float(np.max(np.abs(domain.derivative(
+        np.exp(1j * np.linspace(0, 2 * np.pi, 256))
+    ))))
+    base = _disk_mesh(h / max(scale, 1.0))
+    w = domain.map(base.vertices[:, 0] + 1j * base.vertices[:, 1])
+    ref = _orient_and_wrap(np.stack([w.real, w.imag], axis=1), base.triangles)
+    mesh = _conformal_mesh(domain, h)
+    assert np.array_equal(mesh.vertices, ref.vertices)
+    assert np.array_equal(mesh.triangles, ref.triangles)
+    assert np.array_equal(mesh.boundary_edges, ref.boundary_edges)
+
+
 def test_parse_domain_spec():
     assert parse_domain_spec("disk")["kind"] == "disk"
     assert parse_domain_spec("square")["a"] == 1.0

@@ -1,5 +1,7 @@
 """Moebius maps, reflections, and the renormalization solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -236,17 +238,49 @@ def test_renormalize_boundary_concentration_fails():
         renormalize(m)
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_renormalize_heavy_sphere_atom_fails(dim):
-    # an atom with more than half the mass has no balancing point; the
-    # drift drives xi to the boundary, where the moments turn to NaN
+    # an atom with more than half the mass has no balancing point
     x = np.vstack([np.eye(dim), -np.eye(dim)])
     w = np.full(2 * dim, 0.1 / (2 * dim - 1))
     w[0] = 0.9
-    with pytest.raises(NonConvergenceError):
-        renormalize(DiscreteMeasure("sphere", x, w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError):
+            renormalize(DiscreteMeasure("sphere", x, w))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_renormalize_split_heavy_atom_fails_quietly(dim):
+    # two coincident atoms of 0.45 each pass the single-atom check; the drift
+    # drives xi to the boundary, where the moments divide by zero
+    x = np.vstack([np.eye(dim), -np.eye(dim), np.eye(dim)[:1]])
+    w = np.full(2 * dim + 1, 0.1 / (2 * dim - 1))
+    w[0] = w[-1] = 0.45
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError):
+            renormalize(DiscreteMeasure("sphere", x, w))
+
+
+def test_renormalize_heavy_atom_raises_before_iterating(sphere3_uniform):
+    # S^3 res 16 plus one atom with 54.5 % of the mass
+    atom = np.array([[0.6, 0.0, 0.8, 0.0]])
+    m = DiscreteMeasure(
+        "sphere",
+        np.vstack([sphere3_uniform.points, atom]),
+        np.append(sphere3_uniform.weights, 0.545 / 0.455),
+    )
+    with pytest.raises(NonConvergenceError) as info:
+        renormalize(m)
+    assert info.value.iterations == 0
+
+
+def test_renormalize_half_mass_antipodal_atoms_balance():
+    # exactly half the mass in one atom is allowed: this pair balances at 0
+    x = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+    res = renormalize(DiscreteMeasure("sphere", x, np.array([0.5, 0.5])))
+    assert np.linalg.norm(res.xi) < 1e-12
 
 
 def test_renormalize_mass_scale_invariance(uniform_disk):
