@@ -151,8 +151,8 @@ def test_conformal_mesh_area(bent_domain):
 
 @pytest.mark.parametrize("coeffs", [[1.0, 0.3], [1.0, 0.25j], [1.0, 0.2, 0.05]])
 def test_conformal_mesh_matches_two_pass_build(coeffs):
-    # reference: orient the disk mesh, map it, orient and find the boundary
-    # again, as the builder did before it skipped the first pass
+    # reference: the two-pass build, which orients the disk mesh, maps it,
+    # then orients the mapped triangles and finds their boundary again
     from capfold.fem import _conformal_mesh, _disk_mesh, _orient_and_wrap
 
     domain = ConformalDomain(coeffs)
