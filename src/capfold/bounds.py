@@ -19,7 +19,7 @@ from .caps import (
     rearrange,
     rearrange_map,
 )
-from .directions import SCAN_GAP_TOL, canonicalize, classify, scan_caps
+from .directions import SCAN_GAP_TOL, canonicalize, scan_caps
 from .exceptions import (
     DimensionUnsupportedError,
     InvalidInputError,
@@ -34,6 +34,7 @@ from .measures import (
 )
 from .moebius import ball_moebius
 from .specfun import (
+    gauss_legendre,
     k_n,
     mu1_disk,
     radial_profile,
@@ -197,10 +198,9 @@ def planar_bound_certificate(
     area = domain.area
     raw = pullback_measure(domain, n_r, n_theta)
     canon, _ = canonicalize(raw)
-    cls = classify(canon, eps)
+    form = direction_form(canon)
 
-    if cls.multiple:
-        form = direction_form(canon)
+    if form.gap < eps:
         denom = (np.pi / area) * form.eig_second
         quotient = mu1 * np.pi * energy_integral / denom
         return BoundReport(
@@ -210,7 +210,7 @@ def planar_bound_certificate(
             quotient_sup=quotient,
             bound=mu1,
             margin=mu1 - quotient,
-            gap=cls.gap,
+            gap=form.gap,
             cap=None,
         )
 
@@ -249,7 +249,7 @@ def cap_gradient_integral(n: int, cap: Cap, s, nodes: int = 64) -> float:
     s_perp = float(np.linalg.norm(s - sc * p))
     t_max = float(np.arccos(np.clip(cap.height, -1.0, 1.0)))
 
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = gauss_legendre(nodes)
     theta = 0.5 * t_max * (xg + 1.0)
     wt = 0.5 * t_max * wg
 
@@ -265,9 +265,8 @@ def cap_gradient_integral(n: int, cap: Cap, s, nodes: int = 64) -> float:
     from .specfun import omega_n as _omega
 
     w_eq = 2.0 if n == 2 else _omega(n - 2)
-    ug, wu = np.polynomial.legendre.leggauss(nodes)
-    phi = 0.5 * np.pi * (ug + 1.0)
-    wphi = 0.5 * np.pi * wu
+    phi = 0.5 * np.pi * (xg + 1.0)
+    wphi = 0.5 * np.pi * wg
     th_mat, ph_mat = np.meshgrid(theta, phi, indexing="ij")
     a = sc * np.cos(th_mat) + s_perp * np.sin(th_mat) * np.cos(ph_mat)
     integrand = np.maximum(0.0, 1.0 - a * a) ** (n / 2.0)

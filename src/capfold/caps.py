@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator
 from scipy.linalg import null_space
 
 from .exceptions import (
@@ -32,6 +31,7 @@ from .moebius import (
     reflection_disk,
     renormalize,
 )
+from .specfun import gauss_legendre
 
 __all__ = [
     "Cap",
@@ -469,8 +469,10 @@ def subharmonic_diagnostics(nu: DiscreteMeasure) -> SubharmonicReport:
     w_prof = dens.sum(axis=1) * (2.0 * np.pi / n_theta)
     mono = float(np.max(np.maximum(0.0, w_prof[:-1] - w_prof[1:])))
 
+    from scipy.interpolate import BarycentricInterpolator
+
     interp = BarycentricInterpolator(radii, w_prof * radii)
-    xg, wg = np.polynomial.legendre.leggauss(64)
+    xg, wg = gauss_legendre(64)
     g_prof = np.empty(n_r)
     for k, rk in enumerate(radii):
         nodes = 0.5 * rk * (xg + 1.0)

@@ -11,6 +11,7 @@ and are byte-identical for a fixed configuration and seed.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -20,7 +21,7 @@ from . import bounds as bounds_mod
 from . import fem as fem_mod
 from .caps import Cap, rearrange
 from .directions import scan_caps, sphere_degree_check
-from .exceptions import CapfoldError, NumericalFailureError
+from .exceptions import CapfoldError, InvalidInputError, NumericalFailureError
 from .measures import (
     ConformalDomain,
     measure_from_json,
@@ -303,7 +304,9 @@ def cmd_sphere(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``capfold`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="capfold",
         description="Eigenvalue-bound verification toolkit for planar domains and spheres",
@@ -372,20 +375,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cast_like(value: str, current):
-    if isinstance(current, bool):
-        return value.lower() in ("1", "true", "yes")
-    if isinstance(current, int):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
-    try:
-        return int(value)
-    except ValueError:
+def _merge_config(parser: argparse.ArgumentParser, args, argv) -> None:
+    """Set each option named in the ``--config`` file that no flag set.
+
+    A value converts by its option's ``type`` and ``choices``, as the flag's
+    would; only the subcommand's options, not its positionals, are keys.
+    """
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    options = {
+        a.dest: a for a in subparsers.choices[args.command]._actions
+        if a.option_strings and a.dest != "help"
+    }
+    for key, value in _load_config_file(args.config).items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise InvalidInputError(f"unknown config key {key!r}")
+        if any(
+            tok == flag or tok.startswith(flag + "=")
+            for tok in argv for flag in action.option_strings
+        ):
+            continue
         try:
-            return float(value)
-        except ValueError:
-            return value
+            value = value if action.type is None else action.type(value)
+        except ValueError as exc:
+            raise InvalidInputError(f"config key {key!r}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise InvalidInputError(f"config key {key!r}: invalid choice {value!r}")
+        setattr(args, action.dest, value)
 
 
 def run(argv=None) -> int:
@@ -396,24 +412,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.config:
-        try:
-            file_conf = _load_config_file(args.config)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        for key, value in file_conf.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr) or attr in ("func", "command", "config"):
-                print(f"error: unknown config key {key!r}", file=sys.stderr)
-                return USAGE_ERROR
-            flag = "--" + key.replace("_", "-")
-            explicit = any(
-                tok == flag or tok.startswith(flag + "=") for tok in argv
-            )
-            if not explicit:
-                setattr(args, attr, _cast_like(value, getattr(args, attr)))
     try:
+        if args.config:
+            _merge_config(parser, args, argv)
         return args.func(args)
     except NumericalFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)

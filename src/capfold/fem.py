@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.spatial import Delaunay
 
 from .exceptions import (
     CapfoldError,
@@ -232,6 +231,8 @@ def _two_disk_mesh(eps: float, neck_length: float, h: float) -> Mesh:
         lattice.append(np.stack([xr, np.full_like(xr, y)], axis=1))
     lattice = np.concatenate(lattice)
     lattice = lattice[_two_disk_signed(eps, neck_length, lattice) > 0.55 * h]
+
+    from scipy.spatial import Delaunay
 
     pts = np.concatenate([boundary, lattice])
     tri = Delaunay(pts)

@@ -19,7 +19,7 @@ from .exceptions import (
     SpaceMismatchError,
     UnivalenceError,
 )
-from .specfun import bessel_j1, find_zeta, j1_over_x
+from .specfun import bessel_j1, find_zeta, gauss_legendre, j1_over_x
 
 __all__ = [
     "DiscreteMeasure",
@@ -120,7 +120,7 @@ def disk_grid(n_r: int = 96, n_theta: int = 192):
     """
     if n_r < 4 or n_theta < 4:
         raise InvalidInputError(f"need n_r, n_theta >= 4, got {n_r}, {n_theta}")
-    x, wx = np.polynomial.legendre.leggauss(n_r)
+    x, wx = gauss_legendre(n_r)
     radii = 0.5 * (x + 1.0)
     wr = 0.5 * wx
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
@@ -163,16 +163,13 @@ def sphere_quadrature(n: int, resolution: int = 24) -> "DiscreteMeasure":
         w = np.full(m, 2.0 * np.pi / m)
         return DiscreteMeasure("sphere", pts, w)
 
-    grids = []
-    for k in range(n - 1):
-        x, w = np.polynomial.legendre.leggauss(resolution)
-        grids.append((0.5 * np.pi * (x + 1.0), 0.5 * np.pi * w))
+    x, w = gauss_legendre(resolution)
     m_az = 2 * resolution
     az = 2.0 * np.pi * np.arange(m_az) / m_az
     az_w = np.full(m_az, 2.0 * np.pi / m_az)
 
-    angle_arrays = [g[0] for g in grids] + [az]
-    weight_arrays = [g[1] for g in grids] + [az_w]
+    angle_arrays = [0.5 * np.pi * (x + 1.0)] * (n - 1) + [az]
+    weight_arrays = [0.5 * np.pi * w] * (n - 1) + [az_w]
     mesh = np.meshgrid(*angle_arrays, indexing="ij")
     wmesh = np.meshgrid(*weight_arrays, indexing="ij")
 

@@ -3,10 +3,13 @@
 Gamma, Bessel J0/J1 and the first positive zero of J1' come from ``math`` and
 ``scipy.special``; on top of them sit the disk radial profile, sphere
 volumes, and the eigenvalue-bound constants built from them.
+``gauss_legendre`` serves every Gauss-Legendre rule, computed once per node
+count and process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +24,7 @@ __all__ = [
     "bessel_j1",
     "bessel_j1_derivative",
     "j1_over_x",
+    "gauss_legendre",
     "find_zeta",
     "mu1_disk",
     "radial_profile",
@@ -78,6 +82,19 @@ def j1_over_x(x):
         term = -term * q / (k * (k + 1))
         acc += term
     return acc
+
+
+@functools.cache
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    numpy's ``leggauss`` arrays, computed once per ``n`` and read-only, since
+    every caller shares them.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 _zeta_cache: list[float] = []
@@ -155,7 +172,7 @@ def k_n_quadrature(n: int, nodes: int = 200) -> float:
     if n < 1:
         raise InvalidInputError(f"n must be a positive integer, got {n}")
     w_lower = 2.0 if n == 1 else omega_n(n - 1)
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = gauss_legendre(nodes)
     theta = 0.5 * math.pi * (x + 1.0)
     return w_lower * 0.5 * math.pi * float(np.sum(w * np.sin(theta) ** (2 * n - 1)))
 

@@ -218,6 +218,28 @@ def test_certificate_disk_multiple_direct():
     assert report.holds
 
 
+def test_certificate_multiple_direct_builds_one_direction_form(monkeypatch):
+    # canonicalize needs one form for its rotation; the certificate reuses a
+    # second one for both the branch decision and the quotient
+    import capfold.bounds
+    import capfold.directions
+
+    domain = ConformalDomain([1.0])
+    expected = planar_bound_certificate(domain, "disk", n_r=16, n_theta=32)
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return direction_form(m)
+
+    monkeypatch.setattr(capfold.bounds, "direction_form", counted)
+    monkeypatch.setattr(capfold.directions, "direction_form", counted)
+    report = planar_bound_certificate(domain, "disk", n_r=16, n_theta=32)
+    assert report.branch == "multiple-direct"
+    assert len(calls) == 2
+    assert report.to_json() == expected.to_json()
+
+
 def test_certificate_bent_simple_folded(bent_domain):
     report = planar_bound_certificate(bent_domain, "bent")
     assert report.branch == "simple-folded"

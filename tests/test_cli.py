@@ -1,10 +1,15 @@
 """Exit codes, report determinism, and the subcommand surfaces."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capfold
 from capfold.cli import run
 from capfold.measures import (
     DiscreteMeasure,
@@ -217,6 +222,64 @@ def test_config_file_unknown_key_rejected(tmp_path, measure_file):
     conf = tmp_path / "run.conf"
     conf.write_text("bogus_knob = 3\n")
     assert run(["--config", str(conf), "renormalize", measure_file]) == 1
+
+
+def test_config_file_string_option_stays_string(tmp_path, monkeypatch):
+    # an option without a type keeps its text: "7" names a file, not a descriptor
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text("output = 7\n")
+    assert run(["--config", "run.conf", "constants"]) == 0
+    assert json.loads((tmp_path / "7").read_text())["schema"] == 1
+
+
+@pytest.mark.parametrize(
+    "line, argv",
+    [
+        ("domain = /nonexistent.json", ["certify", "DOMAIN", "--n-r", "16", "--n-theta", "32"]),
+        ("measure = /nonexistent.json", ["renormalize", "MEASURE"]),
+        ("format = xml", ["constants"]),
+        ("n = three", ["constants"]),
+    ],
+    ids=["positional-domain", "positional-measure", "bad-choice", "bad-type"],
+)
+def test_config_file_value_follows_the_flag(
+    tmp_path, domain_file, measure_file, capsys, line, argv
+):
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n")
+    files = {"DOMAIN": domain_file, "MEASURE": measure_file}
+    argv = ["--config", str(conf)] + [files.get(a, a) for a in argv]
+    assert run(argv) == 1
+    assert f"config key {line.split(' =')[0]!r}" in capsys.readouterr().err
+
+
+def test_one_process_many_runs_match_a_fresh_process(tmp_path):
+    domain = tmp_path / "disk.json"
+    domain.write_text(json.dumps({"schema": 1, "coeffs": [[1.0, 0.0]]}))
+    argv = ["certify", str(domain), "--n-r", "32", "--n-theta", "64", "--output"]
+    first, second, fresh = (tmp_path / f"{k}.json" for k in ("a", "b", "c"))
+    assert run(argv + [str(first)]) == 0
+    assert run(["certify"]) == 1
+    assert run(argv + [str(second)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(capfold.__file__).parents[1]))
+    subprocess.run(
+        [sys.executable, "-m", "capfold.cli"] + argv + [str(fresh)],
+        env=env, check=True, timeout=300,
+    )
+    assert first.read_bytes() == second.read_bytes() == fresh.read_bytes()
+
+
+def test_cli_import_leaves_interpolate_and_spatial_unloaded():
+    code = (
+        "import sys, capfold.cli; "
+        "print(sorted(m for m in ('scipy.interpolate', 'scipy.spatial') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(capfold.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, timeout=300,
+        capture_output=True, text=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_fem_csv_format(tmp_path):

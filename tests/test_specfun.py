@@ -200,3 +200,21 @@ def test_radial_profile_derivative_matches_finite_difference():
     h = 1e-6
     fd = (specfun.radial_profile(r + h) - specfun.radial_profile(r - h)) / (2 * h)
     assert np.max(np.abs(fd - specfun.radial_profile_derivative(r))) < 1e-8
+
+
+@pytest.mark.parametrize("n", [4, 32, 64, 96, 200])
+def test_gauss_legendre_is_numpy_rule_bitwise(n):
+    x, w = specfun.gauss_legendre(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == x_ref.tobytes()
+    assert w.tobytes() == w_ref.tobytes()
+
+
+def test_gauss_legendre_is_cached_and_read_only():
+    x, w = specfun.gauss_legendre(32)
+    x2, w2 = specfun.gauss_legendre(32)
+    assert x2 is x and w2 is w
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
