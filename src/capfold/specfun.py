@@ -97,20 +97,16 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-_zeta_cache: list[float] = []
-
-
+@functools.cache
 def find_zeta() -> float:
-    """First positive zero of J1'.  Cached, write-once.
+    """First positive zero of J1'.  Computed once per process.
 
     ``jnp_zeros`` gives the float one ulp above the zero; one Newton step on
     J1' gives the float one ulp below, the value earlier versions computed,
     so reports keep their digits.
     """
-    if not _zeta_cache:
-        z = special.jnp_zeros(1, 1)[0]
-        _zeta_cache.append(float(z - special.jvp(1, z) / special.jvp(1, z, 2)))
-    return _zeta_cache[0]
+    z = special.jnp_zeros(1, 1)[0]
+    return float(z - special.jvp(1, z) / special.jvp(1, z, 2))
 
 
 def mu1_disk() -> float:
