@@ -284,11 +284,15 @@ def sphere_modified_quotient(
     """Conformally invariant Rayleigh quotient of a lifted coordinate.
 
     ``g`` must be a unit-mass sphere measure; ``s`` a direction from the
-    top eigenspace of the rearranged measure.  The numerator integrates the
-    exact gradient power over the image cap (a strict subset of the sphere),
-    the denominator is the lifted-coordinate second moment against ``g``.
-    Returns the quotient together with the theorem constant it must stay
-    below.
+    top eigenspace of the rearranged measure; ``trace``, if given, must come
+    from ``rearrange(g, cap)``.  The numerator integrates the exact gradient
+    power over the image cap (a strict subset of the sphere), the
+    denominator is the lifted-coordinate second moment against ``g``.  The
+    lift folds and transports each atom of ``g`` exactly as the
+    rearrangement did, so the denominator is read off the rearranged
+    measure's direction form, ``trace.form.value(s)``, instead of lifting
+    again (``lift_evaluate`` gives the same sum).  Returns the quotient
+    together with the theorem constant it must stay below.
     """
     if g.space != "sphere":
         raise DimensionUnsupportedError("needs a sphere measure")
@@ -297,9 +301,7 @@ def sphere_modified_quotient(
         raise InvalidInputError("sphere measure must be normalized to unit mass")
     if trace is None:
         _, trace = rearrange(g, cap)
-    tf = TestFunction(cap=cap, direction=np.asarray(s, dtype=float), trace=trace)
-    values = lift_evaluate(tf, g.points)
-    denominator = float(np.sum(g.weights * values**2))
+    denominator = trace.form.value(s)
     integral = cap_gradient_integral(n, trace.b, s)
     numerator = (2.0 * integral) ** (2.0 / n)
     quotient = numerator / denominator

@@ -21,13 +21,11 @@ from .exceptions import (
     InvalidInputError,
     SpaceMismatchError,
 )
-from .measures import DiscreteMeasure, disk_grid
+from .measures import DirectionForm, DiscreteMeasure, direction_form, disk_grid
 from .moebius import (
-    ball_moebius,
     disk_moebius,
     disk_moebius_derivative,
     pushforward,
-    reflection,
     reflection_disk,
     renormalize,
 )
@@ -100,14 +98,33 @@ def cap_reflection(cap: Cap, x):
 
     Conjugate of the linear reflection R_p by the Moebius map of parameter
     r*p; an involution that fixes the geodesic pointwise and swaps the cap
-    with its complement.
+    with its complement.  On the sphere it is evaluated in closed form as
+    the inversion in the sphere orthogonal to S^n through {(x, p) = h},
+    h = ``cap.height``, which is centred at p/h:
+
+        x -> ((1 - h^2) x + c p) / |h x - p|^2,   c = h (1 + |x|^2) - 2 (x, p),
+
+    and ``reflection(p, x)`` at h = 0.  Near the centre the map stretches by
+    up to (1 + |h|)/(1 - |h|), so for |h| >= 1/2 the denominator is built
+    from h x - p = h (x - sign(h) p) - (1 - |h|) p, which loses nothing to
+    cancellation, and c from the identity h c = |h x - p|^2 - (1 - h^2).
     """
     if cap.space == "disk":
         z = np.asarray(x, dtype=complex)
         w = disk_moebius(-cap.r * cap.p, z)
         return disk_moebius(cap.r * cap.p, reflection_disk(cap.p, w))
-    w = ball_moebius(-cap.r * cap.p, x)
-    return ball_moebius(cap.r * cap.p, reflection(cap.p, w))
+    x = np.asarray(x, dtype=float)
+    h, r, p = cap.height, cap.r, cap.p
+    # 1 - h^2 and 1 - |h| from r, without the cancellation near |h| = 1
+    a = ((1.0 - r) * (1.0 + r) / (1.0 + r * r)) ** 2
+    if abs(h) < 0.5:
+        c = h * (1.0 + np.sum(x * x, axis=-1)) - 2.0 * (x @ p)
+        d = a + h * c
+    else:
+        w = h * (x - np.copysign(1.0, h) * p) - (1.0 - abs(r)) ** 2 / (1.0 + r * r) * p
+        d = np.sum(w * w, axis=-1)
+        c = (d - a) / h
+    return (a * x + np.multiply.outer(c, p)) / d[..., None]
 
 
 def cap_reflection_factor(cap: Cap, z):
@@ -300,7 +317,10 @@ class RearrangeTrace:
     (None on the sphere, where no cap-map stage exists);
     ``zeta_predicted``: closed-form balancing point of the purely reflected
     measure; ``q_norm``: modulus of the unimodular factor tying the two
-    Moebius stages together (1 up to rounding).
+    Moebius stages together (1 up to rounding); ``form``: the direction form
+    of the rearranged measure on the sphere, so that its consumers (the
+    modified quotient's denominator, the cap search) need not transport the
+    atoms again (None on the disk).
     """
 
     xi_a: object
@@ -308,22 +328,24 @@ class RearrangeTrace:
     eta_a: object
     zeta_predicted: object
     q_norm: float
+    form: DirectionForm | None = None
 
 
 def rearrange(
-    m: DiscreteMeasure, cap: Cap, tol: float = 1e-10
+    m: DiscreteMeasure, cap: Cap, tol: float = 1e-10, start=None
 ) -> tuple[DiscreteMeasure, RearrangeTrace]:
     """Fold ``m`` into the cap and spread the result back over the full space.
 
     Disk: fold, balance, transport to the image cap, open it up with the cap
     map, and balance again.  Sphere: fold and balance once (no cap-map stage).
     The input must already be balanced; the output is balanced to the solver
-    tolerance and has the same total mass.
+    tolerance and has the same total mass.  ``start`` is passed to the first
+    ``renormalize`` (the balancing point of a nearby cap saves iterations).
     """
     if m.space != cap.space:
         raise SpaceMismatchError("measure and cap live on different spaces")
     folded = fold_measure(m, cap)
-    first = renormalize(folded, tol=tol)
+    first = renormalize(folded, tol=tol, start=start)
     moved = pushforward(folded, first.xi)
     zeta_pred = reflection_renormalizer(cap)
 
@@ -331,7 +353,7 @@ def rearrange(
         b = image_cap(cap, first.xi)
         trace = RearrangeTrace(
             xi_a=first.xi, b=b, eta_a=None,
-            zeta_predicted=zeta_pred, q_norm=1.0,
+            zeta_predicted=zeta_pred, q_norm=1.0, form=direction_form(moved),
         )
         return moved, trace
 

@@ -375,25 +375,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subparsers(parser: argparse.ArgumentParser):
+    return next(a for a in parser._actions if a.dest == "command")
+
+
+def _dests_on_command_line(argv) -> set:
+    """Destinations the command line itself set, abbreviated flags included.
+
+    A second parse of ``argv`` by a fresh parser whose defaults are all
+    suppressed leaves only what argparse matched.
+    """
+    parser = build_parser.__wrapped__()
+    for p in (parser, *_subparsers(parser).choices.values()):
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
 def _merge_config(parser: argparse.ArgumentParser, args, argv) -> None:
     """Set each option named in the ``--config`` file that no flag set.
 
     A value converts by its option's ``type`` and ``choices``, as the flag's
     would; only the subcommand's options, not its positionals, are keys.
     """
-    subparsers = next(a for a in parser._actions if a.dest == "command")
     options = {
-        a.dest: a for a in subparsers.choices[args.command]._actions
+        a.dest: a for a in _subparsers(parser).choices[args.command]._actions
         if a.option_strings and a.dest != "help"
     }
+    given = _dests_on_command_line(argv)
     for key, value in _load_config_file(args.config).items():
         action = options.get(key.replace("-", "_"))
         if action is None:
             raise InvalidInputError(f"unknown config key {key!r}")
-        if any(
-            tok == flag or tok.startswith(flag + "=")
-            for tok in argv for flag in action.option_strings
-        ):
+        if action.dest in given:
             continue
         try:
             value = value if action.type is None else action.type(value)

@@ -375,10 +375,10 @@ def winding_diagnostic(
 # sphere-side diagnostics
 # ---------------------------------------------------------------------------
 
-def _sphere_form(m: DiscreteMeasure, r: float, p: np.ndarray):
+def _sphere_trace(m: DiscreteMeasure, r: float, p: np.ndarray, start=None):
     cap = Cap(float(r), p, "sphere")
-    nu, _ = rearrange(m, cap)
-    return cap, direction_form(nu)
+    _, trace = rearrange(m, cap, start=start)
+    return cap, trace
 
 
 def _compressed_traceless(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -395,12 +395,18 @@ def _sphere_gauss_newton(m: DiscreteMeasure, r: float, p: np.ndarray):
     residual is ``_compressed_traceless`` on the top-2 eigenspace picked at
     the current cap and held fixed for the step.  The Jacobian is a forward
     difference, so a step costs 1 + (n+1) rearrangements plus its line
-    search.  Stops at gap 1e-10, after 20 steps, or when no halving of the
-    step lowers the gap.
+    search.  Each of these starts its balancing solve at the current cap's
+    ``xi_a``, a Newton step or two from the nearby cap's balancing point;
+    that point is unique, so the start moves the solve's result by no more
+    than its tolerance.  Stops at gap 1e-10, after 20 steps, or when no
+    halving of the step lowers the gap.  Returns the final cap and the gap
+    of a cold ``rearrange`` of it, so the gap is exactly recomputable.
     """
     h = 1e-5
-    cap, form = _sphere_form(m, r, p)
+    cap, trace = _sphere_trace(m, r, p)
+    warm = False
     for _ in range(20):
+        form = trace.form
         if form.gap <= 1e-10:
             break
         basis = np.linalg.eigh(form.matrix)[1][:, -2:]
@@ -411,24 +417,31 @@ def _sphere_gauss_newton(m: DiscreteMeasure, r: float, p: np.ndarray):
             for t in tangent.T
         ]
         jac = np.column_stack([
-            (_compressed_traceless(_sphere_form(m, rk, pk)[1].matrix, basis) - f) / h
+            (_compressed_traceless(
+                _sphere_trace(m, rk, pk, trace.xi_a)[1].form.matrix, basis
+            ) - f) / h
             for rk, pk in trials
         ])
         step = -np.linalg.pinv(jac) @ f
         for lam in 0.5 ** np.arange(6):
             r_new = cap.r + lam * step[0]
             if abs(r_new) >= 0.95:
-                # rounding in the fold puts atoms off the sphere as the cap
-                # shrinks to a point (r = 0.99 does)
+                # the fold keeps atoms on the sphere to 1e-15 even at r = 0.999,
+                # but the transport by xi_a (|xi_a| near the cap height) does
+                # not: from r = 0.96 most caps leave atoms off the sphere
                 continue
             p_new = cap.p + lam * (tangent @ step[1:])
-            cand, cand_form = _sphere_form(m, r_new, p_new / np.linalg.norm(p_new))
-            if cand_form.gap < form.gap:
-                cap, form = cand, cand_form
+            cand, cand_trace = _sphere_trace(
+                m, r_new, p_new / np.linalg.norm(p_new), trace.xi_a
+            )
+            if cand_trace.form.gap < form.gap:
+                cap, trace, warm = cand, cand_trace, True
                 break
         else:
             break
-    return cap, form.gap
+    if warm:
+        trace = rearrange(m, cap)[1]
+    return cap, trace.form.gap
 
 
 def sphere_cap_search(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NonConvergenceError, ZeroMassError
+from .exceptions import InvalidInputError, NonConvergenceError, ZeroMassError
 from .measures import (
     DiscreteMeasure,
     moment_scale,
@@ -150,14 +150,17 @@ def renormalize(
     tol: float = 1e-10,
     seed: int = 0,
     max_iterations: int = 500,
+    start=None,
 ) -> RenormResult:
     """Find xi in the open disk/ball whose Moebius pushforward balances ``m``.
 
     The residual is the sup-norm of the first moments of the transported
     measure, normalized by mass times the boundary value of the radial
     profile.  The point is unique, so the result does not depend on the
-    starting point; ``seed`` = 0 starts at the origin, any other seed starts
-    from a random interior point of norm at most 0.9.
+    starting point beyond ``tol``: ``start`` (a point of the open disk/ball)
+    starts there, which saves iterations when the balancing point of a
+    nearby measure is known; otherwise ``seed`` = 0 starts at the origin and
+    any other seed from a random interior point of norm at most 0.9.
 
     A damped drift brings the residual under 1e-3, then Newton with a
     halving line search finishes.  On the ball the moments and the Newton
@@ -181,7 +184,12 @@ def renormalize(
     disk = m.space == "disk"
     dim = 2 if disk else m.ambient_dim
 
-    if seed == 0:
+    if start is not None:
+        xi = complex(start) if disk else np.array(start, dtype=float)
+        # written so that a NaN start fails it too
+        if not (abs(xi) if disk else float(np.linalg.norm(xi))) < _BOUNDARY_GUARD:
+            raise InvalidInputError("start must lie in the open unit disk/ball")
+    elif seed == 0:
         xi = 0.0 + 0.0j if disk else np.zeros(dim)
     else:
         rng = np.random.default_rng(seed)

@@ -332,6 +332,32 @@ def test_modified_quotient_uniform(sphere3_uniform):
     assert out["holds"]
 
 
+@pytest.mark.parametrize("n, res", [(3, 16), (5, 8)])
+def test_modified_quotient_denominator_is_the_lifted_second_moment(n, res):
+    # the denominator comes from the rearranged measure's direction form;
+    # lifting the coordinate folds and transports g's atoms the same way
+    rng = np.random.default_rng(90210 + n)
+    g0 = sphere_quadrature(n, resolution=res)
+    a = rng.normal(size=n + 1)
+    a *= 0.3 / np.linalg.norm(a)
+    g = DiscreteMeasure("sphere", g0.points, g0.weights * (1.0 + g0.points @ a))
+    g = g.scaled(1.0 / g.total_mass)
+    for r in (-0.5, -0.1, 0.0, 0.3, 0.6):
+        p = rng.normal(size=n + 1)
+        cap = Cap(r, p / np.linalg.norm(p), "sphere")
+        nu, trace = rearrange(g, cap)
+        for s in (direction_form(nu).max_direction, rng.normal(size=n + 1)):
+            out = sphere_modified_quotient(g, cap, s, trace=trace)
+            tf = TestFunction(cap=cap, direction=s, trace=trace)
+            lifted = float(np.sum(g.weights * lift_evaluate(tf, g.points) ** 2))
+            assert out["denominator"] == pytest.approx(lifted, rel=1e-12)
+        # without a trace the quotient rearranges g itself
+        s = direction_form(nu).max_direction
+        assert sphere_modified_quotient(g, cap, s)["denominator"] == pytest.approx(
+            sphere_modified_quotient(g, cap, s, trace=trace)["denominator"], rel=1e-12
+        )
+
+
 def test_modified_quotient_needs_unit_mass():
     g = sphere_quadrature(3, resolution=6)
     with pytest.raises(InvalidInputError):

@@ -218,6 +218,25 @@ def test_config_file_flag_wins(tmp_path, measure_file):
     assert json.loads(out.read_text())["config"]["tol"] == 1e-9
 
 
+@pytest.mark.parametrize(
+    "flag", [["--to", "1e-9"], ["--to=1e-9"], ["--tol=1e-9"]],
+    ids=["prefix", "prefix-equals", "equals"],
+)
+def test_config_file_abbreviated_flag_wins(tmp_path, measure_file, flag):
+    # argparse accepts unique prefixes, so "--to" is the command line's --tol
+    conf = tmp_path / "run.conf"
+    conf.write_text("tol = 1e-6\nseed = 3\n")
+    out = tmp_path / "out.json"
+    code = run([
+        "--config", str(conf), "renormalize", measure_file, *flag,
+        "--output", str(out),
+    ])
+    assert code == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["tol"] == 1e-9
+    assert config["seed"] == 3
+
+
 def test_config_file_unknown_key_rejected(tmp_path, measure_file):
     conf = tmp_path / "run.conf"
     conf.write_text("bogus_knob = 3\n")

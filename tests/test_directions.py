@@ -4,7 +4,7 @@ winding counts, and the sphere degree diagnostics."""
 import numpy as np
 import pytest
 
-from capfold.caps import Cap, rearrange
+from capfold.caps import Cap, fold_measure, rearrange
 from capfold.directions import (
     canonicalize,
     classify,
@@ -21,7 +21,7 @@ from capfold.measures import (
     pullback_measure,
     sphere_quadrature,
 )
-from capfold.moebius import pushforward
+from capfold.moebius import pushforward, renormalize
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +238,25 @@ def test_sphere_cap_search_without_canonicalizing():
         cap, gap = sphere_cap_search(m)
         assert gap < 1e-3
         assert gap == direction_form(rearrange(m, cap)[0]).gap
+
+
+def test_sphere_trial_rearrangement_warm_start_saves_evaluations():
+    # a finite-difference trial cap of the Gauss-Newton search, 1e-5 away:
+    # started from the current cap's xi_a its balancing solve needs fewer
+    # moment evaluations than from 0, and lands on the same point
+    canon, _ = canonicalize(next(_seeded_sweep(1)))
+    p = np.eye(4)[0]
+    xi_a = rearrange(canon, Cap(0.2, p, "sphere"))[1].xi_a
+    trials = [Cap(0.2 + 1e-5, p, "sphere")] + [
+        Cap(0.2, (p + 1e-5 * e) / np.sqrt(1.0 + 1e-10), "sphere")
+        for e in np.eye(4)[1:]
+    ]
+    for trial in trials:
+        folded = fold_measure(canon, trial)
+        cold = renormalize(folded)
+        warm = renormalize(folded, start=xi_a)
+        assert warm.evaluations < cold.evaluations
+        assert np.max(np.abs(warm.xi - cold.xi)) <= 1e-9
 
 
 def test_sphere_cap_search_reports_best_gap_when_every_start_stalls():

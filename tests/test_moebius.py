@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from capfold.exceptions import NonConvergenceError, ZeroMassError
+from capfold.exceptions import InvalidInputError, NonConvergenceError, ZeroMassError
 from capfold.measures import (
     DiscreteMeasure,
     coordinate_values,
@@ -281,6 +281,20 @@ def test_renormalize_half_mass_antipodal_atoms_balance():
     x = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
     res = renormalize(DiscreteMeasure("sphere", x, np.array([0.5, 0.5])))
     assert np.linalg.norm(res.xi) < 1e-12
+
+
+def test_renormalize_start_must_lie_inside(uniform_disk, sphere3_uniform):
+    for m, start in (
+        (uniform_disk, 1.0 + 0j),
+        (uniform_disk, complex(np.nan, 0.0)),
+        (sphere3_uniform, np.array([0.0, 1.0, 0.0, 0.0])),
+        (sphere3_uniform, np.full(4, np.nan)),
+    ):
+        with pytest.raises(InvalidInputError):
+            renormalize(m, start=start)
+    # a disk start is honoured too: the planted point is found from near it
+    res = renormalize(pushforward(uniform_disk, 0.3 + 0j), start=-0.29 + 0.01j)
+    assert abs(res.xi + 0.3) < 1e-8
 
 
 def test_renormalize_mass_scale_invariance(uniform_disk):

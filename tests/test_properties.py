@@ -7,9 +7,9 @@ from scipy.linalg import null_space
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from capfold.caps import Cap, cap_contains, image_cap  # noqa: E402
-from capfold.measures import moment_vector_raw  # noqa: E402
-from capfold.moebius import _ball_moments, ball_moebius  # noqa: E402
+from capfold.caps import Cap, cap_contains, cap_reflection, image_cap  # noqa: E402
+from capfold.measures import DiscreteMeasure, moment_vector_raw, sphere_quadrature  # noqa: E402
+from capfold.moebius import _ball_moments, ball_moebius, reflection, renormalize  # noqa: E402
 
 PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, derandomize=True, database=None
@@ -95,3 +95,102 @@ def test_ball_moment_jacobian_matches_central_differences(dim, xi_len, count, se
     for j, e in enumerate(step * np.eye(dim)):
         fd[:, j] = (_ball_moments(x, sq, w, xi + e) - _ball_moments(x, sq, w, xi - e)) / (2 * step)
     assert np.linalg.norm(jac - fd) <= 1e-6 * np.linalg.norm(jac)
+
+
+reflection_case = given(
+    dim=st.sampled_from([2, 4, 6]),
+    r=st.floats(-0.95, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _reflection_points(rng, p, count=32):
+    """Sphere points: half uniform, half within 0.05 of p or -p, where the
+    inversion centre p/h of a cap with |r| near 0.95 lies."""
+    x = rng.normal(size=(count, len(p)))
+    x[count // 2:] = 0.05 * x[count // 2:] + np.where(
+        rng.uniform(size=(count - count // 2, 1)) < 0.5, p, -p
+    )
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def _stretch(cap, x):
+    # conformal factor (1 - h^2)/|h x - p|^2 of the inversion at x: 1 on the
+    # boundary, up to (1 + |h|)/(1 - |h|), about 1500 at |r| = 0.95, next to
+    # the centre; a rounding of x or p moves the image by this much more
+    h = cap.height
+    return (1.0 - h * h) / np.sum((h * x - cap.p) ** 2, axis=1)
+
+
+@PROPERTY_SETTINGS
+@reflection_case
+def test_sphere_cap_reflection_is_the_moebius_conjugate(dim, r, seed):
+    rng = np.random.default_rng(seed)
+    cap = Cap(r, _unit(rng, dim), "sphere")
+    x = _reflection_points(rng, cap.p)
+    rp = cap.r * cap.p
+    conjugate = ball_moebius(rp, reflection(cap.p, ball_moebius(-rp, x)))
+    err = np.max(np.abs(cap_reflection(cap, x) - conjugate), axis=1)
+    assert np.all(err <= 1e-13 * np.maximum(1.0, _stretch(cap, x)))
+
+
+@PROPERTY_SETTINGS
+@reflection_case
+def test_sphere_cap_reflection_keeps_points_on_the_sphere(dim, r, seed):
+    rng = np.random.default_rng(seed)
+    cap = Cap(r, _unit(rng, dim), "sphere")
+    x = _reflection_points(rng, cap.p)
+    off = np.abs(np.linalg.norm(cap_reflection(cap, x), axis=1) - 1.0)
+    assert np.all(off <= 1e-14 * np.maximum(1.0, _stretch(cap, x)))
+
+
+@PROPERTY_SETTINGS
+@reflection_case
+def test_sphere_cap_reflection_fixes_the_boundary(dim, r, seed):
+    rng = np.random.default_rng(seed)
+    p = _unit(rng, dim)
+    cap = Cap(r, p, "sphere")
+    t = cap.height
+    coeffs = rng.normal(size=(32, dim - 1))
+    coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
+    boundary = t * p + np.sqrt(1.0 - t * t) * (coeffs @ null_space(p[None, :]).T)
+    assert np.max(np.abs(cap_reflection(cap, boundary) - boundary)) <= 1e-14
+
+
+@PROPERTY_SETTINGS
+@reflection_case
+def test_sphere_cap_reflection_is_an_involution_outside_the_cap(dim, r, seed):
+    rng = np.random.default_rng(seed)
+    cap = Cap(r, _unit(rng, dim), "sphere")
+    x = _reflection_points(rng, cap.p)
+    x = x[~cap_contains(cap, x)]
+    y = cap_reflection(cap, x)
+    assert np.all(cap_contains(cap, y))
+    # the second reflection stretches by the inverse of the first
+    stretch = _stretch(cap, x)
+    err = np.max(np.abs(cap_reflection(cap, y) - x), axis=1)
+    assert np.all(err <= 1e-14 * np.maximum(stretch, 1.0 / stretch))
+
+
+_SEEDED_SPHERES = {
+    dim: sphere_quadrature(dim - 1, resolution={2: 64, 4: 8, 6: 5}[dim])
+    for dim in (2, 4, 6)
+}
+
+
+@PROPERTY_SETTINGS
+@given(
+    dim=st.sampled_from([2, 4, 6]),
+    start_len=st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_renormalize_start_does_not_move_the_balancing_point(dim, start_len, seed):
+    rng = np.random.default_rng(seed)
+    g = _SEEDED_SPHERES[dim]
+    a = _unit(rng, dim) * rng.uniform(0.0, 0.4)
+    b = rng.uniform(0.0, 0.2)
+    dens = 1.0 + g.points @ a + b * g.points[:, 0] ** 2
+    m = DiscreteMeasure("sphere", g.points, g.weights * dens)
+    cold = renormalize(m)
+    warm = renormalize(m, start=start_len * _unit(rng, dim))
+    assert np.max(np.abs(warm.xi - cold.xi)) <= 1e-9
