@@ -14,8 +14,7 @@ import numpy as np
 from .caps import (
     Cap,
     RearrangeTrace,
-    cap_contains,
-    cap_reflection,
+    _fold_points,
     rearrange,
     rearrange_map,
 )
@@ -83,17 +82,9 @@ class TestFunction:
 
 def lift_evaluate(tf: TestFunction, z) -> np.ndarray:
     """Evaluate the lifted test function anywhere on the closed disk/sphere."""
-    if tf.cap.space == "disk":
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        inside = cap_contains(tf.cap, z)
-        pts = np.where(inside, z, cap_reflection(tf.cap, z))
-        return tf.on_cap(pts)
-    pts = np.atleast_2d(np.asarray(z, dtype=float))
-    inside = cap_contains(tf.cap, pts)
-    folded = pts.copy()
-    if np.any(~inside):
-        folded[~inside] = cap_reflection(tf.cap, pts[~inside])
-    return tf.on_cap(folded)
+    disk = tf.cap.space == "disk"
+    pts = np.atleast_1d(z) if disk else np.atleast_2d(z)
+    return tf.on_cap(_fold_points(tf.cap, pts))
 
 
 def dirichlet_energy_closed_form() -> float:
@@ -215,8 +206,7 @@ def planar_bound_certificate(
         )
 
     scan = scan_caps(canon, eps=eps)
-    nu, _ = rearrange(canon, scan.cap)
-    form = direction_form(nu)
+    form = rearrange(canon, scan.cap)[1].form
     denom = (np.pi / area) * form.eig_second
     quotient = dirichlet_energy_closed_form() / denom
     return BoundReport(

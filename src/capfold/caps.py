@@ -23,10 +23,13 @@ from .exceptions import (
 )
 from .measures import DirectionForm, DiscreteMeasure, direction_form, disk_grid
 from .moebius import (
+    _dot,
+    _inversion_terms,
+    _sq_norm,
+    _times,
     disk_moebius,
     disk_moebius_derivative,
     pushforward,
-    reflection_disk,
     renormalize,
 )
 from .specfun import gauss_legendre
@@ -81,63 +84,50 @@ class Cap:
         return 2.0 * self.r / (1.0 + self.r * self.r)
 
 
+def _points(cap: Cap, x) -> np.ndarray:
+    return np.asarray(x, dtype=complex if cap.space == "disk" else float)
+
+
 def cap_contains(cap: Cap, x) -> np.ndarray:
-    """Membership of points in the closed cap (boundary counts as inside)."""
-    if cap.space == "disk":
-        z = np.asarray(x, dtype=complex)
-        pulled = disk_moebius(-cap.r * cap.p, z)
-        return np.real(np.conj(cap.p) * pulled) >= 0.0
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 1:
-        return np.asarray(float(pts @ cap.p) >= cap.height)
-    return pts @ cap.p >= cap.height
+    """Membership of points in the closed cap (boundary counts as inside).
+
+    The cap is c <= 0 for c = h (1 + |x|^2) - 2 (x, p), h = ``cap.height``,
+    the side of the geodesic that holds p; on the sphere, (x, p) >= h.
+    """
+    x = _points(cap, x)
+    return cap.height * (1.0 + _sq_norm(x)) <= 2.0 * _dot(x, cap.p)
+
+
+def _inversion(cap: Cap, x):
+    # 1 - h^2 and 1 - |h| from r, without the cancellation near |h| = 1
+    r = cap.r
+    a = ((1.0 - r) * (1.0 + r) / (1.0 + r * r)) ** 2
+    t = (1.0 - abs(r)) ** 2 / (1.0 + r * r)
+    return (a,) + _inversion_terms(x, cap.height, cap.p, a, t)
 
 
 def cap_reflection(cap: Cap, x):
     """Conformal reflection across the cap boundary geodesic.
 
-    Conjugate of the linear reflection R_p by the Moebius map of parameter
-    r*p; an involution that fixes the geodesic pointwise and swaps the cap
-    with its complement.  On the sphere it is evaluated in closed form as
-    the inversion in the sphere orthogonal to S^n through {(x, p) = h},
-    h = ``cap.height``, which is centred at p/h:
+    An involution that fixes the geodesic pointwise and swaps the cap with
+    its complement: on both spaces the inversion in the circle or sphere
+    orthogonal to the unit sphere through {(x, p) = h}, h = ``cap.height``,
 
         x -> ((1 - h^2) x + c p) / |h x - p|^2,   c = h (1 + |x|^2) - 2 (x, p),
 
-    and ``reflection(p, x)`` at h = 0.  Near the centre the map stretches by
-    up to (1 + |h|)/(1 - |h|), so for |h| >= 1/2 the denominator is built
-    from h x - p = h (x - sign(h) p) - (1 - |h|) p, which loses nothing to
-    cancellation, and c from the identity h c = |h x - p|^2 - (1 - h^2).
+    evaluated without cancellation by ``moebius._inversion_terms``.  Disk
+    points are complex numbers.
     """
-    if cap.space == "disk":
-        z = np.asarray(x, dtype=complex)
-        w = disk_moebius(-cap.r * cap.p, z)
-        return disk_moebius(cap.r * cap.p, reflection_disk(cap.p, w))
-    x = np.asarray(x, dtype=float)
-    h, r, p = cap.height, cap.r, cap.p
-    # 1 - h^2 and 1 - |h| from r, without the cancellation near |h| = 1
-    a = ((1.0 - r) * (1.0 + r) / (1.0 + r * r)) ** 2
-    if abs(h) < 0.5:
-        c = h * (1.0 + np.sum(x * x, axis=-1)) - 2.0 * (x @ p)
-        d = a + h * c
-    else:
-        w = h * (x - np.copysign(1.0, h) * p) - (1.0 - abs(r)) ** 2 / (1.0 + r * r) * p
-        d = np.sum(w * w, axis=-1)
-        c = (d - a) / h
-    return (a * x + np.multiply.outer(c, p)) / d[..., None]
+    x = _points(cap, x)
+    a, c, d = _inversion(cap, x)
+    return _times(a / d, x) + _times(c / d, cap.p)
 
 
 def cap_reflection_factor(cap: Cap, z):
-    """Conformal distortion |tau_a'(z)| of the (antiholomorphic) reflection."""
-    if cap.space != "disk":
-        raise SpaceMismatchError("distortion factor implemented on the disk")
-    z = np.asarray(z, dtype=complex)
-    w = disk_moebius(-cap.r * cap.p, z)
-    inner = np.abs(disk_moebius_derivative(-cap.r * cap.p, z))
-    outer = np.abs(
-        disk_moebius_derivative(cap.r * cap.p, reflection_disk(cap.p, w))
-    )
-    return inner * outer
+    """Conformal distortion |tau_a'(z)| = (1 - h^2)/|h z - p|^2 of the
+    reflection (antiholomorphic on the disk)."""
+    a, _, d = _inversion(cap, _points(cap, z))
+    return a / d
 
 
 def reflection_renormalizer(cap: Cap):
@@ -146,10 +136,7 @@ def reflection_renormalizer(cap: Cap):
     Closed form -2r/(1+r^2) p: composing the Moebius map at this point with
     the cap reflection gives back the linear reflection R_p exactly.
     """
-    coeff = -2.0 * cap.r / (1.0 + cap.r * cap.r)
-    if cap.space == "disk":
-        return coeff * cap.p
-    return coeff * np.asarray(cap.p, dtype=float)
+    return -2.0 * cap.r / (1.0 + cap.r * cap.r) * cap.p
 
 
 def fold_measure(m: DiscreteMeasure, cap: Cap) -> DiscreteMeasure:
@@ -160,13 +147,15 @@ def fold_measure(m: DiscreteMeasure, cap: Cap) -> DiscreteMeasure:
     """
     if m.space != cap.space:
         raise SpaceMismatchError("measure and cap live on different spaces")
-    inside = cap_contains(cap, m.points)
-    if m.space == "disk":
-        pts = np.where(inside, m.points, cap_reflection(cap, m.points))
-    else:
-        pts = m.points.copy()
-        pts[~inside] = cap_reflection(cap, m.points[~inside])
-    return DiscreteMeasure(m.space, pts, m.weights.copy())
+    return DiscreteMeasure(m.space, _fold_points(cap, m.points), m.weights.copy())
+
+
+def _fold_points(cap: Cap, x) -> np.ndarray:
+    x = _points(cap, x)
+    out = ~cap_contains(cap, x)
+    folded = x.copy()
+    folded[out] = cap_reflection(cap, x[out])
+    return folded
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +306,10 @@ class RearrangeTrace:
     (None on the sphere, where no cap-map stage exists);
     ``zeta_predicted``: closed-form balancing point of the purely reflected
     measure; ``q_norm``: modulus of the unimodular factor tying the two
-    Moebius stages together (1 up to rounding); ``form``: the direction form
-    of the rearranged measure on the sphere, so that its consumers (the
-    modified quotient's denominator, the cap search) need not transport the
-    atoms again (None on the disk).
+    Moebius stages together (1 up to rounding, and 1 on the sphere);
+    ``form``: the direction form of the rearranged measure, so that its
+    consumers (the cap scan and search, the planar certificate, the modified
+    quotient's denominator) need not build it again.
     """
 
     xi_a: object
@@ -346,29 +335,20 @@ def rearrange(
         raise SpaceMismatchError("measure and cap live on different spaces")
     folded = fold_measure(m, cap)
     first = renormalize(folded, tol=tol, start=start)
-    moved = pushforward(folded, first.xi)
-    zeta_pred = reflection_renormalizer(cap)
-
-    if m.space == "sphere":
-        b = image_cap(cap, first.xi)
-        trace = RearrangeTrace(
-            xi_a=first.xi, b=b, eta_a=None,
-            zeta_predicted=zeta_pred, q_norm=1.0, form=direction_form(moved),
-        )
-        return moved, trace
-
+    final = pushforward(folded, first.xi)
     b = image_cap(cap, first.xi)
-    cap_map = CapDiskMap(b)
-    opened = moved.with_points(cap_map(moved.points, check=False))
-    second = renormalize(opened, tol=tol)
-    final = pushforward(opened, second.xi)
-
-    zeta = complex(zeta_pred)
-    eta = complex(second.xi)
-    q = (np.conj(zeta) * eta + 1.0) / (zeta * np.conj(eta) + 1.0)
+    zeta_pred = reflection_renormalizer(cap)
+    eta, q_norm = None, 1.0
+    if m.space == "disk":
+        opened = final.with_points(CapDiskMap(b)(final.points, check=False))
+        eta = renormalize(opened, tol=tol).xi
+        final = pushforward(opened, eta)
+        zeta = complex(zeta_pred)
+        q = (np.conj(zeta) * eta + 1.0) / (zeta * np.conj(eta) + 1.0)
+        q_norm = float(abs(q))
     trace = RearrangeTrace(
-        xi_a=first.xi, b=b, eta_a=second.xi,
-        zeta_predicted=zeta_pred, q_norm=float(abs(q)),
+        xi_a=first.xi, b=b, eta_a=eta, zeta_predicted=zeta_pred,
+        q_norm=q_norm, form=direction_form(final),
     )
     return final, trace
 

@@ -285,12 +285,9 @@ def cmd_sphere(args) -> int:
         g = sphere_quadrature(n, resolution=args.resolution)
         g = g.scaled(1.0 / g.total_mass)
         cap = Cap(0.3, np.eye(n + 1)[0], "sphere")
-        nu, trace = rearrange(g, cap)
-        from .measures import direction_form
-
-        form = direction_form(nu)
+        _, trace = rearrange(g, cap)
         quotient = bounds_mod.sphere_modified_quotient(
-            g, cap, form.max_direction, trace=trace
+            g, cap, trace.form.max_direction, trace=trace
         )
         doc["modified_quotient"] = quotient
         doc["inequalities"] = [

@@ -137,9 +137,8 @@ def canonicalize(
 # ---------------------------------------------------------------------------
 
 def _field_entry(m: DiscreteMeasure, cap: Cap, tol: float = 1e-9):
-    nu, _ = rearrange(m, cap, tol=tol)
-    form = direction_form(nu)
-    return form.gap, form.max_direction, form
+    form = rearrange(m, cap, tol=tol)[1].form
+    return form.gap, form.max_direction
 
 
 def _projective_delta(prev_angle: float, raw_angle: float) -> float:
@@ -162,11 +161,6 @@ class CapScanResult:
     winding_numbers: dict = field(default_factory=dict)
 
 
-def _traceless(m: DiscreteMeasure, cap: Cap) -> np.ndarray:
-    mat = _field_entry(m, cap)[2].matrix
-    return np.array([mat[0, 0] - mat[1, 1], 2.0 * mat[0, 1]])
-
-
 def scan_caps(
     m: DiscreteMeasure,
     r_grid=None,
@@ -176,11 +170,15 @@ def scan_caps(
 ) -> CapScanResult:
     """Locate a cap whose rearranged measure is multiple.
 
-    Strategy: evaluate the direction field over the (r, theta) grid; find the
-    cell around which the field makes a half turn (such a cell must contain a
-    degeneracy); subdivide that cell recursively, then polish with Newton on
-    the traceless part of the direction form.  Raises ``CapScanError`` with
-    the minimal-gap cap when the budget is exhausted.
+    Evaluate the direction field over the (r, theta) grid, which gives the
+    ``direction_field`` table and the ``winding_numbers``; find the cell
+    around which the field makes a half turn (such a cell must contain a
+    degeneracy) and subdivide it recursively.  Then the multiple-cap solver
+    shared with ``sphere_cap_search`` (``_gauss_newton``) runs from the
+    refined cap and, if that stalls at gap ``eps`` or above, from the best
+    grid cap.  Returns the first cap below ``eps`` with the gap of a cold
+    ``rearrange`` of it; raises ``CapScanError`` with the smallest gap
+    reached when both starts end at ``eps`` or above.
     """
     if m.space != "disk":
         raise DimensionUnsupportedError("scan_caps operates on disk measures")
@@ -197,7 +195,7 @@ def scan_caps(
     for r in r_grid:
         for th in theta_grid:
             cap = Cap(float(r), np.exp(1j * th), "disk")
-            gap, s, _ = _field_entry(m, cap)
+            gap, s = _field_entry(m, cap)
             table[(float(r), float(th))] = (gap, s)
             rows.append((float(r), float(th), float(s[0]), float(s[1]), float(gap)))
             if gap < best_gap:
@@ -210,11 +208,6 @@ def scan_caps(
         for r in r_grid
     }
 
-    result = CapScanResult(
-        cap=best_cap, gap=float(best_gap),
-        direction_field=rows, winding_numbers=windings,
-    )
-
     # pick the cell with a rotating direction field, preferring small gaps
     cell = _find_singular_cell(table, r_grid, theta_grid)
     if cell is None:
@@ -223,21 +216,12 @@ def scan_caps(
         dt = (theta_grid[1] - theta_grid[0]) if len(theta_grid) > 1 else 0.4
         cell = (rb - dr / 2, rb + dr / 2, tb - dt / 2, tb + dt / 2)
 
-    cap, gap = _refine_cell(m, cell, max_depth)
-    if gap < result.gap:
-        result.cap, result.gap = cap, float(gap)
-
-    # Newton polish on the traceless components
-    cap, gap = _newton_polish(m, result.cap, result.gap)
-    if gap < result.gap:
-        result.cap, result.gap = cap, float(gap)
-
-    if result.gap >= eps:
-        raise CapScanError(
-            f"no multiple cap below gap {eps}",
-            best_cap=result.cap, best_gap=result.gap,
-        )
-    return result
+    refined, _ = _refine_cell(m, cell, max_depth)
+    starts = [c for c in (refined, best_cap) if c is not None]
+    cap, gap = _first_multiple_cap(m, starts, eps)
+    return CapScanResult(
+        cap=cap, gap=gap, direction_field=rows, winding_numbers=windings,
+    )
 
 
 def _winding_from_field(entries) -> int:
@@ -293,7 +277,7 @@ def _refine_cell(m, cell, max_depth):
         for r in rs:
             for th in ts:
                 cap = Cap(float(np.clip(r, -0.99, 0.99)), np.exp(1j * th), "disk")
-                gap, s, _ = _field_entry(m, cap)
+                gap, s = _field_entry(m, cap)
                 quads[(r, th)] = (gap, s)
                 if gap < best_gap:
                     best_gap, best_cap = gap, cap
@@ -318,39 +302,6 @@ def _refine_cell(m, cell, max_depth):
     return best_cap, best_gap
 
 
-def _newton_polish(m, cap: Cap, gap: float, steps: int = 12):
-    x = np.array([cap.r, float(np.angle(cap.p))])
-    best = (gap, cap)
-    for _ in range(steps):
-        f = _traceless(m, Cap(float(x[0]), np.exp(1j * x[1]), "disk"))
-        if np.linalg.norm(f) < 1e-14:
-            break
-        h = 1e-5
-        jac = np.empty((2, 2))
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            fp = _traceless(m, Cap(float(np.clip(x[0] + e[0], -0.995, 0.995)),
-                                   np.exp(1j * (x[1] + e[1])), "disk"))
-            fm = _traceless(m, Cap(float(np.clip(x[0] - e[0], -0.995, 0.995)),
-                                   np.exp(1j * (x[1] - e[1])), "disk"))
-            jac[:, k] = (fp - fm) / (2 * h)
-        try:
-            dx = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            break
-        norm = np.linalg.norm(dx)
-        if norm > 0.25:
-            dx *= 0.25 / norm
-        x = x + dx
-        x[0] = float(np.clip(x[0], -0.99, 0.99))
-        cand = Cap(float(x[0]), np.exp(1j * x[1]), "disk")
-        g, _, _ = _field_entry(m, cand)
-        if g < best[0]:
-            best = (g, cand)
-    return best[1], best[0]
-
-
 def winding_diagnostic(
     m: DiscreteMeasure, r: float, n_theta: int = 24
 ) -> int:
@@ -364,7 +315,7 @@ def winding_diagnostic(
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     entries = []
     for th in thetas:
-        gap, s, _ = _field_entry(m, Cap(float(r), np.exp(1j * th), "disk"))
+        gap, s = _field_entry(m, Cap(float(r), np.exp(1j * th), "disk"))
         if gap < 1e-9:
             raise DegenerateFieldError(f"gap {gap:.2e} on the loop at theta={th}")
         entries.append((gap, s))
@@ -372,13 +323,21 @@ def winding_diagnostic(
 
 
 # ---------------------------------------------------------------------------
-# sphere-side diagnostics
+# the multiple-cap solver shared by the disk scan and the sphere search
 # ---------------------------------------------------------------------------
 
-def _sphere_trace(m: DiscreteMeasure, r: float, p: np.ndarray, start=None):
-    cap = Cap(float(r), p, "sphere")
+def _cap_trace(m: DiscreteMeasure, r: float, p, start=None):
+    cap = Cap(float(r), p, m.space)
     _, trace = rearrange(m, cap, start=start)
     return cap, trace
+
+
+def _tangents(p) -> np.ndarray:
+    """Orthonormal tangent directions at p of the unit circle (p complex,
+    tangent i p) or of the unit sphere (rows)."""
+    if np.iscomplexobj(p):
+        return np.array([1j * p])
+    return null_space(p[None, :]).T
 
 
 def _compressed_traceless(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -388,22 +347,24 @@ def _compressed_traceless(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.array([c[0, 0] - c[1, 1], 2.0 * c[0, 1]]) / (c[0, 0] + c[1, 1])
 
 
-def _sphere_gauss_newton(m: DiscreteMeasure, r: float, p: np.ndarray):
-    """Min-norm Gauss-Newton for a multiple cap, started at the cap (r, p).
+def _gauss_newton(m: DiscreteMeasure, start: Cap):
+    """Min-norm Gauss-Newton for a multiple cap, started at ``start``.
 
-    Unknowns are r and a tangent step of p, retracted onto the sphere; the
-    residual is ``_compressed_traceless`` on the top-2 eigenspace picked at
-    the current cap and held fixed for the step.  The Jacobian is a forward
-    difference, so a step costs 1 + (n+1) rearrangements plus its line
-    search.  Each of these starts its balancing solve at the current cap's
-    ``xi_a``, a Newton step or two from the nearby cap's balancing point;
-    that point is unique, so the start moves the solve's result by no more
-    than its tolerance.  Stops at gap 1e-10, after 20 steps, or when no
-    halving of the step lowers the gap.  Returns the final cap and the gap
-    of a cold ``rearrange`` of it, so the gap is exactly recomputable.
+    Unknowns are r and a tangent step of p (one on the disk, n on the
+    n-sphere), retracted onto the circle or sphere; the residual is
+    ``_compressed_traceless`` on the top-2 eigenspace picked at the current
+    cap and held fixed for the step (on the disk the whole plane).  The
+    Jacobian is a forward difference, so a step costs 1 + (n+1)
+    rearrangements plus its line search.  Each of these starts its
+    balancing solve at the current cap's ``xi_a``, a Newton step or two from
+    the nearby cap's balancing point; that point is unique, so the start
+    moves the solve's result by no more than its tolerance.  Stops at gap
+    1e-10, after 20 steps, or when no halving of the step lowers the gap.
+    Returns the final cap and the gap of a cold ``rearrange`` of it, so the
+    gap is exactly recomputable.
     """
     h = 1e-5
-    cap, trace = _sphere_trace(m, r, p)
+    cap, trace = start, rearrange(m, start)[1]
     warm = False
     for _ in range(20):
         form = trace.form
@@ -411,14 +372,14 @@ def _sphere_gauss_newton(m: DiscreteMeasure, r: float, p: np.ndarray):
             break
         basis = np.linalg.eigh(form.matrix)[1][:, -2:]
         f = _compressed_traceless(form.matrix, basis)
-        tangent = null_space(cap.p[None, :])
+        tangents = _tangents(cap.p)
         trials = [(cap.r + h, cap.p)] + [
             (cap.r, (cap.p + h * t) / np.linalg.norm(cap.p + h * t))
-            for t in tangent.T
+            for t in tangents
         ]
         jac = np.column_stack([
             (_compressed_traceless(
-                _sphere_trace(m, rk, pk, trace.xi_a)[1].form.matrix, basis
+                _cap_trace(m, rk, pk, trace.xi_a)[1].form.matrix, basis
             ) - f) / h
             for rk, pk in trials
         ])
@@ -426,12 +387,13 @@ def _sphere_gauss_newton(m: DiscreteMeasure, r: float, p: np.ndarray):
         for lam in 0.5 ** np.arange(6):
             r_new = cap.r + lam * step[0]
             if abs(r_new) >= 0.95:
-                # the fold keeps atoms on the sphere to 1e-15 even at r = 0.999,
-                # but the transport by xi_a (|xi_a| near the cap height) does
-                # not: from r = 0.96 most caps leave atoms off the sphere
+                # the fold and the transport keep sphere atoms on the sphere
+                # to about 1e-11 up to r = 0.98, but the balancing solve does
+                # not keep up: at r = 0.98 its Newton stage stalls near the
+                # boundary on 1 of 6 seeded S^3 res-16 caps
                 continue
-            p_new = cap.p + lam * (tangent @ step[1:])
-            cand, cand_trace = _sphere_trace(
+            p_new = cap.p + lam * (step[1:] @ tangents)
+            cand, cand_trace = _cap_trace(
                 m, r_new, p_new / np.linalg.norm(p_new), trace.xi_a
             )
             if cand_trace.form.gap < form.gap:
@@ -444,6 +406,22 @@ def _sphere_gauss_newton(m: DiscreteMeasure, r: float, p: np.ndarray):
     return cap, trace.form.gap
 
 
+def _first_multiple_cap(m: DiscreteMeasure, starts, eps: float):
+    """``_gauss_newton`` from each start cap in turn: the first to end below
+    ``eps`` wins; otherwise ``CapScanError`` with the smallest gap reached."""
+    best_cap, best_gap = None, np.inf
+    for start in starts:
+        cap, gap = _gauss_newton(m, start)
+        if gap < best_gap:
+            best_cap, best_gap = cap, gap
+        if best_gap < eps:
+            return best_cap, float(best_gap)
+    raise CapScanError(
+        f"no multiple cap below gap {eps}",
+        best_cap=best_cap, best_gap=float(best_gap),
+    )
+
+
 def sphere_cap_search(
     m: DiscreteMeasure, eps: float = SCAN_GAP_TOL
 ) -> tuple[Cap, float]:
@@ -451,32 +429,22 @@ def sphere_cap_search(
 
     Solves for a zero of the traceless part of the direction form,
     compressed onto its top-2 eigenspace, by min-norm Gauss-Newton over the
-    cap parameters (``_sphere_gauss_newton``).  The first start is the
-    hemisphere r = 0 around the top eigenvector of ``direction_form(m)``
-    (e1 for a canonicalized measure).  If that stalls at gap ``eps`` or
-    above, the search restarts from r = +-0.3 around the top and the second
-    eigenvector; the caps (r, p) and (-r, -p) fold to the same gap, so these
-    four starts also cover -p.  Returns the cap and the gap of
-    ``direction_form(rearrange(m, cap))``; raises ``CapScanError`` with the
-    smallest gap reached when every start ends at ``eps`` or above.
+    cap parameters (``_gauss_newton``, shared with ``scan_caps``).  The
+    first start is the hemisphere r = 0 around the top eigenvector of
+    ``direction_form(m)`` (e1 for a canonicalized measure).  If that stalls
+    at gap ``eps`` or above, the search restarts from r = +-0.3 around the
+    top and the second eigenvector; the caps (r, p) and (-r, -p) fold to the
+    same gap, so these four starts also cover -p.  Returns the cap and the
+    gap of ``direction_form(rearrange(m, cap))``; raises ``CapScanError``
+    with the smallest gap reached when every start ends at ``eps`` or above.
     """
     if m.space != "sphere":
         raise DimensionUnsupportedError("sphere_cap_search needs a sphere measure")
     evecs = np.linalg.eigh(direction_form(m).matrix)[1]
-    starts = [(0.0, evecs[:, -1])] + [
-        (r, evecs[:, k]) for k in (-1, -2) for r in (0.3, -0.3)
+    starts = [Cap(0.0, evecs[:, -1], "sphere")] + [
+        Cap(r, evecs[:, k], "sphere") for k in (-1, -2) for r in (0.3, -0.3)
     ]
-    best_cap, best_gap = None, np.inf
-    for r, p in starts:
-        cap, gap = _sphere_gauss_newton(m, r, p)
-        if gap < best_gap:
-            best_cap, best_gap = cap, gap
-        if best_gap < eps:
-            return best_cap, float(best_gap)
-    raise CapScanError(
-        f"no spherical cap below gap {eps}",
-        best_cap=best_cap, best_gap=float(best_gap),
-    )
+    return _first_multiple_cap(m, starts, eps)
 
 
 def sphere_degree_check(n: int, n_targets: int = 6, seed: int = 0) -> dict:

@@ -45,34 +45,83 @@ def disk_moebius_derivative(xi: complex, z):
     return (1.0 - abs(xi) ** 2) / (np.conj(xi) * z + 1.0) ** 2
 
 
+def _sq_norm(x):
+    """|x|^2 of disk points (complex) or of sphere points (rows)."""
+    if np.iscomplexobj(x):
+        return x.real * x.real + x.imag * x.imag
+    return np.einsum("...i,...i->...", x, x)
+
+
+def _dot(x, p):
+    """(x, p) of disk points (complex) or of sphere points (rows)."""
+    if np.iscomplexobj(x):
+        return np.real(np.conj(p) * x)
+    return x @ p
+
+
+def _times(s, x):
+    """Scalars ``s`` times disk points (complex) or sphere points (rows):
+    one point per scalar, or the same point for all."""
+    return s * x if np.iscomplexobj(x) else s[..., None] * x
+
+
+def _inversion_terms(x, h: float, p, a: float, t: float):
+    """Terms c and d of the inversion in the circle or sphere orthogonal to
+    the unit sphere through {(x, p) = h}, |h| < 1 (``reflection`` at h = 0):
+
+        x -> (a x + c p) / d,   a = 1 - h^2,   c = h (1 + |x|^2) - 2 (x, p),
+                                d = |h x - p|^2 = a + h c.
+
+    Disk points are complex, sphere points rows; the caller passes a and
+    t = 1 - |h| computed without cancellation.  Near the centre p/h the map
+    stretches by up to (1 + |h|)/(1 - |h|), so for |h| >= 1/2 both terms are
+    written in w = x - sign(h) p, which is small there:
+
+        c = h |w|^2 - 2 t (w, p) - 2 sign(h) t,   d = h^2 |w|^2 - 2 h t (w, p) + t^2,
+
+    where no term of d is negative, since sign(h) (w, p) <= 0 in the ball.
+    """
+    if abs(h) < 0.5:
+        c = h * (1.0 + _sq_norm(x)) - 2.0 * _dot(x, p)
+        return c, a + h * c
+    sign = np.copysign(1.0, h)
+    w = x - sign * p
+    ww, wp = _sq_norm(w), _dot(w, p)
+    return h * ww - 2.0 * t * wp - 2.0 * sign * t, h * h * ww - 2.0 * h * t * wp + t * t
+
+
 def ball_moebius(xi, x):
     """Moebius transformation of the closed unit ball in R^(n+1).
 
     Formula ((1-|xi|^2) x + (1 + 2(xi,x) + |x|^2) xi) / (1 + 2(xi,x) +
     |xi|^2 |x|^2).  Maps the sphere to itself, sends 0 to xi, and for points
     of the plane (n = 1) coincides with ``disk_moebius`` under the complex
-    identification.
+    identification.  It is ``reflection(p, x)`` followed by the inversion at
+    h = |xi|, p = xi/|xi| (``_inversion_terms``), whose denominator
+    |h x + p|^2 is built without cancellation, so an atom near -p, which the
+    map stretches by up to (1 + h)/(1 - h), stays on the sphere to rounding
+    times that stretch.
     """
     xi = np.asarray(xi, dtype=float)
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    xx = np.sum(x * x, axis=1)
-    xix = x @ xi
-    nxi = float(xi @ xi)
-    num = (1.0 - nxi) * x + (1.0 + 2.0 * xix + xx)[:, None] * xi
-    out = num / (1.0 + 2.0 * xix + nxi * xx)[:, None]
-    return out[0] if single else out
+    h = float(np.linalg.norm(xi))
+    if h == 0.0:
+        return x.copy()
+    p = xi / h
+    a = (1.0 - h) * (1.0 + h)
+    # the reflected point has the c and d of x at (h, -p), and
+    # a reflection(p, x) + c p = a x + (c - 2 a (x, p)) p
+    c, d = _inversion_terms(x, h, -p, a, 1.0 - h)
+    out = _times(a / d, x)
+    out += _times((c - 2.0 * a * _dot(x, p)) / d, p)
+    return out
 
 
 def reflection(p, x):
     """Reflection across the hyperplane through 0 orthogonal to p: x - 2(p,x)p."""
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x - 2.0 * float(x @ p) * p
-    return x - 2.0 * (x @ p)[:, None] * p
+    return x - 2.0 * _times(x @ p, p)
 
 
 def reflection_disk(p: complex, z):
@@ -102,10 +151,6 @@ class RenormResult:
     iterations: int
     evaluations: int = 0
     halvings: int = 0
-
-
-def _disk_moments_after(points, weights, xi) -> np.ndarray:
-    return moment_vector_raw("disk", disk_moebius(complex(xi), points), weights)
 
 
 def _ball_moments(points, sq, weights, xi, jacobian=False):
@@ -142,6 +187,28 @@ def _ball_moments(points, sq, weights, xi, jacobian=False):
     return mom, jac
 
 
+def _point_outweighs(points, weights, limit: float) -> bool:
+    """Whether sphere atoms at one point weigh more than ``limit`` together,
+    for ``limit`` at least half the total weight.
+
+    Such a point lies, coordinate by coordinate, in the only group of equal
+    values that weighs more than ``limit``, so the candidates are narrowed
+    to that group one coordinate at a time.  The first grouping is by the
+    low ten bits of the first coordinate: equal values share them
+    (-0.0 + 0.0 is +0.0), and it needs no sort.
+    """
+    keep = np.arange(len(points))
+    labels = (points[:, 0] + 0.0).view(np.int64) & 1023
+    for column in points.T:
+        totals = np.bincount(labels, weights[keep])
+        heaviest = np.argmax(totals)
+        if totals[heaviest] <= limit:
+            return False
+        keep = keep[labels == heaviest]
+        labels = np.unique(column[keep], return_inverse=True)[1]
+    return np.max(np.bincount(labels, weights[keep])) > limit
+
+
 # near the boundary guard the moments of a measure without a balancing point
 # divide by zero; the NaN residual this leaves raises NonConvergenceError
 @np.errstate(divide="ignore", invalid="ignore")
@@ -162,18 +229,22 @@ def renormalize(
     nearby measure is known; otherwise ``seed`` = 0 starts at the origin and
     any other seed from a random interior point of norm at most 0.9.
 
-    A damped drift brings the residual under 1e-3, then Newton with a
-    halving line search finishes.  On the ball the moments and the Newton
+    One loop serves both spaces, with xi a real vector composed by
+    ``ball_moebius``; only the moment map and its Jacobian are picked by
+    space.  A damped drift brings the residual under 1e-3, then Newton with
+    a halving line search finishes.  On the ball the moments and the Newton
     Jacobian are closed form (``_ball_moments``); the disk still builds its
-    Jacobian from central differences of the moment vector (ROADMAP 2(b)).
+    Jacobian from central differences (ROADMAP 3).  The returned ``xi`` is
+    complex on the disk.
 
     Raises
     ------
     NonConvergenceError
         If the iteration is driven into the boundary guard zone or stalls;
         this signals a measure concentrated near a single boundary point,
-        which admits no interior balancing point.  A sphere atom with more
-        than half the mass raises at once, with ``iterations`` = 0.
+        which admits no interior balancing point.  Sphere atoms that
+        together carry more than half the mass at one point raise at once,
+        with ``iterations`` = 0.
     ZeroMassError
         If the measure has no mass.
     """
@@ -181,104 +252,98 @@ def renormalize(
     if mass <= 0:
         raise ZeroMassError("cannot renormalize a zero measure")
     scale = moment_scale(m)
-    disk = m.space == "disk"
-    dim = 2 if disk else m.ambient_dim
+    dim = m.ambient_dim
+    points, weights = m.points, m.weights
+    if m.space == "disk":
+        fd = 1e-6
+
+        def moments(xi):
+            moved = disk_moebius(complex(xi[0], xi[1]), points)
+            return moment_vector_raw("disk", moved, weights)
+
+        def jacobian(xi):
+            return np.column_stack([
+                (moments(xi + fd * e) - moments(xi - fd * e)) / (2.0 * fd)
+                for e in np.eye(dim)
+            ])
+
+        jacobian_cost = 2 * dim
+        if start is not None:
+            start = complex(start)
+            start = (start.real, start.imag)
+    else:
+        sq = np.sum(points * points, axis=1)
+
+        def moments(xi):
+            return _ball_moments(points, sq, weights, xi)
+
+        def jacobian(xi):
+            return _ball_moments(points, sq, weights, xi, jacobian=True)[1]
+
+        jacobian_cost = 1
 
     if start is not None:
-        xi = complex(start) if disk else np.array(start, dtype=float)
+        xi = np.array(start, dtype=float)
         # written so that a NaN start fails it too
-        if not (abs(xi) if disk else float(np.linalg.norm(xi))) < _BOUNDARY_GUARD:
+        if not float(np.linalg.norm(xi)) < _BOUNDARY_GUARD:
             raise InvalidInputError("start must lie in the open unit disk/ball")
     elif seed == 0:
-        xi = 0.0 + 0.0j if disk else np.zeros(dim)
+        xi = np.zeros(dim)
     else:
         rng = np.random.default_rng(seed)
-        vec = rng.uniform(-0.5, 0.5, size=dim)
+        xi = rng.uniform(-0.5, 0.5, size=dim)
         # in dimension 3 and up a draw from the cube can leave the ball
-        norm_vec = float(np.linalg.norm(vec))
-        if norm_vec >= 0.9:
-            vec = vec * (0.9 / norm_vec)
-        xi = complex(vec[0], vec[1]) if disk else vec
+        norm_xi = float(np.linalg.norm(xi))
+        if norm_xi >= 0.9:
+            xi = xi * (0.9 / norm_xi)
 
-    points, weights = m.points, m.weights
-    if not disk:
-        sq = np.sum(points * points, axis=1)
     evaluations = 0
     halvings = 0
-
-    def compose(xi, step):
-        # group-like update: the new map is (moebius with the returned
-        # parameter) up to a rotation, which leaves residual norms unchanged
-        if disk:
-            return complex(disk_moebius(xi, step))
-        return ball_moebius(xi, step)
 
     def resid(xi):
         nonlocal evaluations
         evaluations += 1
-        if disk:
-            mom = _disk_moments_after(points, weights, xi)
-        else:
-            mom = _ball_moments(points, sq, weights, xi)
+        mom = moments(xi)
         return mom, float(np.max(np.abs(mom))) / scale
-
-    def jacobian(xi):
-        nonlocal evaluations
-        if not disk:
-            evaluations += 1
-            return _ball_moments(points, sq, weights, xi, jacobian=True)[1]
-        fd = 1e-6
-        jac = np.empty((dim, dim))
-        for j, dxi in enumerate((fd, 1j * fd)):
-            plus = _disk_moments_after(points, weights, xi + dxi)
-            minus = _disk_moments_after(points, weights, xi - dxi)
-            jac[:, j] = (plus - minus) / (2.0 * fd)
-        evaluations += 2 * dim
-        return jac
 
     mom, rn = resid(xi)
     iterations = 0
-    if not disk and np.max(weights) > 0.5 * mass:
-        # a Moebius map moves an atom of weight w > mass/2 to some y on the
-        # sphere, where the first moment along y is at least w - (mass - w)
-        raise NonConvergenceError(
-            "an atom carries more than half the mass: no balancing point",
-            xi=xi, residual=rn, iterations=iterations,
+
+    def failure(message):
+        return NonConvergenceError(
+            message, xi=_public(m, xi), residual=rn, iterations=iterations,
         )
 
-    # stage 1: damped drift toward the balancing point
+    if m.space == "sphere" and _point_outweighs(points, weights, 0.5 * mass):
+        # a Moebius map moves a point of weight w > mass/2 to some y on the
+        # sphere, where the first moment along y is at least w - (mass - w)
+        raise failure("a point carries more than half the mass: no balancing point")
+
+    # stage 1: damped drift toward the balancing point; the new map is the
+    # Moebius map with the composed parameter up to a rotation, which leaves
+    # residual norms unchanged
     while rn > 1e-3 and iterations < max_iterations:
-        c = mom / scale
-        step = -0.5 * (complex(c[0], c[1]) if disk else c)
-        size = abs(step) if disk else float(np.linalg.norm(step))
+        step = -0.5 * mom / scale
+        size = float(np.linalg.norm(step))
         if size > 0.9:
             step = step * (0.9 / size)
-        xi = compose(xi, step)
-        norm_xi = abs(xi) if disk else float(np.linalg.norm(xi))
-        if norm_xi > _BOUNDARY_GUARD:
-            raise NonConvergenceError(
-                "balancing point escaped to the boundary",
-                xi=xi, residual=rn, iterations=iterations,
-            )
+        xi = ball_moebius(xi, step)
+        if float(np.linalg.norm(xi)) > _BOUNDARY_GUARD:
+            raise failure("balancing point escaped to the boundary")
         mom, rn = resid(xi)
         iterations += 1
 
-    # stage 2: Newton; closed-form Jacobian on the ball, central
-    # differences on the disk until ROADMAP 2(b) gives it a closed form
+    # stage 2: Newton with a halving line search
     while rn > tol and iterations < max_iterations:
+        evaluations += jacobian_cost
         try:
-            delta = np.linalg.solve(jacobian(xi), -mom)
+            step = np.linalg.solve(jacobian(xi), -mom)
         except np.linalg.LinAlgError:
-            raise NonConvergenceError(
-                "singular moment Jacobian",
-                xi=xi, residual=rn, iterations=iterations,
-            ) from None
-        step = complex(delta[0], delta[1]) if disk else delta
+            raise failure("singular moment Jacobian") from None
         lam = 1.0
         for _ in range(40):
             cand = xi + lam * step
-            norm_c = abs(cand) if disk else float(np.linalg.norm(cand))
-            if norm_c < _BOUNDARY_GUARD:
+            if float(np.linalg.norm(cand)) < _BOUNDARY_GUARD:
                 cand_mom, cand_rn = resid(cand)
                 if cand_rn < rn:
                     xi, mom, rn = cand, cand_mom, cand_rn
@@ -286,20 +351,19 @@ def renormalize(
             lam *= 0.5
             halvings += 1
         else:
-            raise NonConvergenceError(
-                "Newton stage stalled near the boundary",
-                xi=xi, residual=rn, iterations=iterations,
-            )
+            raise failure("Newton stage stalled near the boundary")
         iterations += 1
 
     # written so that a NaN residual (moments of a point pushed onto the
     # boundary by rounding) fails it too
     if not rn <= tol:
-        raise NonConvergenceError(
-            "renormalization did not reach tolerance",
-            xi=xi, residual=rn, iterations=iterations,
-        )
+        raise failure("renormalization did not reach tolerance")
     return RenormResult(
-        xi=xi, residual=rn, iterations=iterations,
+        xi=_public(m, xi), residual=rn, iterations=iterations,
         evaluations=evaluations, halvings=halvings,
     )
+
+
+def _public(m: DiscreteMeasure, xi):
+    # the disk's points, balancing point included, are complex numbers
+    return complex(xi[0], xi[1]) if m.space == "disk" else xi

@@ -20,9 +20,7 @@ from .exceptions import InvalidInputError
 
 __all__ = [
     "gamma",
-    "bessel_j0",
     "bessel_j1",
-    "bessel_j1_derivative",
     "j1_over_x",
     "gauss_legendre",
     "find_zeta",
@@ -53,19 +51,9 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind, order zero."""
-    return float(special.j0(x))
-
-
 def bessel_j1(x: float) -> float:
     """Bessel function of the first kind, order one."""
     return float(special.j1(x))
-
-
-def bessel_j1_derivative(x: float) -> float:
-    """J1'(x) = (J0(x) - J2(x)) / 2."""
-    return float(special.jvp(1, x))
 
 
 def j1_over_x(x):

@@ -248,6 +248,17 @@ def test_certificate_bent_simple_folded(bent_domain):
     assert report.gap < 1e-3
 
 
+def test_certificate_wavy_coarse_grid_reaches_a_multiple_cap():
+    # at 32x64 the grid and its winding refinement stop at gap 1.2e-3; the
+    # Gauss-Newton solver shared with the sphere search goes below 1e-3
+    rep = planar_bound_certificate(
+        ConformalDomain([1.0, 0.2, 0.05]), "wavy", n_r=32, n_theta=64
+    )
+    assert rep.branch == "simple-folded"
+    assert rep.gap < 1e-3
+    assert rep.holds
+
+
 def test_certificate_cubic_is_simple():
     # |1 + 0.3 z^2|^2 carries a second angular harmonic, so the balanced
     # pullback of z + 0.1 z^3 is genuinely anisotropic

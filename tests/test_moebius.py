@@ -263,6 +263,17 @@ def test_renormalize_split_heavy_atom_fails_quietly(dim):
             renormalize(DiscreteMeasure("sphere", x, w))
 
 
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_renormalize_coincident_atoms_over_half_raise_at_once(dim):
+    # two atoms of 0.45 at e1 carry 90 % of the mass at one point
+    x = np.vstack([np.eye(dim), -np.eye(dim), np.eye(dim)[:1]])
+    w = np.full(2 * dim + 1, 0.1 / (2 * dim - 1))
+    w[0] = w[-1] = 0.45
+    with pytest.raises(NonConvergenceError) as info:
+        renormalize(DiscreteMeasure("sphere", x, w))
+    assert info.value.iterations == 0
+
+
 def test_renormalize_heavy_atom_raises_before_iterating(sphere3_uniform):
     # S^3 res 16 plus one atom with 54.5 % of the mass
     atom = np.array([[0.6, 0.0, 0.8, 0.0]])

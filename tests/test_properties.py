@@ -7,9 +7,24 @@ from scipy.linalg import null_space
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from capfold.caps import Cap, cap_contains, cap_reflection, image_cap  # noqa: E402
+from capfold.caps import (  # noqa: E402
+    Cap,
+    cap_contains,
+    cap_reflection,
+    cap_reflection_factor,
+    image_cap,
+    rearrange,
+)
 from capfold.measures import DiscreteMeasure, moment_vector_raw, sphere_quadrature  # noqa: E402
-from capfold.moebius import _ball_moments, ball_moebius, reflection, renormalize  # noqa: E402
+from capfold.moebius import (  # noqa: E402
+    _ball_moments,
+    ball_moebius,
+    disk_moebius,
+    disk_moebius_derivative,
+    reflection,
+    reflection_disk,
+    renormalize,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, derandomize=True, database=None
@@ -194,3 +209,96 @@ def test_renormalize_start_does_not_move_the_balancing_point(dim, start_len, see
     cold = renormalize(m)
     warm = renormalize(m, start=start_len * _unit(rng, dim))
     assert np.max(np.abs(warm.xi - cold.xi)) <= 1e-9
+
+
+disk_cap_case = given(
+    r=st.floats(-0.95, 0.95),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _disk_points(rng, p, count=32):
+    """Disk points: half uniform, half within about 0.05 of p or -p, next to
+    the centre p/h of the inversion when |r| is near 0.95."""
+    z = np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+    half = count // 2
+    near = p * (1.0 - 0.05 * rng.uniform(size=half)) * np.exp(0.05j * rng.normal(size=half))
+    z[half:] = np.where(rng.uniform(size=half) < 0.5, near, -near)
+    return z
+
+
+@PROPERTY_SETTINGS
+@disk_cap_case
+def test_disk_cap_reflection_is_the_moebius_conjugate(r, angle, seed):
+    rng = np.random.default_rng(seed)
+    cap = Cap(r, np.exp(1j * angle))
+    z = _disk_points(rng, cap.p)
+    rp = cap.r * cap.p
+    conjugate = disk_moebius(rp, reflection_disk(cap.p, disk_moebius(-rp, z)))
+    assert np.max(np.abs(cap_reflection(cap, z) - conjugate)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@disk_cap_case
+def test_disk_cap_reflection_is_an_involution_fixing_the_geodesic(r, angle, seed):
+    rng = np.random.default_rng(seed)
+    cap = Cap(r, np.exp(1j * angle))
+    z = _disk_points(rng, cap.p)
+    assert np.max(np.abs(cap_reflection(cap, cap_reflection(cap, z)) - z)) <= 1e-12
+    # the geodesic is the Moebius image of the diameter through +-i p
+    geodesic = disk_moebius(cap.r * cap.p, 1j * cap.p * np.linspace(-0.999, 0.999, 33))
+    assert np.max(np.abs(cap_reflection(cap, geodesic) - geodesic)) <= 1e-14
+
+
+@PROPERTY_SETTINGS
+@disk_cap_case
+def test_disk_cap_membership_is_the_pulled_back_half_plane(r, angle, seed):
+    rng = np.random.default_rng(seed)
+    cap = Cap(r, np.exp(1j * angle))
+    z = _disk_points(rng, cap.p, count=64)
+    side = np.real(np.conj(cap.p) * disk_moebius(-cap.r * cap.p, z))
+    clear = np.abs(side) > 1e-12
+    assert np.array_equal(cap_contains(cap, z)[clear], side[clear] >= 0.0)
+
+
+@PROPERTY_SETTINGS
+@disk_cap_case
+def test_disk_cap_reflection_factor_is_the_moebius_chain_rule(r, angle, seed):
+    rng = np.random.default_rng(seed)
+    cap = Cap(r, np.exp(1j * angle))
+    z = _disk_points(rng, cap.p)
+    rp = cap.r * cap.p
+    pulled = disk_moebius(-rp, z)
+    chain = np.abs(disk_moebius_derivative(-rp, z)) * np.abs(
+        disk_moebius_derivative(rp, reflection_disk(cap.p, pulled))
+    )
+    assert np.max(np.abs(cap_reflection_factor(cap, z) / chain - 1.0)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    dim=st.sampled_from([2, 4, 6]),
+    xi_len=st.floats(0.0, 0.95),
+    count=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ball_moebius_inverse_is_the_negated_parameter(dim, xi_len, count, seed):
+    rng = np.random.default_rng(seed)
+    xi = xi_len * _unit(rng, dim)
+    x, _ = _ball_atoms(rng, dim, count)
+    assert np.max(np.abs(ball_moebius(-xi, ball_moebius(xi, x)) - x)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, res", [(3, 16), (5, 8)])
+def test_rearrange_near_the_cap_guard_keeps_atoms_on_the_sphere(n, res):
+    # at r = 0.95 the balancing point of the folded measure has |xi_a| near
+    # 0.9987; the transport by it used to leave atoms 6e-10 off the sphere
+    # and, from r = 0.96, past the 1e-9 check of DiscreteMeasure
+    g = sphere_quadrature(n, res)
+    g = g.scaled(1.0 / g.total_mass)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        nu, trace = rearrange(g, Cap(0.95, _unit(rng, n + 1), "sphere"))
+        assert np.linalg.norm(trace.xi_a) > 0.998
+        assert np.max(np.abs(np.linalg.norm(nu.points, axis=1) - 1.0)) <= 1e-11
