@@ -188,8 +188,8 @@ def planar_bound_certificate(
     energy_integral = radial_square_integral()
     area = domain.area
     raw = pullback_measure(domain, n_r, n_theta)
-    canon, _ = canonicalize(raw)
-    form = direction_form(canon)
+    canon, cmap = canonicalize(raw)
+    form = cmap.form
 
     if form.gap < eps:
         denom = (np.pi / area) * form.eig_second

@@ -21,7 +21,7 @@ from .exceptions import (
     InvalidInputError,
     SpaceMismatchError,
 )
-from .measures import DirectionForm, DiscreteMeasure, direction_form, disk_grid
+from .measures import DirectionForm, DiscreteMeasure, disk_grid
 from .moebius import (
     _dot,
     _inversion_terms,
@@ -29,7 +29,6 @@ from .moebius import (
     _times,
     disk_moebius,
     disk_moebius_derivative,
-    pushforward,
     renormalize,
 )
 from .specfun import gauss_legendre
@@ -333,24 +332,24 @@ def rearrange(
     """
     if m.space != cap.space:
         raise SpaceMismatchError("measure and cap live on different spaces")
-    folded = fold_measure(m, cap)
-    first = renormalize(folded, tol=tol, start=start)
-    final = pushforward(folded, first.xi)
+    first = renormalize(fold_measure(m, cap), tol=tol, start=start)
     b = image_cap(cap, first.xi)
     zeta_pred = reflection_renormalizer(cap)
     eta, q_norm = None, 1.0
+    last = first
     if m.space == "disk":
-        opened = final.with_points(CapDiskMap(b)(final.points, check=False))
-        eta = renormalize(opened, tol=tol).xi
-        final = pushforward(opened, eta)
+        moved = first.measure
+        opened = moved.with_points(CapDiskMap(b)(moved.points, check=False))
+        last = renormalize(opened, tol=tol)
+        eta = last.xi
         zeta = complex(zeta_pred)
         q = (np.conj(zeta) * eta + 1.0) / (zeta * np.conj(eta) + 1.0)
         q_norm = float(abs(q))
     trace = RearrangeTrace(
         xi_a=first.xi, b=b, eta_a=eta, zeta_predicted=zeta_pred,
-        q_norm=q_norm, form=direction_form(final),
+        q_norm=q_norm, form=last.form,
     )
-    return final, trace
+    return last.measure, trace
 
 
 def rearrange_map(cap: Cap, trace: RearrangeTrace):

@@ -19,8 +19,8 @@ from .exceptions import (
     EvenDimensionError,
     ZeroMassError,
 )
-from .measures import DiscreteMeasure, direction_form
-from .moebius import pushforward, renormalize
+from .measures import DirectionForm, DiscreteMeasure, direction_form
+from .moebius import renormalize
 
 __all__ = [
     "Classification",
@@ -61,12 +61,15 @@ class CanonicalMap:
 
     Disk: atoms move by the Moebius map at ``xi`` followed by multiplication
     with ``rotation`` (a unit complex number).  Sphere: the Moebius stage is
-    followed by the orthogonal matrix ``rotation``.
+    followed by the orthogonal matrix ``rotation``.  ``form`` is the
+    direction form of the canonical measure: the balanced measure's form
+    rotated, with its eigenvalues as computed before the rotation.
     """
 
     space: str
     xi: object
     rotation: object
+    form: DirectionForm = field(compare=False, repr=False)
 
     def apply_points(self, pts):
         from .moebius import ball_moebius, disk_moebius
@@ -117,18 +120,18 @@ def canonicalize(
     and the first coordinate direction maximizes the quadratic form.
     """
     result = renormalize(m, tol=tol)
-    balanced = pushforward(m, result.xi)
-    form = direction_form(balanced)
+    balanced, form = result.measure, result.form
     if m.space == "disk":
         s = form.max_direction
         angle = np.arctan2(s[1], s[0])
         rot = np.exp(-1j * angle)
         canon = balanced.with_points(rot * balanced.points)
-        cmap = CanonicalMap("disk", complex(result.xi), complex(rot))
+        rmat = np.array([[rot.real, -rot.imag], [rot.imag, rot.real]])
+        cmap = CanonicalMap("disk", complex(result.xi), complex(rot), form.rotated(rmat))
     else:
         rmat = _rotation_to_e1(form.max_direction)
         canon = balanced.with_points(balanced.points @ rmat.T)
-        cmap = CanonicalMap("sphere", result.xi, rmat)
+        cmap = CanonicalMap("sphere", result.xi, rmat, form.rotated(rmat))
     return canon, cmap
 
 
@@ -175,10 +178,10 @@ def scan_caps(
     around which the field makes a half turn (such a cell must contain a
     degeneracy) and subdivide it recursively.  Then the multiple-cap solver
     shared with ``sphere_cap_search`` (``_gauss_newton``) runs from the
-    refined cap and, if that stalls at gap ``eps`` or above, from the best
-    grid cap.  Returns the first cap below ``eps`` with the gap of a cold
-    ``rearrange`` of it; raises ``CapScanError`` with the smallest gap
-    reached when both starts end at ``eps`` or above.
+    refined cap and, if that ends at gap ``REFINED_GAP_TOL`` or above, from
+    the best grid cap too.  Returns the cap with the smaller gap, that of a
+    cold ``rearrange`` of it, if below ``eps``; raises ``CapScanError`` with
+    the smallest gap reached when both starts end at ``eps`` or above.
     """
     if m.space != "disk":
         raise DimensionUnsupportedError("scan_caps operates on disk measures")
@@ -218,7 +221,7 @@ def scan_caps(
 
     refined, _ = _refine_cell(m, cell, max_depth)
     starts = [c for c in (refined, best_cap) if c is not None]
-    cap, gap = _first_multiple_cap(m, starts, eps)
+    cap, gap = _first_multiple_cap(m, starts, eps, enough=REFINED_GAP_TOL)
     return CapScanResult(
         cap=cap, gap=gap, direction_field=rows, winding_numbers=windings,
     )
@@ -406,16 +409,20 @@ def _gauss_newton(m: DiscreteMeasure, start: Cap):
     return cap, trace.form.gap
 
 
-def _first_multiple_cap(m: DiscreteMeasure, starts, eps: float):
-    """``_gauss_newton`` from each start cap in turn: the first to end below
-    ``eps`` wins; otherwise ``CapScanError`` with the smallest gap reached."""
+def _first_multiple_cap(m: DiscreteMeasure, starts, eps: float, enough=None):
+    """``_gauss_newton`` from each start cap in turn until one ends below
+    ``enough`` (default and at most ``eps``); returns the smallest gap
+    reached if it is below ``eps``, else raises ``CapScanError`` with it."""
+    enough = eps if enough is None else min(enough, eps)
     best_cap, best_gap = None, np.inf
     for start in starts:
         cap, gap = _gauss_newton(m, start)
         if gap < best_gap:
             best_cap, best_gap = cap, gap
-        if best_gap < eps:
-            return best_cap, float(best_gap)
+        if best_gap < enough:
+            break
+    if best_gap < eps:
+        return best_cap, float(best_gap)
     raise CapScanError(
         f"no multiple cap below gap {eps}",
         best_cap=best_cap, best_gap=float(best_gap),
@@ -434,13 +441,18 @@ def sphere_cap_search(
     ``direction_form(m)`` (e1 for a canonicalized measure).  If that stalls
     at gap ``eps`` or above, the search restarts from r = +-0.3 around the
     top and the second eigenvector; the caps (r, p) and (-r, -p) fold to the
-    same gap, so these four starts also cover -p.  Returns the cap and the
+    same gap, so these four starts also cover -p.  Each start vector has its
+    largest-magnitude component positive, so the result does not depend on
+    the sign ``eigh`` returns.  Returns the cap and the
     gap of ``direction_form(rearrange(m, cap))``; raises ``CapScanError``
     with the smallest gap reached when every start ends at ``eps`` or above.
     """
     if m.space != "sphere":
         raise DimensionUnsupportedError("sphere_cap_search needs a sphere measure")
     evecs = np.linalg.eigh(direction_form(m).matrix)[1]
+    # (0, p) and (0, -p) can lead to different multiple caps
+    lead = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(len(evecs))]
+    evecs = evecs * np.sign(lead)
     starts = [Cap(0.0, evecs[:, -1], "sphere")] + [
         Cap(r, evecs[:, k], "sphere") for k in (-1, -2) for r in (0.3, -0.3)
     ]

@@ -8,6 +8,7 @@ pullback it equals the image area).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -111,12 +112,14 @@ class DiscreteMeasure:
         )
 
 
+@functools.cache
 def disk_grid(n_r: int = 96, n_theta: int = 192):
     """Standard polar grid: Gauss-Legendre radii x uniform angles.
 
     Returns (points, base_weights, radii, radial_weights) where base_weights
     already contain the r dr dtheta area element, so that a density-1 measure
-    has total mass pi.
+    has total mass pi.  Computed once per grid shape and read-only, since
+    every caller shares the arrays.
     """
     if n_r < 4 or n_theta < 4:
         raise InvalidInputError(f"need n_r, n_theta >= 4, got {n_r}, {n_theta}")
@@ -127,6 +130,8 @@ def disk_grid(n_r: int = 96, n_theta: int = 192):
     r_mat, th_mat = np.meshgrid(radii, theta, indexing="ij")
     points = (r_mat * np.exp(1j * th_mat)).ravel()
     base = np.outer(radii * wr, np.full(n_theta, 2.0 * np.pi / n_theta)).ravel()
+    for arr in (points, base, radii, wr):
+        arr.flags.writeable = False
     return points, base, radii, wr
 
 
@@ -283,6 +288,7 @@ def pullback_measure(
 
 
 def _disk_xy_factors(points: np.ndarray):
+    # X_{e1}, X_{e2} at disk points: the J1 kernel behind every disk moment
     amp = find_zeta() * j1_over_x(find_zeta() * np.abs(points))
     return amp * points.real, amp * points.imag
 
@@ -355,15 +361,31 @@ class DirectionForm:
         s = np.asarray(s, dtype=float)
         return float(s @ self.matrix @ s)
 
+    def rotated(self, rotation) -> "DirectionForm":
+        """The form after the atoms move by the orthogonal matrix ``rotation``:
+        matrix R V R^T and top direction R s, with the same eigenvalues."""
+        rot = np.asarray(rotation, dtype=float)
+        mat = rot @ self.matrix @ rot.T
+        return DirectionForm(
+            matrix=0.5 * (mat + mat.T),
+            eig_max=self.eig_max,
+            eig_second=self.eig_second,
+            max_direction=rot @ self.max_direction,
+        )
+
 
 def direction_form(m: DiscreteMeasure) -> DirectionForm:
     """Assemble and diagonalize the matrix of second moments of X."""
     if m.space == "disk":
-        x1, x2 = _disk_xy_factors(m.points)
-        cols = np.stack([x1, x2], axis=1)
+        cols = np.stack(_disk_xy_factors(m.points), axis=1)
     else:
         cols = m.points
-    mat = cols.T @ (cols * m.weights[:, None])
+    return _form_from_columns(cols, m.weights)
+
+
+def _form_from_columns(cols: np.ndarray, weights: np.ndarray) -> DirectionForm:
+    # cols holds the coordinates X_{e_i} at the atoms, one column each
+    mat = cols.T @ (cols * weights[:, None])
     mat = 0.5 * (mat + mat.T)
     evals, evecs = np.linalg.eigh(mat)
     return DirectionForm(

@@ -5,15 +5,18 @@ measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import InvalidInputError, NonConvergenceError, ZeroMassError
 from .measures import (
+    DirectionForm,
     DiscreteMeasure,
+    _disk_xy_factors,
+    _form_from_columns,
+    direction_form,
     moment_scale,
-    moment_vector_raw,
 )
 
 __all__ = [
@@ -139,16 +142,21 @@ def pushforward(m: DiscreteMeasure, xi) -> DiscreteMeasure:
 
 @dataclass(frozen=True)
 class RenormResult:
-    """Balancing point xi with the work the solve took.
+    """Balancing point xi with the balanced measure and the work the solve took.
 
-    ``evaluations`` counts moment-map evaluations, one per closed-form ball
-    Jacobian and one per moment vector of a disk central difference;
-    ``halvings`` counts the Newton line-search step halvings.
+    ``measure`` is ``pushforward(m, xi)`` and ``form`` its ``direction_form``,
+    bitwise; on the disk both reuse the moved atoms and J1 factors of the
+    residual at ``xi``.  ``evaluations`` counts moment-map evaluations, one
+    per closed-form ball Jacobian and one per moment vector of a disk
+    central difference; ``halvings`` counts the Newton line-search step
+    halvings.
     """
 
     xi: object  # complex (disk) or ndarray (sphere)
     residual: float
     iterations: int
+    measure: DiscreteMeasure = field(compare=False, repr=False)
+    form: DirectionForm = field(compare=False, repr=False)
     evaluations: int = 0
     halvings: int = 0
 
@@ -235,7 +243,10 @@ def renormalize(
     a halving line search finishes.  On the ball the moments and the Newton
     Jacobian are closed form (``_ball_moments``); the disk still builds its
     Jacobian from central differences (ROADMAP 3).  The returned ``xi`` is
-    complex on the disk.
+    complex on the disk.  The result also carries the balanced measure and
+    its direction form; on the disk they are built from the moved atoms and
+    J1 factors of the residual at the returned ``xi``, which the Jacobian's
+    evaluations and rejected line-search candidates leave alone.
 
     Raises
     ------
@@ -258,12 +269,14 @@ def renormalize(
         fd = 1e-6
 
         def moments(xi):
+            # the moved atoms and their J1 factors, kept for the result
             moved = disk_moebius(complex(xi[0], xi[1]), points)
-            return moment_vector_raw("disk", moved, weights)
+            cols = _disk_xy_factors(moved)
+            return np.array([np.sum(weights * c) for c in cols]), (moved, cols)
 
         def jacobian(xi):
             return np.column_stack([
-                (moments(xi + fd * e) - moments(xi - fd * e)) / (2.0 * fd)
+                (moments(xi + fd * e)[0] - moments(xi - fd * e)[0]) / (2.0 * fd)
                 for e in np.eye(dim)
             ])
 
@@ -275,7 +288,7 @@ def renormalize(
         sq = np.sum(points * points, axis=1)
 
         def moments(xi):
-            return _ball_moments(points, sq, weights, xi)
+            return _ball_moments(points, sq, weights, xi), None
 
         def jacobian(xi):
             return _ball_moments(points, sq, weights, xi, jacobian=True)[1]
@@ -303,10 +316,10 @@ def renormalize(
     def resid(xi):
         nonlocal evaluations
         evaluations += 1
-        mom = moments(xi)
-        return mom, float(np.max(np.abs(mom))) / scale
+        mom, kept = moments(xi)
+        return mom, float(np.max(np.abs(mom))) / scale, kept
 
-    mom, rn = resid(xi)
+    mom, rn, kept = resid(xi)
     iterations = 0
 
     def failure(message):
@@ -330,7 +343,7 @@ def renormalize(
         xi = ball_moebius(xi, step)
         if float(np.linalg.norm(xi)) > _BOUNDARY_GUARD:
             raise failure("balancing point escaped to the boundary")
-        mom, rn = resid(xi)
+        mom, rn, kept = resid(xi)
         iterations += 1
 
     # stage 2: Newton with a halving line search
@@ -344,9 +357,9 @@ def renormalize(
         for _ in range(40):
             cand = xi + lam * step
             if float(np.linalg.norm(cand)) < _BOUNDARY_GUARD:
-                cand_mom, cand_rn = resid(cand)
+                cand_mom, cand_rn, cand_kept = resid(cand)
                 if cand_rn < rn:
-                    xi, mom, rn = cand, cand_mom, cand_rn
+                    xi, mom, rn, kept = cand, cand_mom, cand_rn, cand_kept
                     break
             lam *= 0.5
             halvings += 1
@@ -358,8 +371,16 @@ def renormalize(
     # boundary by rounding) fails it too
     if not rn <= tol:
         raise failure("renormalization did not reach tolerance")
+    xi = _public(m, xi)
+    if m.space == "disk":
+        moved, cols = kept
+        measure = m.with_points(moved)
+        form = _form_from_columns(np.stack(cols, axis=1), weights)
+    else:
+        measure = pushforward(m, xi)
+        form = direction_form(measure)
     return RenormResult(
-        xi=_public(m, xi), residual=rn, iterations=iterations,
+        xi=xi, residual=rn, iterations=iterations, measure=measure, form=form,
         evaluations=evaluations, halvings=halvings,
     )
 

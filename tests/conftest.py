@@ -1,9 +1,12 @@
-"""Shared fixtures: default-resolution measures and canonicalized domains."""
+"""Shared fixtures: default-resolution measures, canonicalized domains, and
+the bent scan and the bent and wavy certificates, which several modules
+read and which each take tens of seconds."""
 
 import numpy as np
 import pytest
 
-from capfold.directions import canonicalize
+from capfold.bounds import planar_bound_certificate
+from capfold.directions import canonicalize, scan_caps
 from capfold.measures import (
     ConformalDomain,
     disk_quadrature,
@@ -28,6 +31,23 @@ def bent_canonical(bent_domain):
     """Canonicalized pullback measure of z + 0.3 z^2 with its transform."""
     raw = pullback_measure(bent_domain, 96, 192)
     return canonicalize(raw)
+
+
+@pytest.fixture(scope="session")
+def bent_scan(bent_canonical):
+    """Cap scan of the canonicalized z + 0.3 z^2 measure."""
+    canon, _ = bent_canonical
+    return scan_caps(canon)
+
+
+@pytest.fixture(scope="session")
+def bent_certificate(bent_domain):
+    return planar_bound_certificate(bent_domain, "bent")
+
+
+@pytest.fixture(scope="session")
+def wavy_certificate():
+    return planar_bound_certificate(ConformalDomain([1.0, 0.2, 0.05]), "wavy")
 
 
 @pytest.fixture(scope="session")

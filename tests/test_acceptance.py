@@ -18,14 +18,13 @@ from capfold.caps import (
     rearranged_grid_measure,
     subharmonic_diagnostics,
 )
-from capfold.directions import canonicalize, scan_caps, winding_diagnostic
+from capfold.directions import canonicalize, winding_diagnostic
 from capfold.measures import (
     ConformalDomain,
     DiscreteMeasure,
     direction_form,
     disk_quadrature,
     measure_distance,
-    pullback_measure,
     sphere_quadrature,
 )
 from capfold.moebius import pushforward, reflection_disk, renormalize
@@ -156,14 +155,8 @@ def test_c05_reflected_renormalizer_closed_form(uniform96):
 
 # -------------------------------------------------------------------- C6
 
-@pytest.fixture(scope="module")
-def bent_canonical_acc():
-    raw = pullback_measure(ConformalDomain([1.0, 0.3]), 96, 192)
-    return canonicalize(raw)
-
-
-def test_c06_flipflop_trend(bent_canonical_acc):
-    canon, _ = bent_canonical_acc
+def test_c06_flipflop_trend(bent_canonical):
+    canon, _ = bent_canonical
     ladder = (0.9, 0.95, 0.99, 0.995)
     for p in (1.0 + 0j, 1j):
         target = canon.with_points(reflection_disk(p, canon.points))
@@ -178,14 +171,8 @@ def test_c06_flipflop_trend(bent_canonical_acc):
 
 # -------------------------------------------------------------------- C7
 
-@pytest.fixture(scope="module")
-def bent_scan_acc(bent_canonical_acc):
-    canon, _ = bent_canonical_acc
-    return scan_caps(canon)
-
-
-def test_c07_direction_limits_and_winding(bent_canonical_acc, bent_scan_acc):
-    canon, _ = bent_canonical_acc
+def test_c07_direction_limits_and_winding(bent_canonical, bent_scan):
+    canon, _ = bent_canonical
     for th in np.linspace(0, 2 * np.pi, 12, endpoint=False):
         nu, _ = rearrange(canon, Cap(-0.95, np.exp(1j * th)))
         s = direction_form(nu).max_direction
@@ -200,16 +187,16 @@ def test_c07_direction_limits_and_winding(bent_canonical_acc, bent_scan_acc):
 
     assert winding_diagnostic(canon, -0.95, n_theta=16) == 0
     assert winding_diagnostic(canon, 0.95, n_theta=16) == 4
-    assert bent_scan_acc.gap < 1e-3
+    assert bent_scan.gap < 1e-3
     _report(
         "7",
-        f"limits within 5/10 deg, windings 0/4, scan gap {bent_scan_acc.gap:.1e}",
+        f"limits within 5/10 deg, windings 0/4, scan gap {bent_scan.gap:.1e}",
     )
 
 
 # -------------------------------------------------------------------- C8
 
-def test_c08_subharmonic_growth(bent_canonical_acc, bent_scan_acc):
+def test_c08_subharmonic_growth(bent_canonical, bent_scan):
     # uniform saturation
     uniform = disk_quadrature(96, 192)
     report = subharmonic_diagnostics(uniform)
@@ -217,13 +204,13 @@ def test_c08_subharmonic_growth(bent_canonical_acc, bent_scan_acc):
 
     # corpus of rearranged measures: identity domain and the bent domain,
     # over fixed caps plus the scanned multiple cap
-    canon, cmap = bent_canonical_acc
+    canon, cmap = bent_canonical
     bent_density = cmap.density(ConformalDomain([1.0, 0.3]).density)
     corpus = []
     for cap in (Cap(0.5, np.exp(0.8j)), Cap(-0.3, 1j)):
         _, trace = rearrange(uniform, cap)
         corpus.append((lambda z: np.ones_like(np.real(z)), cap, trace, np.pi))
-    caps_bent = [bent_scan_acc.cap, Cap(0.4, np.exp(2.0j))]
+    caps_bent = [bent_scan.cap, Cap(0.4, np.exp(2.0j))]
     for cap in caps_bent:
         _, trace = rearrange(canon, cap)
         corpus.append((bent_density, cap, trace, canon.total_mass))
@@ -237,16 +224,13 @@ def test_c08_subharmonic_growth(bent_canonical_acc, bent_scan_acc):
 
 # -------------------------------------------------------------------- C9
 
-def test_c09_planar_certificates():
-    corpus = {
-        "disk": ConformalDomain([1.0]),
-        "bent": ConformalDomain([1.0, 0.3]),
-        "wavy": ConformalDomain([1.0, 0.2, 0.05]),
+def test_c09_planar_certificates(bent_certificate, wavy_certificate):
+    reports = {
+        "disk": planar_bound_certificate(ConformalDomain([1.0]), "disk"),
+        "bent": bent_certificate,
+        "wavy": wavy_certificate,
     }
-    reports = {}
-    for name, domain in corpus.items():
-        rep = planar_bound_certificate(domain, name)
-        reports[name] = rep
+    for name, rep in reports.items():
         assert rep.quotient_sup <= rep.bound * 1.01, (name, rep)
     assert reports["disk"].branch == "multiple-direct"
     assert reports["disk"].bound == pytest.approx(mu1_disk())

@@ -15,7 +15,7 @@ from capfold.bounds import (
     sphere_modified_quotient,
 )
 from capfold.caps import Cap, cap_contains, fold_measure, rearrange
-from capfold.directions import canonicalize
+from capfold.directions import REFINED_GAP_TOL, canonicalize
 from capfold.exceptions import InvalidInputError, NotMultipleError
 from capfold.measures import (
     ConformalDomain,
@@ -38,13 +38,10 @@ from capfold.specfun import (
 
 
 @pytest.fixture(scope="module")
-def bent_multiple_cap(bent_canonical):
-    from capfold.directions import scan_caps
-
+def bent_multiple_cap(bent_canonical, bent_scan):
     canon, _ = bent_canonical
-    scan = scan_caps(canon)
-    nu, trace = rearrange(canon, scan.cap)
-    return canon, scan, nu, trace
+    nu, trace = rearrange(canon, bent_scan.cap)
+    return canon, bent_scan, nu, trace
 
 
 # ------------------------------------------------------------------- lift
@@ -218,45 +215,66 @@ def test_certificate_disk_multiple_direct():
     assert report.holds
 
 
-def test_certificate_multiple_direct_builds_one_direction_form(monkeypatch):
-    # canonicalize needs one form for its rotation; the certificate reuses a
-    # second one for both the branch decision and the quotient
+def test_certificate_multiple_direct_evaluates_the_kernel_once(monkeypatch):
+    # the residual of the balancing solve at its accepted point is the one
+    # J1 evaluation: the balanced measure, its direction form and the
+    # canonical form the certificate reads are all built from it
     import capfold.bounds
     import capfold.directions
+    import capfold.measures
+    import capfold.moebius
 
     domain = ConformalDomain([1.0])
     expected = planar_bound_certificate(domain, "disk", n_r=16, n_theta=32)
-    calls = []
+    kernel_calls, form_calls = [], []
+    kernel = capfold.measures.j1_over_x
 
-    def counted(m):
-        calls.append(m)
+    def counted_kernel(x):
+        kernel_calls.append(x)
+        return kernel(x)
+
+    def counted_form(m):
+        form_calls.append(m)
         return direction_form(m)
 
-    monkeypatch.setattr(capfold.bounds, "direction_form", counted)
-    monkeypatch.setattr(capfold.directions, "direction_form", counted)
+    monkeypatch.setattr(capfold.measures, "j1_over_x", counted_kernel)
+    for module in (capfold.bounds, capfold.directions, capfold.moebius):
+        monkeypatch.setattr(module, "direction_form", counted_form)
     report = planar_bound_certificate(domain, "disk", n_r=16, n_theta=32)
     assert report.branch == "multiple-direct"
-    assert len(calls) == 2
+    assert len(kernel_calls) == 1
+    assert len(form_calls) == 0
     assert report.to_json() == expected.to_json()
 
 
-def test_certificate_bent_simple_folded(bent_domain):
-    report = planar_bound_certificate(bent_domain, "bent")
+def test_certificate_bent_simple_folded(bent_certificate):
+    report = bent_certificate
     assert report.branch == "simple-folded"
     assert report.quotient_sup <= 2 * mu1_disk() * 1.01
     assert report.holds
     assert report.gap < 1e-3
 
 
-def test_certificate_wavy_coarse_grid_reaches_a_multiple_cap():
-    # at 32x64 the grid and its winding refinement stop at gap 1.2e-3; the
-    # Gauss-Newton solver shared with the sphere search goes below 1e-3
-    rep = planar_bound_certificate(
+@pytest.fixture(scope="module")
+def wavy_coarse_certificate():
+    return planar_bound_certificate(
         ConformalDomain([1.0, 0.2, 0.05]), "wavy", n_r=32, n_theta=64
     )
+
+
+def test_certificate_wavy_coarse_grid_reaches_a_multiple_cap(wavy_coarse_certificate):
+    # at 32x64 the grid and its winding refinement stop at gap 1.2e-3; the
+    # Gauss-Newton solver shared with the sphere search goes below 1e-3
+    rep = wavy_coarse_certificate
     assert rep.branch == "simple-folded"
     assert rep.gap < 1e-3
     assert rep.holds
+
+
+def test_certificate_wavy_coarse_grid_gap_below_refined_tolerance(wavy_coarse_certificate):
+    # the solve from the refined cap stalls at gap 4.7e-4 on this grid; the
+    # scan then also solves from the best grid cap, which reaches 3e-13
+    assert wavy_coarse_certificate.gap < REFINED_GAP_TOL
 
 
 def test_certificate_cubic_is_simple():
@@ -268,18 +286,19 @@ def test_certificate_cubic_is_simple():
 
 
 @pytest.mark.slow
-def test_certificate_dominates_fem_eigenvalue():
+def test_certificate_dominates_fem_eigenvalue(bent_certificate, wavy_certificate):
     # the variational characterization: the certified quotient is an upper
     # bound for mu_2 * Area / pi, which the FEM computes independently
     from capfold.fem import build_mesh, neumann_eigs
 
-    for name, coeffs in (
-        ("disk", [1.0]),
-        ("bent", [1.0, 0.3]),
-        ("wavy", [1.0, 0.2, 0.05]),
+    for name, coeffs, report in (
+        ("disk", [1.0], None),
+        ("bent", [1.0, 0.3], bent_certificate),
+        ("wavy", [1.0, 0.2, 0.05], wavy_certificate),
     ):
         domain = ConformalDomain(coeffs)
-        report = planar_bound_certificate(domain, name)
+        if report is None:
+            report = planar_bound_certificate(domain, name)
         mesh = build_mesh(domain, 0.02)
         res = neumann_eigs(mesh, k=2, h=0.02)
         fem_value = res.mu(2) * res.area / np.pi
@@ -287,10 +306,10 @@ def test_certificate_dominates_fem_eigenvalue():
 
 
 @pytest.mark.slow
-def test_certificate_rotation_invariance():
+def test_certificate_rotation_invariance(bent_certificate):
     # z + 0.3i z^2 parametrizes a rotated copy of the z + 0.3 z^2 domain,
     # so the certified quotient must agree
-    base = planar_bound_certificate(ConformalDomain([1.0, 0.3]), "bent")
+    base = bent_certificate
     spun = planar_bound_certificate(ConformalDomain([1.0, 0.3j]), "bent-rot")
     assert spun.branch == base.branch == "simple-folded"
     assert spun.quotient_sup == pytest.approx(base.quotient_sup, rel=1e-6)

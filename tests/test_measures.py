@@ -9,6 +9,7 @@ from capfold.measures import (
     DiscreteMeasure,
     coordinate_values,
     direction_form,
+    disk_grid,
     disk_quadrature,
     measure_distance,
     measure_from_json,
@@ -31,6 +32,19 @@ def test_uniform_moments_vanish(uniform_disk):
 def test_negative_density_rejected():
     with pytest.raises(NegativeDensityError):
         disk_quadrature(8, 8, lambda z: np.real(z) - 2.0)
+
+
+def test_disk_grid_is_shared_read_only_and_unchanged():
+    # one set of arrays per grid shape, bitwise the uncached computation;
+    # a caller cannot write into the copy every other caller shares
+    first = disk_grid(12, 20)
+    fresh = disk_grid.__wrapped__(12, 20)
+    assert all(a is b for a, b in zip(first, disk_grid(12, 20)))
+    for arr, ref in zip(first, fresh):
+        assert not arr.flags.writeable
+        assert np.array_equal(arr, ref)
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_quadrature_of_derivative_density():

@@ -326,3 +326,38 @@ def test_renormalize_sphere_planted(sphere3_uniform):
     planted = pushforward(sphere3_uniform, xi0)
     res = renormalize(planted)
     assert np.linalg.norm(res.xi + xi0) < 1e-8
+
+
+def _same_form(a, b):
+    return (
+        np.array_equal(a.matrix, b.matrix)
+        and a.eig_max == b.eig_max
+        and a.eig_second == b.eig_second
+        and np.array_equal(a.max_direction, b.max_direction)
+    )
+
+
+@pytest.mark.parametrize("space", ["disk", "sphere"])
+def test_renormalize_returns_the_balanced_measure_and_its_form(space):
+    # the result carries exactly what pushforward and direction_form give,
+    # bit for bit, whether the solve starts at the origin or warm
+    from capfold.measures import direction_form
+
+    rng = np.random.default_rng(4242)
+    if space == "disk":
+        base = disk_quadrature(24, 48)
+        m = pushforward(base, 0.35 - 0.2j)
+        m = DiscreteMeasure("disk", m.points, m.weights * rng.uniform(0.5, 1.5, len(m.weights)))
+        starts = (None, 0.3 + 0.2j)
+    else:
+        base = sphere_quadrature(3, resolution=8)
+        m = pushforward(base, np.array([0.3, -0.2, 0.1, 0.25]))
+        m = DiscreteMeasure("sphere", m.points, m.weights * rng.uniform(0.5, 1.5, len(m.weights)))
+        starts = (None, np.array([-0.25, 0.2, -0.1, -0.2]))
+    for start in starts:
+        res = renormalize(m, start=start)
+        assert res.iterations > 0
+        moved = pushforward(m, res.xi)
+        assert np.array_equal(res.measure.points, moved.points)
+        assert np.array_equal(res.measure.weights, moved.weights)
+        assert _same_form(res.form, direction_form(moved))
