@@ -2,10 +2,12 @@
 
 Independent ground truth for the eigenvalue bounds: structured meshes for
 disks and rectangles, mapped disk meshes for conformal images, a Delaunay
-construction for the two-disk-with-passage family, consistent-mass assembly,
-and a shift-invert sparse eigensolve.  The eigensolve orders the unknowns by
-geometric nested dissection of the mesh and factors ``K - sigma M`` once as
-a symmetric LU with diagonal pivots, which the Lanczos iteration reuses.
+mesh for the two-disk-with-passage family (lattice triangles inside, Qhull
+on a band along the boundary, checked by its Euler count), consistent-mass
+assembly, and a shift-invert sparse eigensolve.  The eigensolve orders the
+unknowns by geometric nested dissection of the mesh and factors
+``K - sigma M`` once as a symmetric LU with diagonal pivots, which the
+Lanczos iteration reuses.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .exceptions import (
     InvalidInputError,
     InvalidSpecError,
     NeckTooNarrowError,
+    NumericalFailureError,
 )
 from .measures import ConformalDomain
 
@@ -197,7 +200,51 @@ def _two_disk_signed(eps: float, neck_length: float, pts: np.ndarray):
     return np.maximum.reduce([d_left, d_right, d_strip])
 
 
+# half-width of the boundary band that Qhull triangulates, in mesh sizes
+_BAND = 4.0
+
+
+def _circumcircles(pts: np.ndarray, tris: np.ndarray):
+    """Circumcentres and circumradii of the triangles ``tris`` of ``pts``."""
+    a, b, c = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
+    ab, ac = b - a, c - a
+    d = 2.0 * (ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
+    nb, nc = np.sum(ab * ab, axis=1), np.sum(ac * ac, axis=1)
+    ux = (ac[:, 1] * nb - ab[:, 1] * nc) / d
+    uy = (ab[:, 0] * nc - ac[:, 0] * nb) / d
+    return a + np.stack([ux, uy], axis=1), np.hypot(ux, uy)
+
+
 def _two_disk_mesh(eps: float, neck_length: float, h: float) -> Mesh:
+    """Delaunay mesh of two unit disks joined by a passage (see ``two_disk_area``).
+
+    The points are the boundary polygon (both arcs, then the passage walls)
+    followed by the nodes of an equilateral lattice of spacing ``h`` (rows
+    ``h sqrt(3)/2`` apart, odd rows shifted by ``h/2``) that lie deeper than
+    ``0.55 h`` inside.  The triangles are those of the Delaunay triangulation
+    of all these points whose centroids lie inside, found in two parts.
+
+    ``_two_disk_signed`` is 1-Lipschitz and at most the depth of a point, so
+    a disk about ``c`` of radius ``r < sd(c)`` lies inside the domain.
+
+    - Lattice triangles: a triangle of three kept nodes of adjacent rows has
+      circumradius ``h/sqrt(3)``, and every other lattice node lies at twice
+      that from its circumcentre.  Where ``sd`` of the circumcentre exceeds
+      the circumradius by a margin, the circumdisk lies inside the domain,
+      so no boundary point lies in or on it either: the circle is empty and
+      the triangle is Delaunay in the full point set.
+    - Boundary band: Qhull triangulates only the boundary points and the
+      nodes with ``sd < _BAND * h``.  A simplex of that set whose centroid
+      lies inside and whose circumdisk lies within the band
+      (``sd(centre) + radius < _BAND * h``) has an empty circle in the full
+      set, because every point of the full set inside that disk belongs to
+      the band.  Band simplices that are also lattice triangles are dropped.
+
+    Every kept triangle is then a Delaunay triangle, and none overlap.  The
+    union is complete when it triangulates the boundary polygon, whose
+    triangle count is ``2 V - B - 2`` for ``V`` vertices, ``B`` of them on
+    the boundary; any other count raises ``NumericalFailureError``.
+    """
     if eps < 4.0 * h:
         raise NeckTooNarrowError(
             f"passage width {eps} under-resolved at mesh size {h} (need eps >= 4h)"
@@ -218,28 +265,88 @@ def _two_disk_mesh(eps: float, neck_length: float, h: float) -> Mesh:
     top = np.stack([xs, np.full_like(xs, eps / 2.0)], axis=1)
     bottom = np.stack([xs, np.full_like(xs, -eps / 2.0)], axis=1)
     boundary = np.concatenate([right, left, top, bottom])
+    nb = len(boundary)
 
+    # lattice node (j, i) is grid entry j * cols + i
     x_min, x_max = -2.0 - neck_length, 2.0 + neck_length
     row_step = h * np.sqrt(3.0) / 2.0
     rows = int(2.1 / row_step) + 1
     cols = int((x_max - x_min) / h) + 1
-    lattice = []
-    for j in range(rows):
-        y = -1.02 + j * row_step
-        offset = (j % 2) * h / 2.0
-        xr = x_min + offset + h * np.arange(cols)
-        lattice.append(np.stack([xr, np.full_like(xr, y)], axis=1))
-    lattice = np.concatenate(lattice)
-    lattice = lattice[_two_disk_signed(eps, neck_length, lattice) > 0.55 * h]
+    row = np.arange(rows)
+    y = -1.02 + row * row_step
+    offset = (row % 2) * h / 2.0
+    xr = (x_min + offset)[:, None] + h * np.arange(cols)
+    grid = np.stack([xr.ravel(), np.repeat(y, cols)], axis=1)
+    depth = _two_disk_signed(eps, neck_length, grid)
+    kept = depth > 0.55 * h
+    index = np.cumsum(kept) + (nb - 1)
+    pts = np.concatenate([boundary, grid[kept]])
+
+    # triangles on rows j and j + 1 with their base on row j, then on j + 1
+    j, i = np.arange(rows - 1)[:, None], np.arange(cols - 1)
+    s = j % 2
+    g = j * cols + i
+    lattice = np.stack([
+        np.stack([g, g + 1, g + cols + s], axis=-1),
+        np.stack([g + cols, g + cols + 1, g + 1 - s], axis=-1),
+    ]).reshape(-1, 3)
+    lattice = lattice[np.all(kept[lattice], axis=1)]
+    # the centroid of an equilateral triangle is its circumcentre
+    centres = grid[lattice].mean(axis=1)
+    radius = h / np.sqrt(3.0)
+    lattice = index[lattice[
+        _two_disk_signed(eps, neck_length, centres) > radius * (1.0 + 1e-6)
+    ]]
 
     from scipy.spatial import Delaunay
 
-    pts = np.concatenate([boundary, lattice])
-    tri = Delaunay(pts)
-    simplices = tri.simplices
-    centroids = pts[simplices].mean(axis=1)
-    keep = _two_disk_signed(eps, neck_length, centroids) > 1e-12
-    return _orient_and_wrap(pts, simplices[keep])
+    band = _BAND * h
+    near = np.concatenate([np.arange(nb), index[kept & (depth < band)]])
+    near_pts = pts[near]
+    simplices = Delaunay(near_pts).simplices
+    centroids = near_pts[simplices].mean(axis=1)
+    simplices = simplices[_two_disk_signed(eps, neck_length, centroids) > 1e-12]
+    centres, radii = _circumcircles(near_pts, simplices)
+    simplices = simplices[_two_disk_signed(eps, neck_length, centres) + radii < band]
+    # drop the lattice triangles among them, matched by their sorted vertex
+    # triples in band numbering as integers below m**3
+    m = len(near)
+    local = np.full(len(pts), -1)
+    local[near] = np.arange(m)
+    shared = local[lattice]
+    shared = shared[np.all(shared >= 0, axis=1)]
+
+    def key(tris):
+        tris = np.sort(tris, axis=1).astype(np.int64)
+        return (tris[:, 0] * m + tris[:, 1]) * m + tris[:, 2]
+
+    simplices = near[simplices[~np.isin(key(simplices), key(shared))]]
+
+    n = len(pts)
+    triangles = np.concatenate([lattice, simplices])
+    expected = 2 * n - nb - 2
+    if len(triangles) != expected:
+        raise NumericalFailureError(
+            f"two-disk mesh has {len(triangles)} triangles, a triangulation of its "
+            f"{n} vertices ({nb} on the boundary) has {expected}"
+        )
+    return _orient_and_wrap(pts, triangles)
+
+
+_POSITIVE = (lambda v: 0.0 < v < np.inf, "finite and positive")
+
+
+def _parameter(spec: dict, key: str, default, accept, rule: str) -> float:
+    """``spec[key]`` (or ``default`` if given and the key is absent) as a
+    float that ``accept`` admits; anything else is an ``InvalidSpecError``."""
+    raw = spec[key] if default is None else spec.get(key, default)
+    try:
+        value = float(raw)
+    except ValueError:
+        value = float("nan")
+    if not accept(value):
+        raise InvalidSpecError(f"{spec['kind']} {key} must be {rule}, got {raw!r}")
+    return value
 
 
 def build_mesh(spec, h: float) -> Mesh:
@@ -258,15 +365,19 @@ def build_mesh(spec, h: float) -> Mesh:
     kind = spec["kind"]
     try:
         if kind == "disk":
-            return _disk_mesh(h, float(spec.get("radius", 1.0)))
+            return _disk_mesh(h, _parameter(spec, "radius", 1.0, *_POSITIVE))
         if kind == "rectangle":
-            return _rectangle_mesh(float(spec["a"]), float(spec["b"]), h)
+            a, b = (_parameter(spec, key, None, *_POSITIVE) for key in "ab")
+            return _rectangle_mesh(a, b, h)
         if kind == "conformal":
             coeffs = [complex(c[0], c[1]) for c in spec["coeffs"]]
             return _conformal_mesh(ConformalDomain(coeffs), h)
         if kind == "two_disks_neck":
             return _two_disk_mesh(
-                float(spec["eps"]), float(spec.get("neck_length", 0.2)), h
+                _parameter(spec, "eps", None, lambda v: 0.0 < v < 2.0, "in (0, 2)"),
+                _parameter(spec, "neck_length", 0.2,
+                           lambda v: 0.0 <= v < np.inf, "finite and non-negative"),
+                h,
             )
     except KeyError as exc:
         raise InvalidSpecError(f"{kind} spec lacks parameter {exc}") from None
@@ -561,20 +672,23 @@ def parse_domain_spec(token: str) -> dict:
         return {"kind": "disk", "radius": 1.0, "name": "disk"}
     if token == "square":
         return {"kind": "rectangle", "a": 1.0, "b": 1.0, "name": "square"}
-    if token.startswith("rectangle:"):
-        a, b = token.split(":", 1)[1].split("x")
-        return {
-            "kind": "rectangle",
-            "a": float(a),
-            "b": float(b),
-            "name": token,
-        }
-    if token.startswith("two_disks:"):
-        eps, length = token.split(":", 1)[1].split(",")
-        return {
-            "kind": "two_disks_neck",
-            "eps": float(eps),
-            "neck_length": float(length),
-            "name": token,
-        }
+    try:
+        if token.startswith("rectangle:"):
+            a, b = token.split(":", 1)[1].split("x")
+            return {
+                "kind": "rectangle",
+                "a": float(a),
+                "b": float(b),
+                "name": token,
+            }
+        if token.startswith("two_disks:"):
+            eps, length = token.split(":", 1)[1].split(",")
+            return {
+                "kind": "two_disks_neck",
+                "eps": float(eps),
+                "neck_length": float(length),
+                "name": token,
+            }
+    except ValueError:
+        raise InvalidSpecError(f"malformed domain spec {token!r}") from None
     raise InvalidSpecError(f"cannot parse domain spec {token!r}")

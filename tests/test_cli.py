@@ -111,6 +111,26 @@ def test_bad_numeric_argument_exit_code(measure_file, domain_file, argv):
     assert run([files.get(a, a) for a in argv]) == 1
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "rectangle:2",
+        "rectangle:axb",
+        "rectangle:infx1",
+        "rectangle:-1x1",
+        "two_disks:0.1",
+        "two_disks:2.5,0.2",
+        "two_disks:nan,0.2",
+        "two_disks:0.4,-0.1",
+        '{"kind": "disk", "radius": "inf"}',
+        '{"kind": "disk", "radius": -1}',
+    ],
+)
+def test_bad_domain_spec_exit_code(spec, capsys):
+    assert run(["fem", spec, "--h", "0.1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_renormalize_roundtrip(measure_file, tmp_path):
     out = tmp_path / "renorm.json"
     code = run(["renormalize", measure_file, "--output", str(out)])

@@ -7,7 +7,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from capfold.exceptions import InvalidSpecError, NeckTooNarrowError
+from capfold.exceptions import (
+    InvalidSpecError,
+    NeckTooNarrowError,
+    NumericalFailureError,
+)
 from capfold.fem import (
     Mesh,
     _dissection_order,
@@ -99,6 +103,126 @@ def test_mesh_builders_match_loop_references(h):
     cells = [(i * (ny + 1) + j, (i + 1) * (ny + 1) + j) for i in range(nx) for j in range(ny)]
     ref = [t for a, b in cells for t in ((a, b, b + 1), (a, b + 1, a + 1))]
     assert np.array_equal(_rectangle_mesh(2.0, 1.0, h).triangles, ref)
+
+
+def _boundary_loop(mesh):
+    """Check that ``mesh`` triangulates one polygon; return its boundary loop.
+
+    Every directed edge of the positively oriented triangles occurs once, so
+    an interior edge lies in exactly two triangles, run in opposite
+    directions.  The directed edges without a reverse must chain into one
+    closed loop through ``B`` vertices, and the triangle count of a
+    triangulated simply-connected polygon is ``2 V - B - 2``.
+    """
+    t = mesh.triangles
+    n = len(mesh.vertices)
+    assert np.all(mesh.areas > 0)
+    assert np.array_equal(np.unique(t), np.arange(n))
+    tail, head = t.ravel(), t[:, [1, 2, 0]].ravel()
+    keys = tail * n + head
+    assert len(np.unique(keys)) == len(keys)
+    outer = ~np.isin(head * n + tail, keys)
+    b_tail, b_head = tail[outer], head[outer]
+    count = len(b_tail)
+    assert count == len(mesh.boundary_edges)
+    assert len(np.unique(b_tail)) == count
+    succ = np.full(n, -1)
+    succ[b_tail] = b_head
+    loop = [b_tail[0]]
+    for _ in range(count - 1):
+        loop.append(succ[loop[-1]])
+    assert succ[loop[-1]] == loop[0]
+    assert len(set(loop)) == count
+    assert len(t) == 2 * n - count - 2
+    return np.asarray(loop)
+
+
+@pytest.mark.parametrize(
+    "spec,h",
+    [
+        ({"kind": "disk"}, 0.05),
+        ({"kind": "rectangle", "a": 2.0, "b": 1.0}, 0.05),
+        ({"kind": "conformal", "coeffs": [[1, 0], [0.3, 0]]}, 0.05),
+        ({"kind": "two_disks_neck", "eps": 0.1, "neck_length": 0.2}, 0.01),
+        ({"kind": "two_disks_neck", "eps": 0.4, "neck_length": 0.2}, 0.1),
+    ],
+    ids=["disk", "rectangle", "conformal", "two-disks-bench", "two-disks-coarse"],
+)
+def test_mesh_conformity(spec, h):
+    mesh = build_mesh(spec, h)
+    x, y = mesh.vertices[_boundary_loop(mesh)].T
+    shoelace = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    assert mesh.area == pytest.approx(shoelace, rel=1e-12)
+
+
+def _two_disk_whole_domain(eps, neck_length, h):
+    # reference: the two-disk points built lattice row by lattice row, then
+    # one Delaunay call over the whole domain kept by centroid
+    from scipy.spatial import Delaunay
+
+    from capfold.fem import _orient_and_wrap, _two_disk_signed
+
+    delta = neck_length / 2.0
+    t = 1.0 - np.sqrt(1.0 - eps**2 / 4.0)
+    alpha = np.arcsin(eps / 2.0)
+    n_arc = max(16, int(round((2.0 * np.pi - 2.0 * alpha) / h)))
+    ang = np.linspace(-(np.pi - alpha), np.pi - alpha, n_arc + 1)
+    right = np.stack([1.0 + delta + np.cos(ang), np.sin(ang)], axis=1)
+    left = np.stack([-right[:, 0], right[:, 1]], axis=1)
+    x_end = delta + t
+    n_seg = max(2, int(round(2.0 * x_end / h)))
+    xs = np.linspace(-x_end, x_end, n_seg + 1)[1:-1]
+    top = np.stack([xs, np.full_like(xs, eps / 2.0)], axis=1)
+    bottom = np.stack([xs, np.full_like(xs, -eps / 2.0)], axis=1)
+
+    x_min, x_max = -2.0 - neck_length, 2.0 + neck_length
+    row_step = h * np.sqrt(3.0) / 2.0
+    cols = int((x_max - x_min) / h) + 1
+    lattice = []
+    for j in range(int(2.1 / row_step) + 1):
+        y = -1.02 + j * row_step
+        xr = x_min + (j % 2) * h / 2.0 + h * np.arange(cols)
+        lattice.append(np.stack([xr, np.full_like(xr, y)], axis=1))
+    lattice = np.concatenate(lattice)
+    lattice = lattice[_two_disk_signed(eps, neck_length, lattice) > 0.55 * h]
+
+    pts = np.concatenate([right, left, top, bottom, lattice])
+    simplices = Delaunay(pts).simplices
+    inside = _two_disk_signed(eps, neck_length, pts[simplices].mean(axis=1)) > 1e-12
+    return _orient_and_wrap(pts, simplices[inside])
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.05])
+def test_two_disk_mesh_matches_whole_domain_delaunay(eps):
+    # the h of C11; eps = 0.1 is two_disks:0.1,0.2 at h = 0.02.  Qhull may
+    # split near-cocircular quads in the passage either way, so the triangle
+    # sets may differ in a few diagonals: only counts and mu_1, mu_2 match
+    h = min(0.02, eps / 4.2)
+    mesh = build_mesh({"kind": "two_disks_neck", "eps": eps, "neck_length": 0.2}, h)
+    ref = _two_disk_whole_domain(eps, 0.2, h)
+    assert np.array_equal(mesh.vertices, ref.vertices)
+    assert len(mesh.triangles) == len(ref.triangles)
+    got, want = neumann_eigs(mesh, k=2, h=h), neumann_eigs(ref, k=2, h=h)
+    for i in (1, 2):
+        assert got.mu(i) == pytest.approx(want.mu(i), rel=1e-6)
+
+
+def test_two_disk_bench_mesh_size():
+    mesh = build_mesh(parse_domain_spec("two_disks:0.1,0.2"), 0.01)
+    ref = _two_disk_whole_domain(0.1, 0.2, 0.01)
+    assert np.array_equal(mesh.vertices, ref.vertices)
+    assert len(mesh.vertices) == 73217
+    assert len(mesh.triangles) == len(ref.triangles) == 145156
+
+
+def test_two_disk_mesh_miss_raises(monkeypatch):
+    # a band too thin to hold the circumdisks of the triangles along the
+    # boundary leaves holes, which the triangle count catches
+    import capfold.fem as fem
+
+    monkeypatch.setattr(fem, "_BAND", 1.0)
+    with pytest.raises(NumericalFailureError, match="triangles"):
+        build_mesh(parse_domain_spec("two_disks:0.4,0.2"), 0.1)
 
 
 def test_no_duplicate_vertices():
