@@ -33,8 +33,8 @@ from .measures import (
 )
 from .moebius import ball_moebius
 from .specfun import (
+    bound_constants,
     gauss_legendre,
-    k_n,
     mu1_disk,
     radial_profile,
     radial_square_integral,
@@ -269,7 +269,6 @@ def sphere_modified_quotient(
     cap: Cap,
     s,
     trace: RearrangeTrace | None = None,
-    gap_tol: float = SCAN_GAP_TOL,
 ) -> dict:
     """Conformally invariant Rayleigh quotient of a lifted coordinate.
 
@@ -295,7 +294,7 @@ def sphere_modified_quotient(
     integral = cap_gradient_integral(n, trace.b, s)
     numerator = (2.0 * integral) ** (2.0 / n)
     quotient = numerator / denominator
-    constant = (n + 1) * (2.0 * k_n(n)) ** (2.0 / n)
+    constant = bound_constants(n).theorem_constant
     return {
         "quotient": quotient,
         "numerator": numerator,

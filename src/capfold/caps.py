@@ -23,12 +23,14 @@ from .exceptions import (
 )
 from .measures import DirectionForm, DiscreteMeasure, disk_grid
 from .moebius import (
+    _adjugate,
+    _disk_matrix,
     _dot,
     _inversion_terms,
+    _lft,
     _sq_norm,
     _times,
     disk_moebius,
-    disk_moebius_derivative,
     renormalize,
 )
 from .specfun import gauss_legendre
@@ -209,11 +211,15 @@ def image_cap(cap: Cap, xi) -> Cap:
 class CapDiskMap:
     """Conformal equivalence of a disk cap with the unit disk.
 
-    Construction: send the geodesic corners to 0 and infinity, turning the
-    cap into a quarter wedge; square the wedge open to a half plane; Moebius
-    back to the disk matching corners and the boundary-arc midpoint; finally
-    compose a fixed hyperbolic translation so that the family tends to the
-    identity as the cap grows to the full disk.
+    The map is z -> post(pre(z)^2) for two linear-fractional maps kept as
+    2x2 matrices (``moebius._lft``).  ``pre`` rotates by conj p, sends the
+    geodesic corners to 0 and infinity, turning the cap into a quarter
+    wedge, and divides by sigma so that the boundary-arc midpoint stays at 1;
+    squaring opens the wedge to a half plane.  ``post`` multiplies by sigma,
+    Moebius maps back to the disk matching corners and midpoint, composes a
+    fixed hyperbolic translation so that the family tends to the identity
+    as the cap grows to the full disk, and rotates by p.  The inverse is
+    pre^-1(sqrt(post^-1(w))): the principal square root lands in the wedge.
 
     Evaluations raise ``EvaluationOutsideCapError`` off the closed cap.
     """
@@ -224,67 +230,53 @@ class CapDiskMap:
         if cap.space != "disk":
             raise SpaceMismatchError("CapDiskMap is a disk construction")
         self.cap = cap
-        base = Cap(cap.r, 1.0, "disk")
-        cp, cm = _cap_corners(base)
-        self._cp = complex(cp)
-        self._cm = complex(cm)
-        self._sigma = (1.0 - self._cp) / (1.0 - self._cm)
-        self._lambda = self._sigma * (1.0 - self._cm) / (self._cp - 1.0)
+        cp, cm = (complex(c) for c in _cap_corners(Cap(cap.r, 1.0, "disk")))
+        sigma = (1.0 - cp) / (1.0 - cm)
+        p, c = cap.p, self._CORRECTION
+        self.pre = np.array([[np.conj(p), -cp], [sigma * np.conj(p), -sigma * cm]])
+        # (cm w - cp) / (w - 1) sends 0, infinity and sigma to cp, cm and 1
+        self.post = np.array([[p, c * p], [c, 1.0]]) @ np.array(
+            [[sigma * cm, -cp], [sigma, -1.0]]
+        )
+
+    def _checked(self, z, check: bool):
+        z = np.asarray(z, dtype=complex)
+        if check and not np.all(cap_contains(self.cap, z)):
+            raise EvaluationOutsideCapError("point outside the closed cap")
+        return z
 
     # forward: cap -> disk ---------------------------------------------------
     def __call__(self, z, check: bool = True):
-        z = np.asarray(z, dtype=complex)
-        if check and not np.all(cap_contains(self.cap, z)):
-            raise EvaluationOutsideCapError("point outside the closed cap")
-        return self._forward(z)[0]
+        return _open(self.pre, self.post, self._checked(z, check))[0]
 
     def with_derivative(self, z, check: bool = True):
         """Map values together with the modulus of the complex derivative."""
-        z = np.asarray(z, dtype=complex)
-        if check and not np.all(cap_contains(self.cap, z)):
-            raise EvaluationOutsideCapError("point outside the closed cap")
-        val, der = self._forward(z)
+        val, der = _open(self.pre, self.post, self._checked(z, check))
         return val, np.abs(der)
-
-    def _forward(self, z):
-        p = self.cap.p
-        zz = np.conj(p) * z
-        cp, cm, sigma, lam = self._cp, self._cm, self._sigma, self._lambda
-        m1 = (zz - cp) / (zz - cm)
-        dm1 = (cp - cm) / (zz - cm) ** 2
-        w = sigma * (m1 / sigma) ** 2
-        dw = 2.0 * m1 / sigma * dm1
-        m2 = (cm * w + cp * lam) / (w + lam)
-        dm2 = (cm * (w + lam) - (cm * w + cp * lam)) / (w + lam) ** 2 * dw
-        c = self._CORRECTION
-        out = (m2 + c) / (c * m2 + 1.0)
-        dout = (1.0 - c * c) / (c * m2 + 1.0) ** 2 * dm2
-        return p * out, dout
 
     # inverse: disk -> cap ---------------------------------------------------
     def inverse(self, w):
-        return self._inverse(np.asarray(w, dtype=complex))[0]
+        return _close(self.pre, self.post, np.asarray(w, dtype=complex))[0]
 
     def inverse_with_derivative(self, w):
-        val, der = self._inverse(np.asarray(w, dtype=complex))
+        val, der = _close(self.pre, self.post, np.asarray(w, dtype=complex))
         return val, np.abs(der)
 
-    def _inverse(self, w):
-        p = self.cap.p
-        ww = np.conj(p) * w
-        cp, cm, sigma, lam = self._cp, self._cm, self._sigma, self._lambda
-        c = self._CORRECTION
-        m2 = (ww - c) / (1.0 - c * ww)
-        dm2 = (1.0 - c * c) / (1.0 - c * ww) ** 2
-        x = lam * (m2 - cp) / (cm - m2)
-        dx = lam * (cm - cp) / (cm - m2) ** 2 * dm2
-        u = x / sigma
-        root = np.sqrt(u)  # principal branch lands in the correct wedge
-        m1 = sigma * root
-        dm1 = (0.5 / root) * dx
-        zz = (cp - m1 * cm) / (1.0 - m1)
-        dzz = (cp - cm) / (1.0 - m1) ** 2 * dm1
-        return p * zz, dzz
+
+def _open(pre, post, z):
+    """post(pre(z)^2) and its complex derivative."""
+    u, du = _lft(pre, z)
+    w, dw = _lft(post, u * u)
+    return w, dw * 2.0 * u * du
+
+
+def _close(pre, post, w):
+    """pre^-1(sqrt(post^-1(w))), the inverse of ``_open``, and its complex
+    derivative."""
+    s, ds = _lft(_adjugate(post), w)
+    u = np.sqrt(s)
+    z, dz = _lft(_adjugate(pre), u)
+    return z, dz * ds * 0.5 / u
 
 
 def cap_to_disk(cap: Cap) -> CapDiskMap:
@@ -352,6 +344,15 @@ def rearrange(
     return last.measure, trace
 
 
+def _pipeline(trace: RearrangeTrace):
+    # the Moebius stages at xi_a and eta_a folded into the cap map's matrices
+    cap_map = CapDiskMap(trace.b)
+    return (
+        cap_map.pre @ _disk_matrix(complex(trace.xi_a)),
+        _disk_matrix(complex(trace.eta_a)) @ cap_map.post,
+    )
+
+
 def rearrange_map(cap: Cap, trace: RearrangeTrace):
     """Forward pipeline map (cap -> disk) together with its distortion.
 
@@ -359,18 +360,11 @@ def rearrange_map(cap: Cap, trace: RearrangeTrace):
     ``y`` of the cap; this is the composition Moebius -> cap map -> Moebius
     recorded in the trace.
     """
-    cap_map = CapDiskMap(trace.b)
-    xi = complex(trace.xi_a)
-    eta = complex(trace.eta_a)
+    pre, post = _pipeline(trace)
 
     def apply(y):
-        y = np.asarray(y, dtype=complex)
-        g1 = disk_moebius(xi, y)
-        f1 = np.abs(disk_moebius_derivative(xi, y))
-        g2, f2 = cap_map.with_derivative(g1, check=False)
-        g3 = disk_moebius(eta, g2)
-        f3 = np.abs(disk_moebius_derivative(eta, g2))
-        return g3, f1 * f2 * f3
+        val, der = _open(pre, post, np.asarray(y, dtype=complex))
+        return val, np.abs(der)
 
     return apply
 
@@ -383,21 +377,14 @@ def rearranged_density(base_density, cap: Cap, trace: RearrangeTrace):
     at psi_a(z) times the squared distortion of psi_a, where psi_a inverts
     the recorded pipeline.
     """
-    cap_map = CapDiskMap(trace.b)
-    xi = complex(trace.xi_a)
-    eta = complex(trace.eta_a)
+    pre, post = _pipeline(trace)
 
     def density(z):
-        z = np.asarray(z, dtype=complex)
-        w1 = disk_moebius(-eta, z)
-        f1 = np.abs(disk_moebius_derivative(-eta, z))
-        y2, f2 = cap_map.inverse_with_derivative(w1)
-        y = disk_moebius(-xi, y2)
-        f3 = np.abs(disk_moebius_derivative(-xi, y2))
+        y, der = _close(pre, post, np.asarray(z, dtype=complex))
         folded = base_density(y) + base_density(
             cap_reflection(cap, y)
         ) * cap_reflection_factor(cap, y) ** 2
-        return folded * (f1 * f2 * f3) ** 2
+        return folded * np.abs(der) ** 2
 
     return density
 

@@ -171,12 +171,7 @@ def cmd_scan(args) -> int:
         f"# multiple cap r={result.cap.r!r} theta={float(np.angle(result.cap.p))!r}"
         f" gap={result.gap!r}"
     )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _write_text("\n".join(lines) + "\n", args)
     print(
         json.dumps(
             {
@@ -215,17 +210,7 @@ def cmd_fem(args) -> int:
     result = fem_mod.neumann_eigs(mesh, k=args.k, h=args.h)
     doc = json.loads(result.to_json())
     doc["config"] = _config_echo(args)
-    szego = mu1_disk() * float(np.pi)
-    two_disk = planar_bound()
-    doc["inequalities"] = [
-        {"tag": "szego", "value": result.mu(1) * result.area,
-         "bound": szego, "holds": result.mu(1) * result.area <= szego * 1.02},
-        {"tag": "two-disk", "value": result.mu(2) * result.area,
-         "bound": two_disk, "holds": result.mu(2) * result.area <= two_disk * 1.02},
-        {"tag": "polya-k2", "value": result.mu(2) * result.area,
-         "bound": 8 * float(np.pi),
-         "holds": result.mu(2) * result.area <= 8 * np.pi * 1.02},
-    ]
+    doc["inequalities"] = fem_mod.bound_checks(result)
     if args.format == "csv":
         lines = [
             "# config: " + json.dumps(_config_echo(args), sort_keys=True),

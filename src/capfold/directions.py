@@ -20,7 +20,7 @@ from .exceptions import (
     ZeroMassError,
 )
 from .measures import DirectionForm, DiscreteMeasure, direction_form
-from .moebius import renormalize
+from .moebius import _disk_matrix, _lft, renormalize
 
 __all__ = [
     "Classification",
@@ -71,27 +71,16 @@ class CanonicalMap:
     rotation: object
     form: DirectionForm = field(compare=False, repr=False)
 
-    def apply_points(self, pts):
-        from .moebius import ball_moebius, disk_moebius
-
-        if self.space == "disk":
-            return self.rotation * disk_moebius(complex(self.xi), pts)
-        return ball_moebius(self.xi, pts) @ np.asarray(self.rotation).T
-
     def density(self, base_density):
         """Density of the canonicalized pushforward, for a disk base density."""
         if self.space != "disk":
             raise DimensionUnsupportedError("density transport is a disk feature")
-        from .moebius import disk_moebius, disk_moebius_derivative
-
-        rot = complex(self.rotation)
-        xi = complex(self.xi)
+        # undo the rotation, then the Moebius map at xi
+        back = _disk_matrix(-complex(self.xi)) @ np.diag([np.conj(self.rotation), 1.0])
 
         def dens(z):
-            z = np.asarray(z, dtype=complex)
-            w = disk_moebius(-xi, np.conj(rot) * z)
-            jac = np.abs(disk_moebius_derivative(-xi, np.conj(rot) * z)) ** 2
-            return base_density(w) * jac
+            w, der = _lft(back, np.asarray(z, dtype=complex))
+            return base_density(w) * np.abs(der) ** 2
 
         return dens
 

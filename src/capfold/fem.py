@@ -12,6 +12,7 @@ Lanczos iteration reuses.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -36,73 +37,57 @@ __all__ = [
     "build_mesh",
     "assemble",
     "neumann_eigs",
+    "bound_checks",
     "verify_corpus",
     "two_disk_area",
     "parse_domain_spec",
 ]
 
 
+def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Signed triangle areas, positive for counterclockwise vertex order."""
+    a, b, c = (vertices[triangles[:, i]] for i in range(3))
+    return 0.5 * (
+        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+        - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
+    )
+
+
 @dataclass(frozen=True)
 class Mesh:
-    """Triangulation with positively oriented triangles.
-
-    ``boundary_edges`` holds vertex-index pairs of edges adjacent to exactly
-    one triangle.
-    """
+    """Triangulation with positively oriented triangles."""
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray
 
     @property
     def areas(self) -> np.ndarray:
-        v = self.vertices
-        t = self.triangles
-        a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-        return 0.5 * (
-            (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-            - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
-        )
+        return _signed_areas(self.vertices, self.triangles)
 
     @property
     def area(self) -> float:
         return float(np.sum(self.areas))
 
-    @property
-    def max_edge(self) -> float:
-        v = self.vertices
-        t = self.triangles
-        lengths = []
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            lengths.append(np.linalg.norm(v[t[:, i]] - v[t[:, j]], axis=1))
-        return float(np.max(lengths))
+    @functools.cached_property
+    def boundary_edges(self) -> np.ndarray:
+        """Vertex-index pairs (i < j) of the edges adjacent to exactly one
+        triangle, found on first read."""
+        # sorted (i, j) edges keyed as i * n + j; boundary edges occur once
+        n = int(self.triangles.max()) + 1
+        pairs = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        keys = pairs.min(axis=1) * n + pairs.max(axis=1)
+        unique, counts = np.unique(keys, return_counts=True)
+        once = unique[counts == 1]
+        return np.stack([once // n, once % n], axis=1)
 
 
 def _orient_and_wrap(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
-    a, b, c = (
-        vertices[triangles[:, 0]],
-        vertices[triangles[:, 1]],
-        vertices[triangles[:, 2]],
-    )
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (
-        b[:, 1] - a[:, 1]
-    )
-    flip = det < 0
+    flip = _signed_areas(vertices, triangles) < 0
     triangles = triangles.copy()
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    return Mesh(vertices, triangles, _boundary_edges(triangles))
-
-
-def _boundary_edges(triangles: np.ndarray) -> np.ndarray:
-    # sorted (i, j) edges keyed as i * n + j; boundary edges occur once
-    n = int(triangles.max()) + 1
-    pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    keys = pairs.min(axis=1) * n + pairs.max(axis=1)
-    unique, counts = np.unique(keys, return_counts=True)
-    once = unique[counts == 1]
-    return np.stack([once // n, once % n], axis=1)
+    return Mesh(vertices, triangles)
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +381,10 @@ def assemble(mesh: Mesh):
     """
     v = mesh.vertices
     t = mesh.triangles
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (
-        b[:, 1] - a[:, 1]
-    )
-    if np.any(det <= 1e-16):
+    area = mesh.areas
+    if np.any(area <= 0.5e-16):
         raise DegenerateTriangleError("triangle with non-positive area")
-    area = 0.5 * det
+    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
     gx = np.stack([b[:, 1] - c[:, 1], c[:, 1] - a[:, 1], a[:, 1] - b[:, 1]], axis=1)
     gy = np.stack([c[:, 0] - b[:, 0], a[:, 0] - c[:, 0], b[:, 0] - a[:, 0]], axis=1)
 
@@ -559,9 +541,7 @@ def neumann_eigs(mesh: Mesh, k: int = 2, h: float = float("nan")) -> SpectralRes
     # into the sparse matrices local
     triangles = rank[mesh.triangles]
     triangles = triangles[np.argsort(triangles.min(axis=1), kind="stable")]
-    stiffness, mass = assemble(
-        Mesh(mesh.vertices[perm], triangles, rank[mesh.boundary_edges])
-    )
+    stiffness, mass = assemble(Mesh(mesh.vertices[perm], triangles))
     n = stiffness.shape[0]
     scale = float(stiffness.diagonal().mean())
     sigma = -1e-8 * scale
@@ -609,21 +589,44 @@ def neumann_eigs(mesh: Mesh, k: int = 2, h: float = float("nan")) -> SpectralRes
     )
 
 
+# a product may exceed its bound by this fraction (the FEM tolerance) and
+# still count as holding
+FEM_TOLERANCE = 0.02
+
+
+def _product_bounds():
+    """(tag, eigenvalue index, bound) of each bound on mu_i * area."""
+    from .specfun import mu1_disk, planar_bound
+
+    return (
+        ("szego", 1, mu1_disk() * np.pi),
+        ("two-disk", 2, planar_bound()),
+        ("polya-k2", 2, 8.0 * np.pi),
+    )
+
+
+def bound_checks(result: SpectralResult) -> list[dict]:
+    """mu_1 * area against the first-eigenvalue bound (szego), mu_2 * area
+    against the two-disk bound and the k = 2 tiling bound (polya-k2): tag,
+    value, bound, and whether the value holds within ``FEM_TOLERANCE``."""
+    checks = []
+    for tag, i, bound in _product_bounds():
+        value = result.mu(i) * result.area
+        checks.append({
+            "tag": tag, "value": value, "bound": bound,
+            "holds": bool(value <= bound * (1 + FEM_TOLERANCE)),
+        })
+    return checks
+
+
 def verify_corpus(specs, h: float = 0.02, k: int = 2) -> dict:
     """Sweep a corpus of domain specs and tabulate the eigenvalue products.
 
-    Each row reports mu_1 * area and mu_2 * area next to the first-eigenvalue
-    bound (szego), the k = 2 tiling bound (polya-k2), and the two-disk bound;
-    violations beyond the FEM tolerance are flagged.  A spec that raises a
-    ``CapfoldError`` lands in ``failures`` without aborting the sweep; any
-    other exception is a bug and propagates.
+    Each row reports mu_1 * area and mu_2 * area with the ``bound_checks``
+    flags ``szego_ok``, ``two_disk_ok`` and ``polya_k2_ok``.  A spec that
+    raises a ``CapfoldError`` lands in ``failures`` without aborting the
+    sweep; any other exception is a bug and propagates.
     """
-    from .specfun import mu1_disk, planar_bound
-
-    szego = mu1_disk() * np.pi
-    two_disk = planar_bound()
-    polya2 = 8.0 * np.pi
-    tol = 0.02
     rows = []
     failures = {}
     for spec in specs:
@@ -632,27 +635,24 @@ def verify_corpus(specs, h: float = 0.02, k: int = 2) -> dict:
             spec_h = spec.get("h", h) if isinstance(spec, dict) else h
             mesh = build_mesh(spec, spec_h)
             res = neumann_eigs(mesh, k=k, h=spec_h)
-            mu1_area = res.mu(1) * res.area
-            mu2_area = res.mu(2) * res.area
-            rows.append(
-                {
-                    "name": name,
-                    "h": spec_h,
-                    "area": res.area,
-                    "mu1": res.mu(1),
-                    "mu2": res.mu(2),
-                    "mu1_area": mu1_area,
-                    "mu2_area": mu2_area,
-                    "szego_ok": bool(mu1_area <= szego * (1 + tol)),
-                    "two_disk_ok": bool(mu2_area <= two_disk * (1 + tol)),
-                    "polya_k2_ok": bool(mu2_area <= polya2 * (1 + tol)),
-                }
-            )
+            checks = bound_checks(res)
+            row = {
+                "name": name,
+                "h": spec_h,
+                "area": res.area,
+                "mu1": res.mu(1),
+                "mu2": res.mu(2),
+                "mu1_area": checks[0]["value"],
+                "mu2_area": checks[1]["value"],
+            }
+            for q in checks:
+                row[q["tag"].replace("-", "_") + "_ok"] = q["holds"]
+            rows.append(row)
         except CapfoldError as exc:
             failures[name] = repr(exc)
     return {
-        "bounds": {"szego": szego, "two-disk": two_disk, "polya-k2": polya2},
-        "tolerance": tol,
+        "bounds": {tag: bound for tag, _, bound in _product_bounds()},
+        "tolerance": FEM_TOLERANCE,
         "rows": rows,
         "failures": failures,
         "all_ok": all(

@@ -48,6 +48,26 @@ def disk_moebius_derivative(xi: complex, z):
     return (1.0 - abs(xi) ** 2) / (np.conj(xi) * z + 1.0) ** 2
 
 
+def _lft(mat, z):
+    """Linear-fractional map (a z + b) / (c z + d) of the 2x2 matrix
+    [[a, b], [c, d]] at ``z``, with its complex derivative
+    (a d - b c) / (c z + d)^2.  Composition is the matrix product, and the
+    adjugate [[d, -b], [-c, a]] gives the inverse map."""
+    (a, b), (c, d) = mat
+    den = c * z + d
+    return (a * z + b) / den, (a * d - b * c) / (den * den)
+
+
+def _adjugate(mat):
+    (a, b), (c, d) = mat
+    return np.array([[d, -b], [-c, a]])
+
+
+def _disk_matrix(xi: complex):
+    """Matrix of ``disk_moebius(xi, .)``."""
+    return np.array([[1.0, xi], [np.conj(xi), 1.0]], dtype=complex)
+
+
 def _sq_norm(x):
     """|x|^2 of disk points (complex) or of sphere points (rows)."""
     if np.iscomplexobj(x):

@@ -310,7 +310,7 @@ def test_reference_triangle_element_matrices():
     # unit right triangle: hand-computed P1 stiffness and consistent mass
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
-    mesh = Mesh(verts, tris, np.array([[0, 1], [1, 2], [2, 0]]))
+    mesh = Mesh(verts, tris)
     stiffness, mass = assemble(mesh)
     k_ref = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
     m_ref = (0.5 / 12.0) * np.array(
@@ -324,7 +324,7 @@ def test_degenerate_triangle_rejected():
     from capfold.exceptions import DegenerateTriangleError
 
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    mesh = Mesh(verts, np.array([[0, 1, 2]]), np.zeros((0, 2), dtype=np.int64))
+    mesh = Mesh(verts, np.array([[0, 1, 2]]))
     with pytest.raises(DegenerateTriangleError):
         assemble(mesh)
 
@@ -375,7 +375,7 @@ def test_disk_convergence_order():
 
 def test_scale_invariance():
     base = build_mesh({"kind": "rectangle", "a": 1, "b": 1}, 0.05)
-    scaled = Mesh(2.5 * base.vertices, base.triangles, base.boundary_edges)
+    scaled = Mesh(2.5 * base.vertices, base.triangles)
     res1 = neumann_eigs(base, k=2)
     res2 = neumann_eigs(scaled, k=2)
     for i in (1, 2):

@@ -9,11 +9,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from capfold.caps import (  # noqa: E402
     Cap,
+    RearrangeTrace,
     cap_contains,
     cap_reflection,
     cap_reflection_factor,
+    cap_to_disk,
     image_cap,
     rearrange,
+    rearrange_map,
 )
 from capfold.measures import DiscreteMeasure, moment_vector_raw, sphere_quadrature  # noqa: E402
 from capfold.moebius import (  # noqa: E402
@@ -274,6 +277,58 @@ def test_disk_cap_reflection_factor_is_the_moebius_chain_rule(r, angle, seed):
         disk_moebius_derivative(rp, reflection_disk(cap.p, pulled))
     )
     assert np.max(np.abs(cap_reflection_factor(cap, z) / chain - 1.0)) <= 1e-12
+
+
+def _cap_points(rng, cap, count=32):
+    """Points of the cap: the Moebius image of the half disk about p, kept
+    at least 0.02 from the unit circle before the map."""
+    z = np.sqrt(rng.uniform(size=count)) * 0.98 * np.exp(
+        1j * np.pi * (rng.uniform(size=count) - 0.5)
+    )
+    return disk_moebius(cap.r * cap.p, cap.p * z)
+
+
+@PROPERTY_SETTINGS
+@disk_cap_case
+def test_cap_to_disk_inverse_undoes_the_map(r, angle, seed):
+    rng = np.random.default_rng(seed)
+    cmap = cap_to_disk(Cap(r, np.exp(1j * angle)))
+    w = 0.98 * np.sqrt(rng.uniform(size=32)) * np.exp(2j * np.pi * rng.uniform(size=32))
+    z, dz = cmap.inverse_with_derivative(w)
+    back, dw = cmap.with_derivative(z, check=False)
+    # near the cap edge the map stretches rounding in z by up to about 3e3
+    assert np.max(np.abs(back - w)) <= 1e-11
+    assert np.max(np.abs(dz * dw - 1.0)) <= 1e-10
+    z = _cap_points(rng, cmap.cap)
+    w, dw = cmap.with_derivative(z)
+    back, dz = cmap.inverse_with_derivative(w)
+    assert np.max(np.abs(back - z)) <= 1e-12
+    assert np.max(np.abs(dz * dw - 1.0)) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(
+    r=st.floats(-0.95, 0.95),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    xi_len=st.floats(0.0, 0.9),
+    eta_len=st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rearrange_map_is_the_composed_stages(r, angle, xi_len, eta_len, seed):
+    rng = np.random.default_rng(seed)
+    cap = Cap(r, np.exp(1j * angle))
+    xi = xi_len * np.exp(2j * np.pi * rng.uniform())
+    eta = eta_len * np.exp(2j * np.pi * rng.uniform())
+    b = image_cap(cap, xi)
+    trace = RearrangeTrace(xi_a=xi, b=b, eta_a=eta, zeta_predicted=None, q_norm=1.0)
+    y = _cap_points(rng, cap)
+    val, dist = rearrange_map(cap, trace)(y)
+    g1 = disk_moebius(xi, y)
+    g2, f2 = cap_to_disk(b).with_derivative(g1, check=False)
+    f1 = np.abs(disk_moebius_derivative(xi, y))
+    f3 = np.abs(disk_moebius_derivative(eta, g2))
+    assert np.max(np.abs(val - disk_moebius(eta, g2))) <= 1e-12
+    assert np.max(np.abs(dist / (f1 * f2 * f3) - 1.0)) <= 1e-10
 
 
 @PROPERTY_SETTINGS
