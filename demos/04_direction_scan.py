@@ -21,7 +21,8 @@ for r in (-0.95, 0.95):
     for th in np.linspace(0, np.pi, 5):
         nu, _ = rearrange(canon, Cap(r, np.exp(1j * th)))
         s = direction_form(nu).max_direction
-        angles.append(np.degrees(np.arctan2(s[1], s[0])) % 180)
+        # round before folding, so that an axis at about 0 degrees prints 0.0
+        angles.append(round(float(np.degrees(np.arctan2(s[1], s[0]))), 1) % 180)
     joined = ", ".join(f"{a:6.1f}" for a in angles)
     print(f"  r = {r:+.2f}: direction angles (deg) = [{joined}]")
 print("  (constant near the full disk; twice the cap angle near the boundary)")

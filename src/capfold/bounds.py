@@ -97,21 +97,19 @@ def dirichlet_energy_closed_form() -> float:
     return 2.0 * mu1_disk() * np.pi * radial_square_integral()
 
 
-def l2_lower_bound(
-    nu_a: DiscreteMeasure, s, gap_tol: float = SCAN_GAP_TOL
-) -> dict:
+def l2_lower_bound(nu_a: DiscreteMeasure, s) -> dict:
     """Check the subharmonic L2 bound at a multiple rearranged measure.
 
-    ``nu_a`` must be balanced, multiple within ``gap_tol``, and carry total
-    mass pi.  Returns the quadratic-form value in direction ``s``, the
+    ``nu_a`` must be balanced, multiple within ``SCAN_GAP_TOL``, and carry
+    total mass pi.  Returns the quadratic-form value in direction ``s``, the
     closed-form lower bound pi * radial square integral, and the
     angular-average value (half the integral of the squared radial profile),
     which matches the directional value when the form is isotropic.
     """
     form = direction_form(nu_a)
-    if form.gap >= gap_tol:
+    if form.gap >= SCAN_GAP_TOL:
         raise NotMultipleError(
-            f"gap {form.gap:.2e} exceeds multiplicity tolerance {gap_tol}"
+            f"gap {form.gap:.2e} exceeds multiplicity tolerance {SCAN_GAP_TOL}"
         )
     if nu_a.space == "disk":
         s = complex(s)
@@ -174,7 +172,6 @@ def planar_bound_certificate(
     domain_id: str = "domain",
     n_r: int = 96,
     n_theta: int = 192,
-    eps: float = SCAN_GAP_TOL,
 ) -> BoundReport:
     """Run the full test-function pipeline for one planar domain.
 
@@ -191,7 +188,7 @@ def planar_bound_certificate(
     canon, cmap = canonicalize(raw)
     form = cmap.form
 
-    if form.gap < eps:
+    if form.gap < SCAN_GAP_TOL:
         denom = (np.pi / area) * form.eig_second
         quotient = mu1 * np.pi * energy_integral / denom
         return BoundReport(
@@ -205,9 +202,8 @@ def planar_bound_certificate(
             cap=None,
         )
 
-    scan = scan_caps(canon, eps=eps)
-    form = rearrange(canon, scan.cap)[1].form
-    denom = (np.pi / area) * form.eig_second
+    scan = scan_caps(canon)
+    denom = (np.pi / area) * scan.form.eig_second
     quotient = dirichlet_energy_closed_form() / denom
     return BoundReport(
         domain_id=domain_id,
@@ -225,12 +221,12 @@ def planar_bound_certificate(
 # sphere side
 # ---------------------------------------------------------------------------
 
-def cap_gradient_integral(n: int, cap: Cap, s, nodes: int = 64) -> float:
+def cap_gradient_integral(n: int, cap: Cap, s) -> float:
     """Integral of |grad X_s|^n over a metric cap of the round n-sphere.
 
     The gradient of the linear coordinate has |grad X_s|^2 = 1 - (s, x)^2
     exactly.  Writing x = cos(t) c + sin(t) y with y on the equatorial
-    (n-1)-sphere reduces the integral to two Gauss-Legendre axes.
+    (n-1)-sphere reduces the integral to two 64-node Gauss-Legendre axes.
     """
     p = np.asarray(cap.p, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -239,7 +235,7 @@ def cap_gradient_integral(n: int, cap: Cap, s, nodes: int = 64) -> float:
     s_perp = float(np.linalg.norm(s - sc * p))
     t_max = float(np.arccos(np.clip(cap.height, -1.0, 1.0)))
 
-    xg, wg = gauss_legendre(nodes)
+    xg, wg = gauss_legendre(64)
     theta = 0.5 * t_max * (xg + 1.0)
     wt = 0.5 * t_max * wg
 
@@ -305,15 +301,14 @@ def sphere_modified_quotient(
     }
 
 
-def holder_gap_check(
-    u, g: DiscreteMeasure, base_weights=None, fd_step: float = 1e-5
-) -> dict:
+def holder_gap_check(u, g: DiscreteMeasure, base_weights=None) -> dict:
     """Rayleigh quotient vs its conformally invariant majorant on one grid.
 
     ``u`` is a callable on sphere points; the gradient is taken by central
-    finite differences in tangent directions.  ``g`` carries the conformal
-    measure with unit mass; ``base_weights`` are the round-measure weights of
-    the same grid (defaults to equal conformal factor, i.e. g itself round).
+    finite differences (step 1e-5) in tangent directions.  ``g`` carries the
+    conformal measure with unit mass; ``base_weights`` are the round-measure
+    weights of the same grid (defaults to equal conformal factor, i.e. g
+    itself round).
     The discrete quotients satisfy R <= R' exactly by the Hoelder inequality
     whenever n >= 2; equality requires constant gradient modulus.
     """
@@ -326,7 +321,7 @@ def holder_gap_check(
     base_weights = np.asarray(base_weights, dtype=float)
     rho = g.weights / base_weights  # conformal density dg / dg0
 
-    grad_sq = _tangent_gradient_squared(u, pts, fd_step)
+    grad_sq = _tangent_gradient_squared(u, pts, 1e-5)
     vals = np.asarray(u(pts), dtype=float)
 
     denom = float(np.sum(g.weights * vals**2))

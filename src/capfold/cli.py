@@ -20,12 +20,13 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import fem as fem_mod
 from .caps import Cap, rearrange
-from .directions import scan_caps, sphere_degree_check
+from .directions import canonicalize, scan_caps, sphere_degree_check
 from .exceptions import CapfoldError, InvalidInputError, NumericalFailureError
 from .measures import (
     ConformalDomain,
     measure_from_json,
     measure_to_json,
+    pullback_measure,
     sphere_quadrature,
 )
 from .moebius import renormalize
@@ -69,9 +70,9 @@ def _load_config_file(path: str) -> dict:
 def _domain_from_json_file(path: str) -> ConformalDomain:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("schema") != 1 or "coeffs" not in doc:
-        raise CapfoldError(f"not a schema-1 domain document: {path}")
-    return ConformalDomain([complex(c[0], c[1]) for c in doc["coeffs"]])
+    if not isinstance(doc, dict) or doc.get("schema") != 1 or "coeffs" not in doc:
+        raise InvalidInputError(f"not a schema-1 domain document: {path}")
+    return ConformalDomain.from_pairs(doc["coeffs"])
 
 
 def cmd_constants(args) -> int:
@@ -154,9 +155,6 @@ def cmd_rearrange(args) -> int:
 
 def cmd_scan(args) -> int:
     domain = _domain_from_json_file(args.domain)
-    from .directions import canonicalize
-    from .measures import pullback_measure
-
     canon, _ = canonicalize(pullback_measure(domain, args.n_r, args.n_theta))
     result = scan_caps(canon)
     lines = [
@@ -229,6 +227,8 @@ def cmd_fem(args) -> int:
 def cmd_corpus(args) -> int:
     with open(args.specs) as fh:
         specs = json.load(fh)
+    if not isinstance(specs, list):
+        raise InvalidInputError(f"not a list of domain specs: {args.specs}")
     report = fem_mod.verify_corpus(specs, h=args.h)
     report["rows"].sort(key=lambda r: r["name"])
     report["schema"] = 1
@@ -296,64 +296,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file merged under flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", help="write the JSON/CSV report here")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json",
-            help="report format where a tabular form exists",
-        )
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--output", help="write the report here")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("constants", help="closed-form constants and bound ratios")
+    p = command("constants", cmd_constants, "closed-form constants and bound ratios")
     p.add_argument("--n", type=int, help="sphere dimension for the ratio report")
-    common(p)
-    p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("renormalize", help="balancing point of a measure JSON")
+    p = command("renormalize", cmd_renormalize, "balancing point of a measure JSON")
     p.add_argument("measure")
     p.add_argument("--tol", type=float, default=1e-10)
-    common(p)
-    p.set_defaults(func=cmd_renormalize)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("rearrange", help="fold and rearrange a measure JSON")
+    p = command("rearrange", cmd_rearrange, "fold and rearrange a measure JSON")
     p.add_argument("measure")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--angle", type=float, required=True)
-    common(p)
-    p.set_defaults(func=cmd_rearrange)
 
-    p = sub.add_parser("scan", help="direction field and multiple-cap scan (CSV)")
-    p.add_argument("domain")
-    p.add_argument("--n-r", type=int, default=96)
-    p.add_argument("--n-theta", type=int, default=192)
-    common(p)
-    p.set_defaults(func=cmd_scan)
+    for name, func, help in (
+        ("scan", cmd_scan, "direction field and multiple-cap scan (CSV)"),
+        ("certify", cmd_certify, "planar eigenvalue-bound certificate"),
+    ):
+        p = command(name, func, help)
+        p.add_argument("domain")
+        p.add_argument("--n-r", type=int, default=96)
+        p.add_argument("--n-theta", type=int, default=192)
 
-    p = sub.add_parser("certify", help="planar eigenvalue-bound certificate")
-    p.add_argument("domain")
-    p.add_argument("--n-r", type=int, default=96)
-    p.add_argument("--n-theta", type=int, default=192)
-    common(p)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("fem", help="Neumann eigenvalues of one meshed domain")
+    p = command("fem", cmd_fem, "Neumann eigenvalues of one meshed domain")
     p.add_argument("spec", help="disk | square | rectangle:AxB | two_disks:EPS,LEN | JSON")
     p.add_argument("--h", type=float, default=0.02)
     p.add_argument("--k", type=int, default=2)
-    common(p)
-    p.set_defaults(func=cmd_fem)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("corpus", help="sweep a JSON list of domain specs")
+    p = command("corpus", cmd_corpus, "sweep a JSON list of domain specs")
     p.add_argument("specs")
     p.add_argument("--h", type=float, default=0.02)
-    common(p)
-    p.set_defaults(func=cmd_corpus)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("sphere", help="sphere-side constants, degrees, quotient")
+    p = command("sphere", cmd_sphere, "sphere-side constants, degrees, quotient")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--resolution", type=int, default=16)
-    common(p)
-    p.set_defaults(func=cmd_sphere)
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -36,6 +36,11 @@ __all__ = [
 
 SCAN_GAP_TOL = 1e-3
 REFINED_GAP_TOL = 1e-6
+# the (r, theta) grid of caps that scan_caps evaluates, and how many times
+# it subdivides the cell where the direction field turns
+SCAN_R_GRID = np.linspace(-0.8, 0.8, 9)
+SCAN_THETA_GRID = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+REFINE_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -45,12 +50,13 @@ class Classification:
     gap: float
 
 
-def classify(m: DiscreteMeasure, eps: float = SCAN_GAP_TOL) -> Classification:
-    """Simple vs multiple by the relative gap of the top two eigenvalues."""
+def classify(m: DiscreteMeasure) -> Classification:
+    """Simple vs multiple by the relative gap of the top two eigenvalues,
+    multiple below ``SCAN_GAP_TOL``."""
     if m.total_mass <= 0:
         raise ZeroMassError("cannot classify a zero measure")
     form = direction_form(m)
-    if form.gap < eps:
+    if form.gap < SCAN_GAP_TOL:
         return Classification(multiple=True, direction=None, gap=form.gap)
     return Classification(multiple=False, direction=form.max_direction, gap=form.gap)
 
@@ -100,15 +106,14 @@ def _rotation_to_e1(direction: np.ndarray) -> np.ndarray:
     return np.eye(n) - 2.0 * np.outer(v, v)  # Householder swaps d and e1
 
 
-def canonicalize(
-    m: DiscreteMeasure, tol: float = 1e-10
-) -> tuple[DiscreteMeasure, CanonicalMap]:
+def canonicalize(m: DiscreteMeasure) -> tuple[DiscreteMeasure, CanonicalMap]:
     """Balance the measure, then rotate its maximizing direction onto e1.
 
     After this both normalization conventions hold: all first moments vanish
-    and the first coordinate direction maximizes the quadratic form.
+    (to ``renormalize``'s default tolerance) and the first coordinate
+    direction maximizes the quadratic form.
     """
-    result = renormalize(m, tol=tol)
+    result = renormalize(m)
     balanced, form = result.measure, result.form
     if m.space == "disk":
         s = form.max_direction
@@ -128,13 +133,9 @@ def canonicalize(
 # direction field over caps, winding, and the multiple-cap scan
 # ---------------------------------------------------------------------------
 
-def _field_entry(m: DiscreteMeasure, cap: Cap, tol: float = 1e-9):
-    form = rearrange(m, cap, tol=tol)[1].form
+def _field_entry(m: DiscreteMeasure, cap: Cap):
+    form = rearrange(m, cap, tol=1e-9)[1].form
     return form.gap, form.max_direction
-
-
-def _projective_delta(prev_angle: float, raw_angle: float) -> float:
-    return (raw_angle - prev_angle + np.pi / 2.0) % np.pi - np.pi / 2.0
 
 
 @dataclass
@@ -142,6 +143,8 @@ class CapScanResult:
     """Outcome of a multiple-cap search.
 
     ``cap``/``gap``: the best cap found and its relative eigen-gap;
+    ``form``: the direction form of the measure rearranged at ``cap`` (cold
+    ``rearrange``), whose gap is ``gap``;
     ``direction_field``: list of (r, theta, s_x, s_y, gap) grid rows;
     ``winding_numbers``: half-turn counts of the direction field along each
     scanned r-level loop.
@@ -149,37 +152,29 @@ class CapScanResult:
 
     cap: Cap
     gap: float
+    form: DirectionForm = field(repr=False)
     direction_field: list = field(default_factory=list)
     winding_numbers: dict = field(default_factory=dict)
 
 
-def scan_caps(
-    m: DiscreteMeasure,
-    r_grid=None,
-    theta_grid=None,
-    eps: float = SCAN_GAP_TOL,
-    max_depth: int = 12,
-) -> CapScanResult:
+def scan_caps(m: DiscreteMeasure) -> CapScanResult:
     """Locate a cap whose rearranged measure is multiple.
 
-    Evaluate the direction field over the (r, theta) grid, which gives the
-    ``direction_field`` table and the ``winding_numbers``; find the cell
-    around which the field makes a half turn (such a cell must contain a
-    degeneracy) and subdivide it recursively.  Then the multiple-cap solver
-    shared with ``sphere_cap_search`` (``_gauss_newton``) runs from the
-    refined cap and, if that ends at gap ``REFINED_GAP_TOL`` or above, from
-    the best grid cap too.  Returns the cap with the smaller gap, that of a
-    cold ``rearrange`` of it, if below ``eps``; raises ``CapScanError`` with
-    the smallest gap reached when both starts end at ``eps`` or above.
+    Evaluate the direction field over the ``SCAN_R_GRID`` x
+    ``SCAN_THETA_GRID`` grid of caps, which gives the ``direction_field``
+    table and the ``winding_numbers``; find the cell around which the field
+    makes a half turn (such a cell must contain a degeneracy) and subdivide
+    it ``REFINE_DEPTH`` times.  Then the multiple-cap solver shared with
+    ``sphere_cap_search`` (``_gauss_newton``) runs from the refined cap
+    and, if that ends at gap ``REFINED_GAP_TOL`` or above, from the best
+    grid cap too.  Returns the cap with the smaller gap, that of a
+    cold ``rearrange`` of it, if below ``SCAN_GAP_TOL``; raises
+    ``CapScanError`` with the smallest gap reached when both starts end at
+    ``SCAN_GAP_TOL`` or above.
     """
     if m.space != "disk":
         raise DimensionUnsupportedError("scan_caps operates on disk measures")
-    if r_grid is None:
-        r_grid = np.linspace(-0.8, 0.8, 9)
-    if theta_grid is None:
-        theta_grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-    r_grid = np.asarray(r_grid, dtype=float)
-    theta_grid = np.asarray(theta_grid, dtype=float)
+    r_grid, theta_grid = SCAN_R_GRID, SCAN_THETA_GRID
 
     rows = []
     table = {}
@@ -201,18 +196,19 @@ def scan_caps(
     }
 
     # pick the cell with a rotating direction field, preferring small gaps
-    cell = _find_singular_cell(table, r_grid, theta_grid)
+    cell = _find_singular_cell(table)
     if cell is None:
         rb, tb = float(best_cap.r), float(np.angle(best_cap.p)) % (2 * np.pi)
-        dr = (r_grid[1] - r_grid[0]) if len(r_grid) > 1 else 0.2
-        dt = (theta_grid[1] - theta_grid[0]) if len(theta_grid) > 1 else 0.4
+        dr = r_grid[1] - r_grid[0]
+        dt = theta_grid[1] - theta_grid[0]
         cell = (rb - dr / 2, rb + dr / 2, tb - dt / 2, tb + dt / 2)
 
-    refined, _ = _refine_cell(m, cell, max_depth)
+    refined, _ = _refine_cell(m, cell)
     starts = [c for c in (refined, best_cap) if c is not None]
-    cap, gap = _first_multiple_cap(m, starts, eps, enough=REFINED_GAP_TOL)
+    cap, form = _first_multiple_cap(m, starts, SCAN_GAP_TOL, enough=REFINED_GAP_TOL)
     return CapScanResult(
-        cap=cap, gap=gap, direction_field=rows, winding_numbers=windings,
+        cap=cap, gap=float(form.gap), form=form, direction_field=rows,
+        winding_numbers=windings,
     )
 
 
@@ -220,7 +216,8 @@ def _winding_from_field(entries) -> int:
     return int(round(_loop_rotation([s for _, s in entries]) / np.pi))
 
 
-def _find_singular_cell(table, r_grid, theta_grid):
+def _find_singular_cell(table):
+    r_grid, theta_grid = SCAN_R_GRID, SCAN_THETA_GRID
     nr, nt = len(r_grid), len(theta_grid)
     best = None
     for i in range(nr - 1):
@@ -247,22 +244,21 @@ def _find_singular_cell(table, r_grid, theta_grid):
 
 
 def _loop_rotation(directions) -> float:
-    lift = None
-    first = None
-    for s in directions:
-        a = float(np.arctan2(s[1], s[0]))
-        if lift is None:
-            lift = first = a
-        else:
-            lift += _projective_delta(lift, a)
-    lift += _projective_delta(lift, first)
-    return lift - first
+    """Turn of an axis field (directions up to sign) around a closed loop.
+
+    Doubling the angles makes an axis a point of the circle, which
+    ``np.unwrap`` lifts; the loop closes back at the first direction.
+    """
+    s = np.asarray(directions)
+    doubled = 2.0 * np.arctan2(s[:, 1], s[:, 0])
+    lift = np.unwrap(np.append(doubled, doubled[0]))
+    return 0.5 * float(lift[-1] - lift[0])
 
 
-def _refine_cell(m, cell, max_depth):
+def _refine_cell(m, cell):
     r_lo, r_hi, t_lo, t_hi = cell
     best_gap, best_cap = np.inf, None
-    for _ in range(max_depth):
+    for _ in range(REFINE_DEPTH):
         rs = np.linspace(r_lo, r_hi, 3)
         ts = np.linspace(t_lo, t_hi, 3)
         quads = {}
@@ -352,8 +348,8 @@ def _gauss_newton(m: DiscreteMeasure, start: Cap):
     the nearby cap's balancing point; that point is unique, so the start
     moves the solve's result by no more than its tolerance.  Stops at gap
     1e-10, after 20 steps, or when no halving of the step lowers the gap.
-    Returns the final cap and the gap of a cold ``rearrange`` of it, so the
-    gap is exactly recomputable.
+    Returns the final cap and the direction form of a cold ``rearrange``
+    of it, so its gap is exactly recomputable.
     """
     h = 1e-5
     cap, trace = start, rearrange(m, start)[1]
@@ -395,23 +391,24 @@ def _gauss_newton(m: DiscreteMeasure, start: Cap):
             break
     if warm:
         trace = rearrange(m, cap)[1]
-    return cap, trace.form.gap
+    return cap, trace.form
 
 
 def _first_multiple_cap(m: DiscreteMeasure, starts, eps: float, enough=None):
     """``_gauss_newton`` from each start cap in turn until one ends below
-    ``enough`` (default and at most ``eps``); returns the smallest gap
-    reached if it is below ``eps``, else raises ``CapScanError`` with it."""
+    ``enough`` (default and at most ``eps``); returns the cap with the
+    smallest gap reached and its form if that gap is below ``eps``, else
+    raises ``CapScanError`` with it."""
     enough = eps if enough is None else min(enough, eps)
-    best_cap, best_gap = None, np.inf
+    best_cap, best_form, best_gap = None, None, np.inf
     for start in starts:
-        cap, gap = _gauss_newton(m, start)
-        if gap < best_gap:
-            best_cap, best_gap = cap, gap
+        cap, form = _gauss_newton(m, start)
+        if form.gap < best_gap:
+            best_cap, best_form, best_gap = cap, form, form.gap
         if best_gap < enough:
             break
     if best_gap < eps:
-        return best_cap, float(best_gap)
+        return best_cap, best_form
     raise CapScanError(
         f"no multiple cap below gap {eps}",
         best_cap=best_cap, best_gap=float(best_gap),
@@ -445,7 +442,8 @@ def sphere_cap_search(
     starts = [Cap(0.0, evecs[:, -1], "sphere")] + [
         Cap(r, evecs[:, k], "sphere") for k in (-1, -2) for r in (0.3, -0.3)
     ]
-    return _first_multiple_cap(m, starts, eps)
+    cap, form = _first_multiple_cap(m, starts, eps)
+    return cap, float(form.gap)
 
 
 def sphere_degree_check(n: int, n_targets: int = 6, seed: int = 0) -> dict:
@@ -463,14 +461,8 @@ def sphere_degree_check(n: int, n_targets: int = 6, seed: int = 0) -> dict:
     e1 = np.zeros(n + 1)
     e1[0] = 1.0
 
-    def psi(p):
-        return 2.0 * p[0] * p - e1
-
     def signed_count(target):
-        total = 0
-        for root in _psi_preimages(target, e1):
-            total += _orientation_sign(psi, root, target, n)
-        return total
+        return sum(_orientation_sign(p, target) for p in _psi_preimages(target, e1))
 
     deg_psi = None
     deg_phi = None
@@ -496,15 +488,12 @@ def _psi_preimages(q, e1):
     return [root, -root]
 
 
-def _orientation_sign(psi_map, p, q, n, h=1e-6):
+def _orientation_sign(p, q):
+    """Orientation sign of psi(p) = 2 p0 p - e1 at its preimage p of q: the
+    sign of its Jacobian between the frames (p, tangents) and (q, images).
+    psi's derivative along a tangent t is exactly 2 t0 p + 2 p0 t."""
     basis_p = null_space(p[None, :]).T
-    cols = []
-    for t in basis_p:
-        plus = p + h * t
-        plus /= np.linalg.norm(plus)
-        minus = p - h * t
-        minus /= np.linalg.norm(minus)
-        cols.append((psi_map(plus) - psi_map(minus)) / (2.0 * h))
+    cols = [2.0 * t[0] * p + 2.0 * p[0] * t for t in basis_p]
     det_source = np.linalg.det(np.column_stack([p] + list(basis_p)))
     det_target = np.linalg.det(np.column_stack([q] + cols))
     return int(np.sign(det_source * det_target))

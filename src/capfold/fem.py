@@ -327,7 +327,7 @@ def _parameter(spec: dict, key: str, default, accept, rule: str) -> float:
     raw = spec[key] if default is None else spec.get(key, default)
     try:
         value = float(raw)
-    except ValueError:
+    except (TypeError, ValueError):
         value = float("nan")
     if not accept(value):
         raise InvalidSpecError(f"{spec['kind']} {key} must be {rule}, got {raw!r}")
@@ -341,8 +341,8 @@ def build_mesh(spec, h: float) -> Mesh:
     (a, b), ``conformal`` (coeffs), or ``two_disks_neck`` (eps, neck_length).
     A ``ConformalDomain`` may be passed directly.
     """
-    if not np.isfinite(h) or h <= 0:
-        raise InvalidSpecError(f"mesh size must be positive and finite, got {h}")
+    if not isinstance(h, (int, float)) or not 0.0 < h < np.inf:
+        raise InvalidSpecError(f"mesh size must be positive and finite, got {h!r}")
     if isinstance(spec, ConformalDomain):
         return _conformal_mesh(spec, h)
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -355,8 +355,7 @@ def build_mesh(spec, h: float) -> Mesh:
             a, b = (_parameter(spec, key, None, *_POSITIVE) for key in "ab")
             return _rectangle_mesh(a, b, h)
         if kind == "conformal":
-            coeffs = [complex(c[0], c[1]) for c in spec["coeffs"]]
-            return _conformal_mesh(ConformalDomain(coeffs), h)
+            return _conformal_mesh(ConformalDomain.from_pairs(spec["coeffs"]), h)
         if kind == "two_disks_neck":
             return _two_disk_mesh(
                 _parameter(spec, "eps", None, lambda v: 0.0 < v < 2.0, "in (0, 2)"),
@@ -619,7 +618,7 @@ def bound_checks(result: SpectralResult) -> list[dict]:
     return checks
 
 
-def verify_corpus(specs, h: float = 0.02, k: int = 2) -> dict:
+def verify_corpus(specs, h: float = 0.02) -> dict:
     """Sweep a corpus of domain specs and tabulate the eigenvalue products.
 
     Each row reports mu_1 * area and mu_2 * area with the ``bound_checks``
@@ -634,7 +633,7 @@ def verify_corpus(specs, h: float = 0.02, k: int = 2) -> dict:
         try:
             spec_h = spec.get("h", h) if isinstance(spec, dict) else h
             mesh = build_mesh(spec, spec_h)
-            res = neumann_eigs(mesh, k=k, h=spec_h)
+            res = neumann_eigs(mesh, k=2, h=spec_h)
             checks = bound_checks(res)
             row = {
                 "name": name,

@@ -210,10 +210,31 @@ class ConformalDomain:
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
         object.__setattr__(self, "coeffs", c)
+        if not np.all(np.isfinite(c)):
+            raise InvalidInputError("map coefficients must be finite")
         if len(c) == 0 or c[0] == 0:
             raise UnivalenceError("leading coefficient c1 must be nonzero")
         if not self._certificate() and not self._grid_check():
             raise UnivalenceError("could not certify univalence of the map")
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "ConformalDomain":
+        """The domain whose coefficients are written ``[[re, im], ...]``, as
+        in domain documents and corpus specs.
+
+        Anything else raises ``InvalidInputError``.
+        """
+        try:
+            parts = np.asarray(pairs, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"map coefficients not numeric: {exc}") from None
+        if parts.ndim != 2 or parts.shape[1] != 2:
+            raise InvalidInputError(
+                f"map coefficients must be [re, im] pairs, got shape {parts.shape}"
+            )
+        coeffs = np.empty(len(parts), dtype=complex)
+        coeffs.real, coeffs.imag = parts[:, 0], parts[:, 1]
+        return cls(coeffs)
 
     def _certificate(self) -> bool:
         c = self.coeffs

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _BOUNDARY_GUARD = 1.0 - 1e-9
+_MAX_ITERATIONS = 500
 
 
 def disk_moebius(xi: complex, z):
@@ -244,7 +245,6 @@ def renormalize(
     m: DiscreteMeasure,
     tol: float = 1e-10,
     seed: int = 0,
-    max_iterations: int = 500,
     start=None,
 ) -> RenormResult:
     """Find xi in the open disk/ball whose Moebius pushforward balances ``m``.
@@ -355,7 +355,7 @@ def renormalize(
     # stage 1: damped drift toward the balancing point; the new map is the
     # Moebius map with the composed parameter up to a rotation, which leaves
     # residual norms unchanged
-    while rn > 1e-3 and iterations < max_iterations:
+    while rn > 1e-3 and iterations < _MAX_ITERATIONS:
         step = -0.5 * mom / scale
         size = float(np.linalg.norm(step))
         if size > 0.9:
@@ -367,7 +367,7 @@ def renormalize(
         iterations += 1
 
     # stage 2: Newton with a halving line search
-    while rn > tol and iterations < max_iterations:
+    while rn > tol and iterations < _MAX_ITERATIONS:
         evaluations += jacobian_cost
         try:
             step = np.linalg.solve(jacobian(xi), -mom)

@@ -147,16 +147,16 @@ def k_n(n: int) -> float:
     )
 
 
-def k_n_quadrature(n: int, nodes: int = 200) -> float:
+def k_n_quadrature(n: int) -> float:
     """Independent quadrature route for the same constant.
 
-    Evaluates omega_{n-1} * integral of sin^(2n-1) over (0, pi) with
+    Evaluates omega_{n-1} * integral of sin^(2n-1) over (0, pi) with 200
     Gauss-Legendre nodes; omega_0 = 2 covers the circle case.
     """
     if n < 1:
         raise InvalidInputError(f"n must be a positive integer, got {n}")
     w_lower = 2.0 if n == 1 else omega_n(n - 1)
-    x, w = gauss_legendre(nodes)
+    x, w = gauss_legendre(200)
     theta = 0.5 * math.pi * (x + 1.0)
     return w_lower * 0.5 * math.pi * float(np.sum(w * np.sin(theta) ** (2 * n - 1)))
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import capfold
-from capfold.cli import run
+from capfold.cli import _subparsers, build_parser, run
 from capfold.measures import (
     DiscreteMeasure,
     disk_quadrature,
@@ -124,10 +124,34 @@ def test_bad_numeric_argument_exit_code(measure_file, domain_file, argv):
         "two_disks:0.4,-0.1",
         '{"kind": "disk", "radius": "inf"}',
         '{"kind": "disk", "radius": -1}',
+        '{"kind": "disk", "radius": null}',
+        '{"kind": "conformal", "coeffs": [[1, 0], [NaN, 0]]}',
+        '{"kind": "conformal", "coeffs": [[1]]}',
+        '{"kind": "conformal", "coeffs": [[1, 0], ["x", 0]]}',
     ],
 )
 def test_bad_domain_spec_exit_code(spec, capsys):
     assert run(["fem", spec, "--h", "0.1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["certify", "scan"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        '{"schema": 1, "coeffs": [[1]]}',
+        '{"schema": 1, "coeffs": [["x", 0]]}',
+        '{"schema": 1, "coeffs": [[1, 0], [NaN, 0]]}',
+        '{"schema": 1, "coeffs": 3}',
+        '{"schema": 2, "coeffs": [[1, 0]]}',
+    ],
+    ids=["list", "short-pair", "text", "nan", "number", "schema-2"],
+)
+def test_bad_domain_file_exit_code(tmp_path, capsys, command, text):
+    path = tmp_path / "domain.json"
+    path.write_text(text)
+    assert run([command, str(path), "--n-r", "16", "--n-theta", "32"]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -197,6 +221,29 @@ def test_certify_subcommand(domain_file, tmp_path):
     assert doc["branch"] == "simple-folded"
     assert doc["holds"]
     assert doc["quotient_sup"] <= doc["bound"] * 1.01
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        {"kind": "rectangle", "a": 1.0, "b": 1.0},
+        [{"kind": "rectangle", "a": 1.0, "b": 1.0, "h": None, "name": "bad"}],
+    ],
+    ids=["not-a-list", "h-null"],
+)
+def test_corpus_bad_specs_exit_code(tmp_path, capsys, specs):
+    # a file that is no list is an input error; a bad spec in a list lands
+    # in the report's failures, which fails the sweep
+    spec_file = tmp_path / "specs.json"
+    spec_file.write_text(json.dumps(specs))
+    code = run(["corpus", str(spec_file), "--h", "0.1"])
+    out, err = capsys.readouterr()
+    if isinstance(specs, list):
+        assert code == 2
+        assert list(json.loads(out)["failures"]) == ["bad"]
+    else:
+        assert code == 1
+        assert err.startswith("error:")
 
 
 def test_corpus_subcommand(tmp_path):
@@ -276,7 +323,7 @@ def test_config_file_string_option_stays_string(tmp_path, monkeypatch):
     [
         ("domain = /nonexistent.json", ["certify", "DOMAIN", "--n-r", "16", "--n-theta", "32"]),
         ("measure = /nonexistent.json", ["renormalize", "MEASURE"]),
-        ("format = xml", ["constants"]),
+        ("format = xml", ["fem", "disk"]),
         ("n = three", ["constants"]),
     ],
     ids=["positional-domain", "positional-measure", "bad-choice", "bad-type"],
@@ -290,6 +337,43 @@ def test_config_file_value_follows_the_flag(
     argv = ["--config", str(conf)] + [files.get(a, a) for a in argv]
     assert run(argv) == 1
     assert f"config key {line.split(' =')[0]!r}" in capsys.readouterr().err
+
+
+# the flags of each subcommand: each one is read by its command
+SUBCOMMAND_FLAGS = {
+    "constants": {"--n", "--output"},
+    "renormalize": {"--tol", "--seed", "--output"},
+    "rearrange": {"--r", "--angle", "--output"},
+    "scan": {"--n-r", "--n-theta", "--output"},
+    "certify": {"--n-r", "--n-theta", "--output"},
+    "fem": {"--h", "--k", "--format", "--output"},
+    "corpus": {"--h", "--format", "--output"},
+    "sphere": {"--n", "--resolution", "--seed", "--output"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    flags = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in _subparsers(build_parser()).choices.items()
+    }
+    assert flags == SUBCOMMAND_FLAGS
+
+
+@pytest.mark.parametrize(
+    "line, argv",
+    [
+        ("seed = 3", ["constants"]),
+        ("format = csv", ["constants"]),
+        ("seed = 3", ["fem", "disk"]),
+    ],
+    ids=["constants-seed", "constants-format", "fem-seed"],
+)
+def test_config_key_of_an_unread_flag_is_unknown(tmp_path, capsys, line, argv):
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n")
+    assert run(["--config", str(conf)] + argv) == 1
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_one_process_many_runs_match_a_fresh_process(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from capfold.caps import Cap, fold_measure, rearrange
 from capfold.directions import (
+    _loop_rotation,
     canonicalize,
     classify,
     sphere_cap_search,
@@ -115,6 +116,24 @@ def test_winding_stable_under_angle_doubling(bent_canonical):
 def test_scan_finds_multiple_cap(bent_scan):
     assert bent_scan.gap < 1e-3
     assert bent_scan.cap is not None
+
+
+def test_scan_carries_the_form_of_a_cold_rearrange(bent_canonical, bent_scan):
+    canon, _ = bent_canonical
+    form = rearrange(canon, bent_scan.cap)[1].form
+    assert np.array_equal(bent_scan.form.matrix, form.matrix)
+    assert bent_scan.gap == bent_scan.form.gap == form.gap
+
+
+@pytest.mark.parametrize("half_turns", [-2, -1, 0, 1, 3])
+def test_loop_rotation_of_an_axis_field(half_turns):
+    # an axis turning by half_turns * pi around the loop, with the sign of
+    # every third direction flipped, which leaves the axis alone
+    theta = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    angle = 0.5 * half_turns * theta + 0.3
+    signs = np.where(np.arange(24) % 3 == 0, -1.0, 1.0)
+    directions = signs[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    assert _loop_rotation(directions) == pytest.approx(half_turns * np.pi, abs=1e-12)
 
 
 def test_scan_direction_field_table(bent_scan):

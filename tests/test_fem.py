@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
+from capfold import fem
 from capfold.exceptions import (
     InvalidSpecError,
     NeckTooNarrowError,
@@ -477,9 +478,37 @@ def test_corpus_collects_capfold_errors():
     assert not report["all_ok"]
 
 
-def test_corpus_propagates_programming_errors():
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "rectangle", "a": None, "b": 1.0},
+        {"kind": "disk", "radius": None},
+        {"kind": "conformal", "coeffs": [[1]]},
+        {"kind": "conformal", "coeffs": [["x", 0]]},
+        {"kind": "conformal", "coeffs": [[1, 0], [float("nan"), 0]]},
+        {"kind": "conformal", "coeffs": 3},
+        {"kind": "rectangle", "a": 1.0, "b": 1.0, "h": None},
+        {"kind": "rectangle", "a": 1.0, "b": 1.0, "h": "0.1"},
+    ],
+    ids=[
+        "a-null", "radius-null", "short-pair", "text-pair", "nan-coeff",
+        "not-a-list", "h-null", "h-text",
+    ],
+)
+def test_corpus_collects_malformed_specs(spec):
+    report = verify_corpus([dict(spec, name="bad")], h=0.1)
+    assert not report["rows"]
+    assert list(report["failures"]) == ["bad"]
+
+
+def test_corpus_propagates_programming_errors(monkeypatch):
+    # a mesher that fails with anything but a CapfoldError has a bug
+    def broken(a, b, h):
+        raise TypeError("bug in the mesher")
+
+    monkeypatch.setattr(fem, "_rectangle_mesh", broken)
     with pytest.raises(TypeError):
-        verify_corpus([{"kind": "rectangle", "a": None, "b": 1.0}], h=0.1)
+        verify_corpus([{"kind": "rectangle", "a": 1.0, "b": 1.0}], h=0.1)
 
 
 @pytest.mark.slow

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from capfold.exceptions import NegativeDensityError, SpaceMismatchError, UnivalenceError
+from capfold.exceptions import (
+    InvalidInputError,
+    NegativeDensityError,
+    SpaceMismatchError,
+    UnivalenceError,
+)
 from capfold.measures import (
     ConformalDomain,
     DiscreteMeasure,
@@ -95,6 +100,22 @@ def test_pullback_mass_matches_coefficient_formula(rng):
 def test_univalence_certificate_rejects_folding_map():
     with pytest.raises(UnivalenceError):
         ConformalDomain([1.0, 0.0, 2.0])  # z + 2 z^3 is not injective
+
+
+def test_domain_from_pairs_keeps_each_part():
+    dom = ConformalDomain.from_pairs([[1.0, 0.0], [0.1, -0.0], [0.0, 0.05]])
+    assert dom.coeffs.tolist() == [1.0, 0.1, 0.05j]
+    assert np.signbit(dom.coeffs[1].imag)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[1, 2], [[1]], [["x", 0]], [[1, 0], [float("nan"), 0]], [[float("inf"), 0]], 3, None],
+    ids=["flat", "short-pair", "text", "nan", "inf", "number", "null"],
+)
+def test_domain_from_pairs_rejects_malformed(pairs):
+    with pytest.raises(InvalidInputError):
+        ConformalDomain.from_pairs(pairs)
 
 
 def test_boundary_atom_moment():
