@@ -28,8 +28,8 @@ from .moebius import (
     _dot,
     _inversion_terms,
     _lft,
+    _scaled_sum,
     _sq_norm,
-    _times,
     disk_moebius,
     renormalize,
 )
@@ -121,7 +121,7 @@ def cap_reflection(cap: Cap, x):
     """
     x = _points(cap, x)
     a, c, d = _inversion(cap, x)
-    return _times(a / d, x) + _times(c / d, cap.p)
+    return _scaled_sum(a / d, x, c / d, cap.p)
 
 
 def cap_reflection_factor(cap: Cap, z):
@@ -152,10 +152,13 @@ def fold_measure(m: DiscreteMeasure, cap: Cap) -> DiscreteMeasure:
 
 
 def _fold_points(cap: Cap, x) -> np.ndarray:
+    # the outside atoms are picked and written back through the transpose,
+    # which holds column-major sphere atoms as contiguous rows (a no-op on
+    # the disk's 1-D array)
     x = _points(cap, x)
     out = ~cap_contains(cap, x)
-    folded = x.copy()
-    folded[out] = cap_reflection(cap, x[out])
+    folded = x.copy(order="K")
+    folded.T[..., out] = cap_reflection(cap, np.compress(out, x.T, axis=-1).T).T
     return folded
 
 

@@ -1,15 +1,16 @@
 """Discrete quadrature-atom measures on the closed unit disk and unit n-sphere.
 
 A measure is a finite set of weighted atoms.  Disk atoms are stored as
-complex numbers, sphere atoms as rows of an (N, n+1) array.  Weights are
-never normalized implicitly: total mass is semantic (for a conformal
-pullback it equals the image area).
+complex numbers, sphere atoms as rows of a column-major (N, n+1) array.
+Weights are never normalized implicitly: total mass is semantic (for a
+conformal pullback it equals the image area).
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +52,16 @@ class DiscreteMeasure:
         Either ``"disk"`` or ``"sphere"``.
     points : ndarray
         Complex array of shape (N,) for the disk; float array of shape
-        (N, n+1) for the sphere.
+        (N, n+1) for the sphere, stored column-major (Fortran order).
     weights : ndarray
         Nonnegative weights, one per atom.
+
+    Sphere atoms keep one row per atom, but each coordinate is a contiguous
+    column: with only n+1 = 4 or 6 floats per row, row-major storage runs
+    every elementwise op and row reduction of the fold, transport and
+    balancing kernels as N short inner loops, while column-major storage
+    runs them as n+1 long ones.  The kernels that build sphere atoms keep
+    this layout, so constructing a measure from their output copies nothing.
     """
 
     space: str
@@ -62,7 +70,11 @@ class DiscreteMeasure:
     grid_shape: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points))
+        if self.space == "sphere":
+            points = np.asfortranarray(self.points, dtype=float)
+        else:
+            points = np.asarray(self.points)
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.space not in ("disk", "sphere"):
             raise InvalidInputError(f"unknown space {self.space!r}")
@@ -70,10 +82,12 @@ class DiscreteMeasure:
         if not np.all(self.weights >= 0):
             raise NegativeDensityError("atom weights must be nonnegative")
         if self.space == "disk":
-            if not np.all(np.abs(self.points) <= 1.0 + _BOUNDARY_SLACK):
+            if not np.all(np.abs(points) <= 1.0 + _BOUNDARY_SLACK):
                 raise InvalidInputError("disk atoms must lie in the closed unit disk")
         else:
-            norms = np.linalg.norm(self.points, axis=1)
+            if points.ndim != 2:
+                raise InvalidInputError("sphere atoms must be rows of an (N, n+1) array")
+            norms = np.sqrt(np.einsum("ij,ij->i", points, points))
             if not np.all(np.abs(norms - 1.0) <= 1e-9):
                 raise InvalidInputError("sphere atoms must lie on the unit sphere")
 
@@ -164,7 +178,7 @@ def sphere_quadrature(n: int, resolution: int = 24) -> "DiscreteMeasure":
     if n == 1:
         m = 2 * resolution
         theta = 2.0 * np.pi * np.arange(m) / m
-        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        pts = np.stack([np.cos(theta), np.sin(theta)]).T
         w = np.full(m, 2.0 * np.pi / m)
         return DiscreteMeasure("sphere", pts, w)
 
@@ -178,13 +192,15 @@ def sphere_quadrature(n: int, resolution: int = 24) -> "DiscreteMeasure":
     mesh = np.meshgrid(*angle_arrays, indexing="ij")
     wmesh = np.meshgrid(*weight_arrays, indexing="ij")
 
+    # one coordinate per leading index, so that the transpose of the
+    # flattened array holds the atoms column-major
     shape = mesh[0].shape
-    coords = np.empty(shape + (n + 1,), dtype=float)
+    coords = np.empty((n + 1,) + shape, dtype=float)
     sin_prod = np.ones(shape)
     for k in range(n):
-        coords[..., k] = sin_prod * np.cos(mesh[k])
+        coords[k] = sin_prod * np.cos(mesh[k])
         sin_prod = sin_prod * np.sin(mesh[k])
-    coords[..., n] = sin_prod
+    coords[n] = sin_prod
 
     weight = np.ones(shape)
     for k in range(n - 1):
@@ -192,7 +208,7 @@ def sphere_quadrature(n: int, resolution: int = 24) -> "DiscreteMeasure":
     for wm in wmesh:
         weight = weight * wm
 
-    return DiscreteMeasure("sphere", coords.reshape(-1, n + 1), weight.ravel())
+    return DiscreteMeasure("sphere", coords.reshape(n + 1, -1).T, weight.ravel())
 
 
 @dataclass(frozen=True)
@@ -201,8 +217,8 @@ class ConformalDomain:
 
     The map is z -> sum_k coeffs[k-1] z^k with coeffs[0] = c1 != 0.  The
     cheap univalence certificate sum_{k>=2} k |c_k| < |c_1| is tried first;
-    otherwise a derivative grid check plus a boundary self-intersection test
-    must pass.
+    otherwise the derivative must have no root in the closed disk and the
+    boundary polygon must not cross itself.
     """
 
     coeffs: np.ndarray
@@ -222,7 +238,8 @@ class ConformalDomain:
         """The domain whose coefficients are written ``[[re, im], ...]``, as
         in domain documents and corpus specs.
 
-        Anything else raises ``InvalidInputError``.
+        Anything else raises ``InvalidInputError``, numeric strings and
+        booleans included: a document holds numbers.
         """
         try:
             parts = np.asarray(pairs, dtype=float)
@@ -232,6 +249,10 @@ class ConformalDomain:
             raise InvalidInputError(
                 f"map coefficients must be [re, im] pairs, got shape {parts.shape}"
             )
+        for pair in pairs:
+            for value in pair:
+                if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                    raise InvalidInputError(f"map coefficient {value!r} is not a number")
         coeffs = np.empty(len(parts), dtype=complex)
         coeffs.real, coeffs.imag = parts[:, 0], parts[:, 1]
         return cls(coeffs)
@@ -242,8 +263,12 @@ class ConformalDomain:
         return tail < abs(c[0])
 
     def _grid_check(self) -> bool:
-        pts, _, _, _ = disk_grid(48, 96)
-        if np.min(np.abs(self.derivative(pts))) <= 0.0:
+        # a critical point in the closed disk, where the map folds or forms
+        # a cusp, is not univalent on the closed disk; the boundary test
+        # below misses a self-crossing that falls on polygon vertices
+        c = self.coeffs
+        slopes = np.arange(len(c), 0, -1) * c[::-1]
+        if np.any(np.abs(np.roots(slopes)) <= 1.0):
             return False
         theta = 2.0 * np.pi * np.arange(720) / 720
         bnd = self.map(np.exp(1j * theta))

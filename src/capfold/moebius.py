@@ -83,10 +83,18 @@ def _dot(x, p):
     return x @ p
 
 
-def _times(s, x):
-    """Scalars ``s`` times disk points (complex) or sphere points (rows):
-    one point per scalar, or the same point for all."""
-    return s * x if np.iscomplexobj(x) else s[..., None] * x
+def _scaled_sum(s, x, t, p):
+    """s x + t p for disk points (complex) or sphere points (rows) ``x`` and
+    one point ``p``, with the scalars ``s`` and ``t`` given per point or once
+    for all.  Sphere results keep the column-major layout of ``x``, as in a
+    ``DiscreteMeasure``: t p is added in place one column at a time, so no
+    (N, n+1) outer product is built."""
+    if np.iscomplexobj(x) or x.ndim == 1:
+        return s * x + t * p
+    out = np.expand_dims(s, -1) * x
+    for column, pk in zip(out.T, p):
+        column += t * pk
+    return out
 
 
 def _inversion_terms(x, h: float, p, a: float, t: float):
@@ -130,22 +138,20 @@ def ball_moebius(xi, x):
     x = np.asarray(x, dtype=float)
     h = float(np.linalg.norm(xi))
     if h == 0.0:
-        return x.copy()
+        return x.copy(order="K")
     p = xi / h
     a = (1.0 - h) * (1.0 + h)
     # the reflected point has the c and d of x at (h, -p), and
     # a reflection(p, x) + c p = a x + (c - 2 a (x, p)) p
     c, d = _inversion_terms(x, h, -p, a, 1.0 - h)
-    out = _times(a / d, x)
-    out += _times((c - 2.0 * a * _dot(x, p)) / d, p)
-    return out
+    return _scaled_sum(a / d, x, (c - 2.0 * a * _dot(x, p)) / d, p)
 
 
 def reflection(p, x):
     """Reflection across the hyperplane through 0 orthogonal to p: x - 2(p,x)p."""
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
-    return x - 2.0 * _times(x @ p, p)
+    return _scaled_sum(1.0, x, -2.0 * (x @ p), p)
 
 
 def reflection_disk(p: complex, z):
@@ -262,7 +268,7 @@ def renormalize(
     space.  A damped drift brings the residual under 1e-3, then Newton with
     a halving line search finishes.  On the ball the moments and the Newton
     Jacobian are closed form (``_ball_moments``); the disk still builds its
-    Jacobian from central differences (ROADMAP 3).  The returned ``xi`` is
+    Jacobian from central differences (ROADMAP item 2).  The returned ``xi`` is
     complex on the disk.  The result also carries the balanced measure and
     its direction form; on the disk they are built from the moved atoms and
     J1 factors of the residual at the returned ``xi``, which the Jacobian's
@@ -305,7 +311,7 @@ def renormalize(
             start = complex(start)
             start = (start.real, start.imag)
     else:
-        sq = np.sum(points * points, axis=1)
+        sq = _sq_norm(points)
 
         def moments(xi):
             return _ball_moments(points, sq, weights, xi), None

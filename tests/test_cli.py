@@ -128,6 +128,7 @@ def test_bad_numeric_argument_exit_code(measure_file, domain_file, argv):
         '{"kind": "conformal", "coeffs": [[1, 0], [NaN, 0]]}',
         '{"kind": "conformal", "coeffs": [[1]]}',
         '{"kind": "conformal", "coeffs": [[1, 0], ["x", 0]]}',
+        '{"kind": "conformal", "coeffs": [[1, 0], [false, 0]]}',
     ],
 )
 def test_bad_domain_spec_exit_code(spec, capsys):
@@ -145,8 +146,10 @@ def test_bad_domain_spec_exit_code(spec, capsys):
         '{"schema": 1, "coeffs": [[1, 0], [NaN, 0]]}',
         '{"schema": 1, "coeffs": 3}',
         '{"schema": 2, "coeffs": [[1, 0]]}',
+        # numeric text and a boolean: read as numbers, this is z + z^2
+        '{"schema": 1, "coeffs": [["1", 0], [true, 0]]}',
     ],
-    ids=["list", "short-pair", "text", "nan", "number", "schema-2"],
+    ids=["list", "short-pair", "text", "nan", "number", "schema-2", "text-and-bool"],
 )
 def test_bad_domain_file_exit_code(tmp_path, capsys, command, text):
     path = tmp_path / "domain.json"

@@ -102,6 +102,21 @@ def test_univalence_certificate_rejects_folding_map():
         ConformalDomain([1.0, 0.0, 2.0])  # z + 2 z^3 is not injective
 
 
+@pytest.mark.parametrize("coeffs", [[1, 1], [1, 0.99], [1, 1.01], [1, 0.5]])
+def test_univalence_rejects_a_critical_point_in_the_closed_disk(coeffs):
+    # z + z^2: f' vanishes at -1/2 and the boundary crosses itself at -1
+    # exactly on two vertices of the boundary polygon; z + z^2/2 (the
+    # cardioid) has its critical point on the boundary
+    with pytest.raises(UnivalenceError):
+        ConformalDomain(coeffs)
+
+
+def test_univalence_without_the_certificate_accepts_a_univalent_map():
+    # 2 |c2| + 3 |c3| = 1.1 fails the coefficient certificate; the critical
+    # points of 1 + 0.8 z + 0.3 z^2 lie outside the disk
+    assert ConformalDomain([1.0, 0.4, 0.1]).area > 0
+
+
 def test_domain_from_pairs_keeps_each_part():
     dom = ConformalDomain.from_pairs([[1.0, 0.0], [0.1, -0.0], [0.0, 0.05]])
     assert dom.coeffs.tolist() == [1.0, 0.1, 0.05j]
@@ -110,8 +125,14 @@ def test_domain_from_pairs_keeps_each_part():
 
 @pytest.mark.parametrize(
     "pairs",
-    [[1, 2], [[1]], [["x", 0]], [[1, 0], [float("nan"), 0]], [[float("inf"), 0]], 3, None],
-    ids=["flat", "short-pair", "text", "nan", "inf", "number", "null"],
+    [
+        [1, 2], [[1]], [["x", 0]], [[1, 0], [float("nan"), 0]], [[float("inf"), 0]], 3, None,
+        [["1", 0]], [[1, 0], [True, 0]], [[1, 0], [0, np.bool_(False)]],
+    ],
+    ids=[
+        "flat", "short-pair", "text", "nan", "inf", "number", "null",
+        "numeric-text", "bool", "numpy-bool",
+    ],
 )
 def test_domain_from_pairs_rejects_malformed(pairs):
     with pytest.raises(InvalidInputError):

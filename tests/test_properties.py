@@ -7,23 +7,28 @@ from scipy.linalg import null_space
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from capfold.bounds import sphere_modified_quotient  # noqa: E402
 from capfold.caps import (  # noqa: E402
     Cap,
     RearrangeTrace,
+    _fold_points,
     cap_contains,
     cap_reflection,
     cap_reflection_factor,
     cap_to_disk,
+    fold_measure,
     image_cap,
     rearrange,
     rearrange_map,
 )
+from capfold.exceptions import InvalidInputError  # noqa: E402
 from capfold.measures import DiscreteMeasure, moment_vector_raw, sphere_quadrature  # noqa: E402
 from capfold.moebius import (  # noqa: E402
     _ball_moments,
     ball_moebius,
     disk_moebius,
     disk_moebius_derivative,
+    pushforward,
     reflection,
     reflection_disk,
     renormalize,
@@ -357,3 +362,63 @@ def test_rearrange_near_the_cap_guard_keeps_atoms_on_the_sphere(n, res):
         nu, trace = rearrange(g, Cap(0.95, _unit(rng, n + 1), "sphere"))
         assert np.linalg.norm(trace.xi_a) > 0.998
         assert np.max(np.abs(np.linalg.norm(nu.points, axis=1) - 1.0)) <= 1e-11
+
+
+# sphere atoms are stored column-major; no result may depend on the layout
+# the caller's atoms come in, and no kernel may hand back row-major atoms
+_LAYOUT_SPHERES = {n: sphere_quadrature(n, resolution={3: 6, 5: 4}[n]) for n in (3, 5)}
+
+
+def _relative(u, v):
+    return np.max(np.abs(np.asarray(u) - np.asarray(v))) / np.max(np.abs(u))
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.sampled_from([3, 5]),
+    r=st.floats(-0.5, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sphere_results_do_not_depend_on_the_atom_layout(n, r, seed):
+    rng = np.random.default_rng(seed)
+    g = _LAYOUT_SPHERES[n]
+    assert g.points.flags.f_contiguous
+    a = _unit(rng, n + 1) * rng.uniform(0.0, 0.3)
+    rows = np.ascontiguousarray(g.points)
+    w = g.weights * (1.0 + rows @ a + rng.uniform(0.0, 0.1) * rows[:, 0] ** 2)
+    w = w / w.sum()
+    cap = Cap(r, _unit(rng, n + 1), "sphere")
+    s = _unit(rng, n + 1)
+    xi = rng.uniform(0.0, 0.9) * _unit(rng, n + 1)
+
+    results = []
+    for points in (rows, np.asfortranarray(rows)):
+        m = DiscreteMeasure("sphere", points, w)
+        balanced = renormalize(m)
+        nu, trace = rearrange(balanced.measure, cap)
+        quotient = sphere_modified_quotient(m, cap, s)
+        for out in (m, fold_measure(m, cap), pushforward(m, xi), balanced.measure, nu):
+            assert out.points.flags.f_contiguous
+        # the kernels on raw arrays keep the caller's column-major layout
+        if points.flags.f_contiguous:
+            for out in (ball_moebius(xi, points), cap_reflection(cap, points),
+                        _fold_points(cap, points)):
+                assert out.flags.f_contiguous
+        results.append((
+            balanced.xi, trace.form.matrix, quotient["quotient"],
+            ball_moebius(xi, points), _fold_points(cap, points),
+        ))
+    for row_major, column_major in zip(*results):
+        assert _relative(row_major, column_major) <= 1e-12
+
+    # the sphere-point check keeps its 1e-9 bound in either layout
+    k = rng.integers(len(rows))
+    for off, raises in ((2e-9, True), (-2e-9, True), (5e-10, False)):
+        moved = rows.copy()
+        moved[k] *= 1.0 + off
+        for points in (moved, np.asfortranarray(moved)):
+            if raises:
+                with pytest.raises(InvalidInputError):
+                    DiscreteMeasure("sphere", points, w)
+            else:
+                DiscreteMeasure("sphere", points, w)
