@@ -2,10 +2,11 @@
 
 Subcommands mirror the library pipeline: ``constants``, ``renormalize``,
 ``rearrange``, ``scan``, ``certify``, ``fem``, ``corpus``, ``sphere``.
-Reports are JSON (or CSV where tabular), embed the resolved configuration,
-and are byte-identical for a fixed configuration and seed.  Exit codes:
-0 success, 1 usage, IO or input error, 2 an asserted inequality failed,
-3 a numerical failure (a solver did not converge; nothing was decided).
+Every command returns through ``_finish``, which writes its report (JSON,
+or CSV where tabular) with the resolved configuration, byte-identical for a
+fixed configuration and seed.  Exit codes: 0 success, 1 usage, IO or input
+error, 2 an inequality record failed, 3 a numerical failure (nothing was
+decided).
 """
 
 from __future__ import annotations
@@ -30,21 +31,9 @@ from .measures import (
     sphere_quadrature,
 )
 from .moebius import renormalize
-from .specfun import bound_constants, find_zeta, mu1_disk, planar_bound
+from .specfun import bound_constants, find_zeta, inequality, mu1_disk, product_bounds
 
 USAGE_ERROR, BOUND_VIOLATION, NUMERICAL_FAILURE = 1, 2, 3
-
-
-def _write_text(text: str, args) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-
-
-def _write_report(doc, args) -> None:
-    _write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
 
 
 def _config_echo(args) -> dict:
@@ -52,6 +41,26 @@ def _config_echo(args) -> dict:
     return {
         k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     }
+
+
+def _finish(args, doc: dict, csv=None) -> int:
+    """Write ``doc`` stamped with ``schema`` and ``config``, or the ``csv``
+    lines under a ``# config:`` line; the exit code is ``BOUND_VIOLATION``
+    if and only if an inequality record of ``doc`` or of its ``rows`` fails."""
+    config = _config_echo(args)
+    if csv is None:
+        text = json.dumps(dict(doc, schema=1, config=config), indent=2, sort_keys=True)
+    else:
+        text = "\n".join(["# config: " + json.dumps(config, sort_keys=True), *csv])
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    records = doc.get("inequalities", []) + [
+        q for row in doc.get("rows", ()) for q in row["inequalities"]
+    ]
+    return 0 if all(q["holds"] for q in records) else BOUND_VIOLATION
 
 
 def _load_config_file(path: str) -> dict:
@@ -76,36 +85,31 @@ def _domain_from_json_file(path: str) -> ConformalDomain:
 
 
 def cmd_constants(args) -> int:
-    report = {
-        "schema": 1,
-        "config": _config_echo(args),
+    bounds = {tag: bound for tag, _, bound in product_bounds()}
+    doc = {
         "zeta": find_zeta(),
         "mu1_disk": mu1_disk(),
-        "planar_bound_two_disk": planar_bound(),
-        "szego": mu1_disk() * float(np.pi),
-        "polya_k2": 8.0 * float(np.pi),
+        "planar_bound_two_disk": bounds["two-disk"],
+        "szego": bounds["szego"],
+        "polya_k2": bounds["polya-k2"],
+        "inequalities": [],
     }
-    code = 0
     if args.n is not None:
         bc = bound_constants(args.n)
-        in_window = 1.0 < bc.ratio < 1.04
-        report["sphere"] = {
+        doc["sphere"] = {
             "n": bc.n,
             "theorem_constant": bc.theorem_constant,
             "conjecture_constant": bc.conjecture_constant,
             "ratio": bc.ratio,
             "odd_dimension": bc.odd_dimension,
-            "inequalities": [
-                {
-                    "tag": "sphere-conformal",
-                    "ratio_in_(1,1.04)": in_window,
-                }
-            ],
         }
-        if bc.odd_dimension and not in_window:
-            code = BOUND_VIOLATION
-    _write_report(report, args)
-    return code
+        # the theorem asserts the ratio window in odd dimensions only
+        if bc.odd_dimension:
+            doc["inequalities"] = [
+                inequality("sphere-ratio-lower", 1.0, bc.ratio),
+                inequality("sphere-ratio-upper", bc.ratio, 1.04),
+            ]
+    return _finish(args, doc)
 
 
 def cmd_renormalize(args) -> int:
@@ -114,19 +118,13 @@ def cmd_renormalize(args) -> int:
     result = renormalize(m, tol=args.tol, seed=args.seed)
     xi = result.xi
     xi_out = [xi.real, xi.imag] if m.space == "disk" else [float(v) for v in xi]
-    _write_report(
-        {
-            "schema": 1,
-            "config": _config_echo(args),
-            "xi": xi_out,
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "evaluations": result.evaluations,
-            "halvings": result.halvings,
-        },
-        args,
-    )
-    return 0
+    return _finish(args, {
+        "xi": xi_out,
+        "residual": result.residual,
+        "iterations": result.iterations,
+        "evaluations": result.evaluations,
+        "halvings": result.halvings,
+    })
 
 
 def cmd_rearrange(args) -> int:
@@ -135,8 +133,6 @@ def cmd_rearrange(args) -> int:
     cap = Cap(args.r, np.exp(1j * args.angle), "disk")
     nu, trace = rearrange(m, cap)
     doc = {
-        "schema": 1,
-        "config": _config_echo(args),
         "trace": {
             "xi_a": [trace.xi_a.real, trace.xi_a.imag],
             "eta_a": [trace.eta_a.real, trace.eta_a.imag],
@@ -149,42 +145,25 @@ def cmd_rearrange(args) -> int:
         },
         "measure": json.loads(measure_to_json(nu)),
     }
-    _write_report(doc, args)
-    return 0
+    return _finish(args, doc)
 
 
 def cmd_scan(args) -> int:
     domain = _domain_from_json_file(args.domain)
     canon, _ = canonicalize(pullback_measure(domain, args.n_r, args.n_theta))
     result = scan_caps(canon)
-    lines = [
-        "# config: " + json.dumps(_config_echo(args), sort_keys=True),
-        "r,theta,s_x,s_y,gap",
-    ]
+    lines = ["r,theta,s_x,s_y,gap"]
     lines += [",".join(repr(x) for x in row) for row in result.direction_field]
     # winding table as trailing comment rows of the same CSV
     for r, count in sorted(result.winding_numbers.items()):
         lines.append(f"# winding r={r!r}: {count}")
-    lines.append(
-        f"# multiple cap r={result.cap.r!r} theta={float(np.angle(result.cap.p))!r}"
-        f" gap={result.gap!r}"
-    )
-    _write_text("\n".join(lines) + "\n", args)
-    print(
-        json.dumps(
-            {
-                "multiple_cap": {
-                    "r": result.cap.r,
-                    "theta": float(np.angle(result.cap.p)),
-                },
-                "gap": result.gap,
-                "windings": {str(k): v for k, v in result.winding_numbers.items()},
-            },
-            sort_keys=True,
-        ),
-        file=sys.stderr,
-    )
-    return 0
+    r, theta = result.cap.r, float(np.angle(result.cap.p))
+    lines.append(f"# multiple cap r={r!r} theta={theta!r} gap={result.gap!r}")
+    windings = {str(k): v for k, v in result.winding_numbers.items()}
+    summary = {"multiple_cap": {"r": r, "theta": theta}, "gap": result.gap, "windings": windings}
+    code = _finish(args, {}, csv=lines)
+    print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+    return code
 
 
 def cmd_certify(args) -> int:
@@ -192,78 +171,57 @@ def cmd_certify(args) -> int:
     report = bounds_mod.planar_bound_certificate(
         domain, domain_id=args.domain, n_r=args.n_r, n_theta=args.n_theta
     )
-    doc = json.loads(report.to_json())
-    doc["config"] = _config_echo(args)
-    doc["inequalities"] = [
-        {"tag": "two-disk" if report.branch == "simple-folded" else "szego",
-         "holds": report.holds}
-    ]
-    _write_report(doc, args)
-    return 0 if report.holds else BOUND_VIOLATION
+    return _finish(args, report.as_dict())
 
 
 def cmd_fem(args) -> int:
     spec = fem_mod.parse_domain_spec(args.spec)
     mesh = fem_mod.build_mesh(spec, args.h)
     result = fem_mod.neumann_eigs(mesh, k=args.k, h=args.h)
-    doc = json.loads(result.to_json())
-    doc["config"] = _config_echo(args)
-    doc["inequalities"] = fem_mod.bound_checks(result)
+    doc = dict(result.as_dict(), inequalities=fem_mod.bound_checks(result))
+    csv = None
     if args.format == "csv":
-        lines = [
-            "# config: " + json.dumps(_config_echo(args), sort_keys=True),
-            "index,mu,mu_area",
-        ]
-        lines += [
+        csv = ["index,mu,mu_area"] + [
             f"{i},{float(v)!r},{float(v) * result.area!r}"
             for i, v in enumerate(result.eigenvalues)
         ]
-        _write_text("\n".join(lines) + "\n", args)
-    else:
-        _write_report(doc, args)
-    return 0 if all(q["holds"] for q in doc["inequalities"]) else BOUND_VIOLATION
+    return _finish(args, doc, csv)
 
 
 def cmd_corpus(args) -> int:
+    """A failed record exits 2; otherwise a spec that failed exits as its
+    exception would, through ``run``: 1 for bad input, 3 for a solver."""
     with open(args.specs) as fh:
         specs = json.load(fh)
     if not isinstance(specs, list):
         raise InvalidInputError(f"not a list of domain specs: {args.specs}")
     report = fem_mod.verify_corpus(specs, h=args.h)
+    errors = report.pop("errors")
     report["rows"].sort(key=lambda r: r["name"])
-    report["schema"] = 1
-    report["config"] = _config_echo(args)
+    csv = None
     if args.format == "csv":
         cols = [
             "name", "h", "area", "mu1", "mu2", "mu1_area", "mu2_area",
             "szego_ok", "two_disk_ok", "polya_k2_ok",
         ]
-        lines = [
-            "# config: " + json.dumps(_config_echo(args), sort_keys=True),
-            ",".join(cols),
-        ]
-        lines += [
-            ",".join(str(row[c]) for c in cols) for row in report["rows"]
-        ]
-        _write_text("\n".join(lines) + "\n", args)
-    else:
-        _write_report(report, args)
-    return 0 if report["all_ok"] else BOUND_VIOLATION
+        csv = [",".join(cols)]
+        csv += [",".join(str(row[c]) for c in cols) for row in report["rows"]]
+    code = _finish(args, report, csv)
+    if code == 0 and errors:
+        raise next(iter(errors.values()))
+    return code
 
 
 def cmd_sphere(args) -> int:
     n = args.n
     bc = bound_constants(n)
     doc = {
-        "schema": 1,
-        "config": _config_echo(args),
         "constants": {
             "theorem_constant": bc.theorem_constant,
             "conjecture_constant": bc.conjecture_constant,
             "ratio": bc.ratio,
         },
     }
-    code = 0
     if n % 2 == 1:
         degrees = sphere_degree_check(n, seed=args.seed)
         doc["degrees"] = degrees
@@ -275,15 +233,10 @@ def cmd_sphere(args) -> int:
             g, cap, trace.form.max_direction, trace=trace
         )
         doc["modified_quotient"] = quotient
-        doc["inequalities"] = [
-            {"tag": "sphere-conformal", "holds": bool(quotient["holds"])}
-        ]
-        if not quotient["holds"]:
-            code = BOUND_VIOLATION
+        doc["inequalities"] = [quotient["inequality"]]
     else:
         doc["note"] = "degree diagnostics defined for odd dimension only"
-    _write_report(doc, args)
-    return code
+    return _finish(args, doc)
 
 
 @functools.cache

@@ -124,7 +124,8 @@ def canonicalize(m: DiscreteMeasure) -> tuple[DiscreteMeasure, CanonicalMap]:
         cmap = CanonicalMap("disk", complex(result.xi), complex(rot), form.rotated(rmat))
     else:
         rmat = _rotation_to_e1(form.max_direction)
-        canon = balanced.with_points(balanced.points @ rmat.T)
+        # the product of the column-major points stays column-major
+        canon = balanced.with_points((rmat @ balanced.points.T).T)
         cmap = CanonicalMap("sphere", result.xi, rmat, form.rotated(rmat))
     return canon, cmap
 

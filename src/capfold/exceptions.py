@@ -59,9 +59,9 @@ class NotMultipleError(CapfoldError):
 
 
 class CapScanError(NumericalFailureError):
-    """Cap scan exhausted its refinement budget without a multiple cap.
+    """Every Gauss-Newton start of a cap search ended at gap >= eps.
 
-    Carries the minimal-gap cap found so far in ``best_cap`` / ``best_gap``.
+    Carries the smallest-gap cap reached in ``best_cap`` / ``best_gap``.
     """
 
     def __init__(self, message, best_cap=None, best_gap=None):

@@ -30,6 +30,7 @@ from .exceptions import (
     NumericalFailureError,
 )
 from .measures import ConformalDomain
+from .specfun import inequality, product_bounds
 
 __all__ = [
     "Mesh",
@@ -433,19 +434,16 @@ class SpectralResult:
     def mu(self, i: int) -> float:
         return float(self.eigenvalues[i])
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": 1,
-                "eigenvalues": [float(x) for x in self.eigenvalues],
-                "area": self.area,
-                "h": self.h,
-                "products": [float(x) for x in self.products],
-                "residuals": [float(x) for x in self.residuals],
-                "solves": self.solves,
-                "factor_nnz": self.factor_nnz,
-            }
-        )
+    def as_dict(self) -> dict:
+        return {
+            "eigenvalues": [float(x) for x in self.eigenvalues],
+            "area": self.area,
+            "h": self.h,
+            "products": [float(x) for x in self.products],
+            "residuals": [float(x) for x in self.residuals],
+            "solves": self.solves,
+            "factor_nnz": self.factor_nnz,
+        }
 
 
 # vertices per leaf cell of the dissection, and a depth cap that keeps the
@@ -593,41 +591,27 @@ def neumann_eigs(mesh: Mesh, k: int = 2, h: float = float("nan")) -> SpectralRes
 FEM_TOLERANCE = 0.02
 
 
-def _product_bounds():
-    """(tag, eigenvalue index, bound) of each bound on mu_i * area."""
-    from .specfun import mu1_disk, planar_bound
-
-    return (
-        ("szego", 1, mu1_disk() * np.pi),
-        ("two-disk", 2, planar_bound()),
-        ("polya-k2", 2, 8.0 * np.pi),
-    )
-
-
 def bound_checks(result: SpectralResult) -> list[dict]:
-    """mu_1 * area against the first-eigenvalue bound (szego), mu_2 * area
-    against the two-disk bound and the k = 2 tiling bound (polya-k2): tag,
-    value, bound, and whether the value holds within ``FEM_TOLERANCE``."""
-    checks = []
-    for tag, i, bound in _product_bounds():
-        value = result.mu(i) * result.area
-        checks.append({
-            "tag": tag, "value": value, "bound": bound,
-            "holds": bool(value <= bound * (1 + FEM_TOLERANCE)),
-        })
-    return checks
+    """The inequality record of each ``specfun.product_bounds`` bound on
+    ``mu_k * area``, holding within ``FEM_TOLERANCE``."""
+    return [
+        inequality(tag, result.mu(k) * result.area, bound, FEM_TOLERANCE)
+        for tag, k, bound in product_bounds()
+    ]
 
 
 def verify_corpus(specs, h: float = 0.02) -> dict:
     """Sweep a corpus of domain specs and tabulate the eigenvalue products.
 
-    Each row reports mu_1 * area and mu_2 * area with the ``bound_checks``
-    flags ``szego_ok``, ``two_disk_ok`` and ``polya_k2_ok``.  A spec that
-    raises a ``CapfoldError`` lands in ``failures`` without aborting the
-    sweep; any other exception is a bug and propagates.
+    Each row reports mu_1 * area, mu_2 * area, the ``bound_checks`` records
+    under ``inequalities`` and their verdicts as ``szego_ok``,
+    ``two_disk_ok`` and ``polya_k2_ok``.  A spec that raises a
+    ``CapfoldError`` lands in ``failures`` (name -> repr) and ``errors``
+    (name -> exception) without aborting the sweep; any other exception is
+    a bug and propagates.  ``all_ok``: every record holds, no spec failed.
     """
     rows = []
-    failures = {}
+    errors = {}
     for spec in specs:
         name = spec.get("name", spec.get("kind", "domain")) if isinstance(spec, dict) else "conformal"
         try:
@@ -643,21 +627,20 @@ def verify_corpus(specs, h: float = 0.02) -> dict:
                 "mu2": res.mu(2),
                 "mu1_area": checks[0]["value"],
                 "mu2_area": checks[1]["value"],
+                "inequalities": checks,
             }
             for q in checks:
                 row[q["tag"].replace("-", "_") + "_ok"] = q["holds"]
             rows.append(row)
         except CapfoldError as exc:
-            failures[name] = repr(exc)
+            errors[name] = exc
     return {
-        "bounds": {tag: bound for tag, _, bound in _product_bounds()},
+        "bounds": {tag: bound for tag, _, bound in product_bounds()},
         "tolerance": FEM_TOLERANCE,
         "rows": rows,
-        "failures": failures,
-        "all_ok": all(
-            r["szego_ok"] and r["two_disk_ok"] and r["polya_k2_ok"] for r in rows
-        )
-        and not failures,
+        "failures": {name: repr(exc) for name, exc in errors.items()},
+        "errors": errors,
+        "all_ok": all(q["holds"] for r in rows for q in r["inequalities"]) and not errors,
     }
 
 

@@ -9,6 +9,7 @@ conformal pullback it equals the image area).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import numbers
 from dataclasses import dataclass, field
@@ -241,18 +242,11 @@ class ConformalDomain:
         Anything else raises ``InvalidInputError``, numeric strings and
         booleans included: a document holds numbers.
         """
-        try:
-            parts = np.asarray(pairs, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"map coefficients not numeric: {exc}") from None
-        if parts.ndim != 2 or parts.shape[1] != 2:
+        parts = _number_rows(pairs, "map coefficients")
+        if parts.shape[1] != 2:
             raise InvalidInputError(
                 f"map coefficients must be [re, im] pairs, got shape {parts.shape}"
             )
-        for pair in pairs:
-            for value in pair:
-                if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                    raise InvalidInputError(f"map coefficient {value!r} is not a number")
         coeffs = np.empty(len(parts), dtype=complex)
         coeffs.real, coeffs.imag = parts[:, 0], parts[:, 1]
         return cls(coeffs)
@@ -476,6 +470,22 @@ def measure_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
     return max(parts)
 
 
+def _number_rows(rows, what: str) -> np.ndarray:
+    """A document's rows ``[[x, ...], ...]`` as a 2-D float array.  The parsed
+    values are checked before the array is built: anything but equal-length
+    rows of real numbers, numeric strings and booleans included, raises
+    ``InvalidInputError``, since a document holds numbers."""
+    try:
+        kinds = set(map(type, itertools.chain.from_iterable(rows)))
+        if all(issubclass(k, numbers.Real) and not issubclass(k, bool) for k in kinds):
+            table = np.asarray(rows, dtype=float)
+            if table.ndim == 2:
+                return table
+    except (TypeError, ValueError):
+        pass
+    raise InvalidInputError(f"{what} must be equal-length rows of numbers")
+
+
 def measure_to_json(m: DiscreteMeasure) -> str:
     """Versioned JSON document {schema, space, n, atoms: [[x..., w], ...]}."""
     if m.space == "disk":
@@ -505,11 +515,8 @@ def measure_from_json(text: str) -> DiscreteMeasure:
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise InvalidInputError("unsupported measure schema")
     space = doc.get("space")
-    try:
-        atoms = np.asarray(doc["atoms"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"measure atoms missing or not numeric: {exc!r}") from None
-    if atoms.ndim != 2 or atoms.shape[1] < 3 or (space == "disk" and atoms.shape[1] != 3):
+    atoms = _number_rows(doc.get("atoms"), "measure atoms")
+    if atoms.shape[1] < 3 or (space == "disk" and atoms.shape[1] != 3):
         raise InvalidInputError(f"measure atoms have shape {atoms.shape}")
     if space == "disk":
         return DiscreteMeasure(

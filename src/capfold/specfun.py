@@ -4,7 +4,7 @@ Gamma, Bessel J0/J1 and the first positive zero of J1' come from ``math`` and
 ``scipy.special``; on top of them sit the disk radial profile, sphere
 volumes, and the eigenvalue-bound constants built from them.
 ``gauss_legendre`` serves every Gauss-Legendre rule, computed once per node
-count and process.
+count and process.  ``inequality`` is the one record of a checked bound.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ __all__ = [
     "BoundConstants",
     "bound_constants",
     "planar_bound",
+    "product_bounds",
+    "inequality",
 ]
 
 
@@ -196,3 +198,19 @@ def bound_constants(n: int) -> BoundConstants:
 def planar_bound() -> float:
     """Upper bound for mu_2 * Area over simply-connected planar domains: 2 zeta^2 pi."""
     return 2.0 * mu1_disk() * math.pi
+
+
+def product_bounds() -> tuple[tuple[str, int, float], ...]:
+    """(tag, k, bound) of each planar bound ``mu_k * area <= bound``."""
+    return (
+        ("szego", 1, mu1_disk() * math.pi),
+        ("two-disk", 2, planar_bound()),
+        ("polya-k2", 2, 8.0 * math.pi),
+    )
+
+
+def inequality(tag: str, value: float, bound: float, tolerance: float = 0.0) -> dict:
+    """Record of the check ``value <= bound * (1 + tolerance)``; NaN fails."""
+    value, bound = float(value), float(bound)
+    holds = value <= bound * (1.0 + tolerance)
+    return {"tag": tag, "value": value, "bound": bound, "holds": holds}

@@ -83,8 +83,11 @@ def test_numerical_failure_exit_code(tmp_path):
         {"schema": 2, "space": "disk", "n": 1, "atoms": [[0.0, 0.0, 1.0]]},
         {"schema": 1, "space": "disk", "n": 1},
         {"schema": 1, "space": "disk", "n": 1, "atoms": [[2.0, 0.0, 1.0]]},
+        # numeric text and a boolean: read as numbers, these are two atoms
+        {"schema": 1, "space": "disk", "n": 1, "atoms": [["0.5", 0, True], [-0.5, 0, True]]},
+        {"schema": 1, "space": "disk", "n": 1, "atoms": [[0.5, 0, 1], [-0.5, 0]]},
     ],
-    ids=["schema-2", "no-atoms", "atom-outside-disk"],
+    ids=["schema-2", "no-atoms", "atom-outside-disk", "text-and-bool", "ragged"],
 )
 def test_bad_measure_file_exit_code(tmp_path, doc):
     path = tmp_path / "bad.json"
@@ -236,17 +239,62 @@ def test_certify_subcommand(domain_file, tmp_path):
 )
 def test_corpus_bad_specs_exit_code(tmp_path, capsys, specs):
     # a file that is no list is an input error; a bad spec in a list lands
-    # in the report's failures, which fails the sweep
+    # in the report's failures, and with no inequality failed the sweep
+    # exits as that spec's input error would
     spec_file = tmp_path / "specs.json"
     spec_file.write_text(json.dumps(specs))
     code = run(["corpus", str(spec_file), "--h", "0.1"])
     out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:")
     if isinstance(specs, list):
-        assert code == 2
         assert list(json.loads(out)["failures"]) == ["bad"]
-    else:
-        assert code == 1
-        assert err.startswith("error:")
+
+
+def _square_and(spec, tmp_path):
+    path = tmp_path / "specs.json"
+    square = {"kind": "rectangle", "a": 1.0, "b": 1.0, "name": "square"}
+    path.write_text(json.dumps([square, spec]))
+    return str(path)
+
+
+def test_corpus_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a spec whose eigensolve fails decided nothing: numerical failure
+    from capfold import fem
+    from capfold.exceptions import EigSolveError
+
+    solve = fem.neumann_eigs
+
+    def failing_on_disks(mesh, k=2, h=float("nan")):
+        if mesh.area > 2.0:
+            raise EigSolveError("no convergence")
+        return solve(mesh, k=k, h=h)
+
+    monkeypatch.setattr(fem, "neumann_eigs", failing_on_disks)
+    specs = _square_and({"kind": "disk", "name": "disk"}, tmp_path)
+    out = tmp_path / "corpus.json"
+    assert run(["corpus", specs, "--h", "0.1", "--output", str(out)]) == 3
+    doc = json.loads(out.read_text())
+    assert [r["name"] for r in doc["rows"]] == ["square"]
+    assert "EigSolveError" in doc["failures"]["disk"]
+    assert not doc["all_ok"]
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_corpus_failed_row_exits_2_despite_a_failed_spec(tmp_path, monkeypatch):
+    # a violated bound is the sweep's verdict, whatever else failed
+    from capfold import fem
+    from capfold.specfun import product_bounds
+
+    tiny_szego = tuple((t, k, 1e-3 if t == "szego" else b) for t, k, b in product_bounds())
+    monkeypatch.setattr(fem, "product_bounds", lambda: tiny_szego)
+    specs = _square_and({"kind": "heptagon", "name": "bad"}, tmp_path)
+    out = tmp_path / "corpus.json"
+    assert run(["corpus", specs, "--h", "0.1", "--output", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    assert [q["holds"] for q in doc["rows"][0]["inequalities"]] == [False, True, True]
+    assert doc["rows"][0]["szego_ok"] is False
+    assert list(doc["failures"]) == ["bad"]
 
 
 def test_corpus_subcommand(tmp_path):
@@ -446,3 +494,83 @@ def test_scan_csv_output(domain_file, tmp_path, capsys):
     err = capsys.readouterr().err
     side = json.loads(err.strip().splitlines()[-1])
     assert side["gap"] < 1e-3
+
+
+def _report_argvs(tmp_path):
+    measure = tmp_path / "uniform.json"
+    measure.write_text(measure_to_json(disk_quadrature(8, 16)))
+    domain = tmp_path / "disk.json"
+    domain.write_text(json.dumps({"schema": 1, "coeffs": [[1.0, 0.0]]}))
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps([{"kind": "rectangle", "a": 1.0, "b": 1.0}]))
+    return {
+        "constants": ["constants", "--n", "3"],
+        "constants-even": ["constants", "--n", "4"],
+        "renormalize": ["renormalize", str(measure)],
+        "rearrange": ["rearrange", str(measure), "--r", "0.5", "--angle", "0"],
+        "certify": ["certify", str(domain), "--n-r", "16", "--n-theta", "32"],
+        "fem": ["fem", "square", "--h", "0.1"],
+        "corpus": ["corpus", str(specs), "--h", "0.1"],
+        "sphere": ["sphere", "--n", "3", "--resolution", "6"],
+    }
+
+
+REPORT_COMMANDS = [
+    "constants", "constants-even", "renormalize", "rearrange", "certify", "fem",
+    "corpus", "sphere",
+]
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_every_json_report_is_stamped_and_its_records_have_four_keys(tmp_path, command):
+    out = tmp_path / "report.json"
+    assert run(_report_argvs(tmp_path)[command] + ["--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["schema"] == 1
+    assert isinstance(doc["config"], dict)
+    records = doc.get("inequalities", []) + [
+        q for row in doc.get("rows", []) for q in row["inequalities"]
+    ]
+    for q in records:
+        assert set(q) == {"tag", "value", "bound", "holds"}
+        assert q["holds"] is True
+    assert bool(records) == (command not in {"constants-even", "renormalize", "rearrange"})
+
+
+def test_constants_records_the_odd_ratio_window_only(tmp_path):
+    odd, even = tmp_path / "odd.json", tmp_path / "even.json"
+    assert run(["constants", "--n", "3", "--output", str(odd)]) == 0
+    assert run(["constants", "--n", "4", "--output", str(even)]) == 0
+    ratio = json.loads(odd.read_text())["sphere"]["ratio"]
+    assert json.loads(odd.read_text())["inequalities"] == [
+        {"tag": "sphere-ratio-lower", "value": 1.0, "bound": ratio, "holds": True},
+        {"tag": "sphere-ratio-upper", "value": ratio, "bound": 1.04, "holds": True},
+    ]
+    assert json.loads(even.read_text())["inequalities"] == []
+
+
+def test_tiny_bound_makes_fem_exit_2(tmp_path, monkeypatch):
+    from capfold import fem
+
+    monkeypatch.setattr(fem, "product_bounds", lambda: (("two-disk", 2, 1e-3),))
+    out = tmp_path / "fem.json"
+    assert run(["fem", "square", "--h", "0.1", "--output", str(out)]) == 2
+    (record,) = json.loads(out.read_text())["inequalities"]
+    assert record["bound"] == 1e-3 and not record["holds"]
+
+
+def test_tiny_bound_makes_sphere_exit_2(tmp_path, monkeypatch):
+    import dataclasses
+
+    from capfold import bounds
+
+    constants = bounds.bound_constants
+    monkeypatch.setattr(
+        bounds, "bound_constants",
+        lambda n: dataclasses.replace(constants(n), theorem_constant=1e-3),
+    )
+    out = tmp_path / "sphere.json"
+    assert run(["sphere", "--n", "3", "--resolution", "6", "--output", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    assert doc["inequalities"] == [doc["modified_quotient"]["inequality"]]
+    assert not doc["inequalities"][0]["holds"]

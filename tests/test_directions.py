@@ -301,3 +301,17 @@ def test_sphere_cap_search_reports_best_gap_when_every_start_stalls():
     best = info.value
     assert best.best_gap < 1e-8
     assert best.best_gap == direction_form(rearrange(canon, best.best_cap)[0]).gap
+
+
+def test_canonicalize_hands_over_column_major_sphere_atoms():
+    # the rotated atoms come out column-major, as DiscreteMeasure stores
+    # them, and the cap search on draw 11 of the seeded sweep lands where
+    # it did when the rotation was computed row by row
+    canon, _ = canonicalize(list(_seeded_sweep(12))[-1])
+    assert canon.points.flags.f_contiguous
+    cap, gap = sphere_cap_search(canon)
+    assert cap.r == pytest.approx(0.002559699838989003, abs=1e-10)
+    expected = [0.9999804610689743, 0.001786507894853923,
+                -0.005933790632847423, -0.0008221913090658878]
+    assert np.max(np.abs(cap.p - expected)) <= 1e-10
+    assert gap < 1e-10

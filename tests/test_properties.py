@@ -25,6 +25,8 @@ from capfold.exceptions import InvalidInputError  # noqa: E402
 from capfold.measures import DiscreteMeasure, moment_vector_raw, sphere_quadrature  # noqa: E402
 from capfold.moebius import (  # noqa: E402
     _ball_moments,
+    _disk_matrix,
+    _lft,
     ball_moebius,
     disk_moebius,
     disk_moebius_derivative,
@@ -348,6 +350,42 @@ def test_ball_moebius_inverse_is_the_negated_parameter(dim, xi_len, count, seed)
     xi = xi_len * _unit(rng, dim)
     x, _ = _ball_atoms(rng, dim, count)
     assert np.max(np.abs(ball_moebius(-xi, ball_moebius(xi, x)) - x)) <= 1e-12
+
+
+disk_moebius_case = given(
+    xi_len=st.floats(0.0, 0.95),
+    xi_angle=st.floats(0.0, 2.0 * np.pi),
+    eta_len=st.floats(0.0, 0.95),
+    eta_angle=st.floats(0.0, 2.0 * np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _closed_disk_points(rng, count=32):
+    """Uniform disk points and points of the unit circle."""
+    z = np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+    return np.concatenate([z, np.exp(2j * np.pi * rng.uniform(size=count))])
+
+
+@PROPERTY_SETTINGS
+@disk_moebius_case
+def test_disk_moebius_inverse_is_the_negated_parameter(
+    xi_len, xi_angle, eta_len, eta_angle, seed
+):
+    z = _closed_disk_points(np.random.default_rng(seed))
+    for xi in (xi_len * np.exp(1j * xi_angle), eta_len * np.exp(1j * eta_angle)):
+        assert np.max(np.abs(disk_moebius(-xi, disk_moebius(xi, z)) - z)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@disk_moebius_case
+def test_disk_moebius_composition_is_the_matrix_product(
+    xi_len, xi_angle, eta_len, eta_angle, seed
+):
+    z = _closed_disk_points(np.random.default_rng(seed))
+    xi, eta = xi_len * np.exp(1j * xi_angle), eta_len * np.exp(1j * eta_angle)
+    composed, _ = _lft(_disk_matrix(eta) @ _disk_matrix(xi), z)
+    assert np.max(np.abs(disk_moebius(eta, disk_moebius(xi, z)) - composed)) <= 1e-12
 
 
 @pytest.mark.parametrize("n, res", [(3, 16), (5, 8)])

@@ -213,3 +213,36 @@ def test_gauss_legendre_is_cached_and_read_only():
         x[0] = 0.0
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the inequality record and the planar product bounds
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tolerance", [0.0, 0.02])
+def test_inequality_holds_at_equality_and_fails_just_above(tolerance):
+    bound = 3.0
+    edge = bound * (1.0 + tolerance)
+    at = specfun.inequality("t", edge, bound, tolerance)
+    assert at == {"tag": "t", "value": edge, "bound": bound, "holds": True}
+    above = specfun.inequality("t", np.nextafter(edge, np.inf), bound, tolerance)
+    assert above["holds"] is False
+
+
+def test_inequality_nan_never_holds():
+    assert specfun.inequality("t", float("nan"), 1.0, 1.0)["holds"] is False
+    assert specfun.inequality("t", 0.0, float("nan"))["holds"] is False
+
+
+def test_inequality_record_is_plain_json():
+    record = specfun.inequality("t", np.float64(1.0), np.float64(2.0))
+    assert [type(v) for v in record.values()] == [str, float, float, bool]
+
+
+def test_product_bounds():
+    bounds = {tag: (k, b) for tag, k, b in specfun.product_bounds()}
+    assert bounds == {
+        "szego": (1, specfun.mu1_disk() * math.pi),
+        "two-disk": (2, specfun.planar_bound()),
+        "polya-k2": (2, 8.0 * math.pi),
+    }
