@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .exceptions import (
     EvaluationOutsideCapError,
@@ -99,12 +98,12 @@ def cap_contains(cap: Cap, x) -> np.ndarray:
     return cap.height * (1.0 + _sq_norm(x)) <= 2.0 * _dot(x, cap.p)
 
 
-def _inversion(cap: Cap, x):
+def _inversion(cap: Cap, x, sq=None, dot=None):
     # 1 - h^2 and 1 - |h| from r, without the cancellation near |h| = 1
     r = cap.r
     a = ((1.0 - r) * (1.0 + r) / (1.0 + r * r)) ** 2
     t = (1.0 - abs(r)) ** 2 / (1.0 + r * r)
-    return (a,) + _inversion_terms(x, cap.height, cap.p, a, t)
+    return (a,) + _inversion_terms(x, cap.height, cap.p, a, t, sq, dot)
 
 
 def cap_reflection(cap: Cap, x):
@@ -152,14 +151,44 @@ def fold_measure(m: DiscreteMeasure, cap: Cap) -> DiscreteMeasure:
 
 
 def _fold_points(cap: Cap, x) -> np.ndarray:
-    # the outside atoms are picked and written back through the transpose,
-    # which holds column-major sphere atoms as contiguous rows (a no-op on
-    # the disk's 1-D array)
     x = _points(cap, x)
-    out = ~cap_contains(cap, x)
-    folded = x.copy(order="K")
-    folded.T[..., out] = cap_reflection(cap, np.compress(out, x.T, axis=-1).T).T
-    return folded
+    sq, dot = _sq_norm(x), _dot(x, cap.p)
+    out = cap.height * (1.0 + sq) > 2.0 * dot  # the negation of cap_contains
+    if x.ndim == 1 or 4 * np.count_nonzero(out) < len(x):
+        # few atoms outside (and every disk fold): reflect just those, picked
+        # and written back through the transpose, which holds column-major
+        # sphere atoms as contiguous rows (a no-op on the disk's 1-D array)
+        moving = np.compress(out, x.T, axis=-1).T
+        a, c, d = _inversion(cap, moving, sq[out], dot[out])
+        folded = x.copy(order="K")
+        folded.T[..., out] = _scaled_sum(a / d, moving, c / d, cap.p).T
+        return folded
+    # most atoms outside: one pass over all of them writes the result once,
+    # column-major like x, with scale 1 and shift 0 inside the cap
+    a, c, d = _inversion(cap, x, sq, dot)
+    return _scaled_sum(np.where(out, a / d, 1.0), x, np.where(out, c / d, 0.0), cap.p)
+
+
+def _rotation_to_e1(direction: np.ndarray) -> np.ndarray:
+    """Orthogonal matrix sending ``direction`` to the first basis vector."""
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+    n = len(d)
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    v = d - e1
+    nv = np.linalg.norm(v)
+    if nv < 1e-14:
+        return np.eye(n)
+    v = v / nv
+    return np.eye(n) - 2.0 * np.outer(v, v)  # Householder swaps d and e1
+
+
+def _tangent_frame(p) -> np.ndarray:
+    """Orthonormal basis of the tangent space of the unit sphere at ``p``, as
+    rows: rows 1..n of the symmetric ``_rotation_to_e1(p)``, whose row 0 is
+    p."""
+    return _rotation_to_e1(p)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +235,7 @@ def image_cap(cap: Cap, xi) -> Cap:
     perp = xi - along * p
     across = float(np.linalg.norm(perp))
     # q completes the frame; when xi is parallel to p any q orthogonal to p does
-    q = perp / across if across > 0.0 else null_space(p[None, :])[:, 0]
+    q = perp / across if across > 0.0 else _tangent_frame(p)[0]
     b = image_cap(Cap(cap.r, 1.0, "disk"), complex(along, across))
     return Cap(b.r, b.p.real * p + b.p.imag * q, "sphere")
 

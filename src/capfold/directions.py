@@ -9,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
-from .caps import Cap, rearrange
+from .caps import Cap, _rotation_to_e1, _tangent_frame, rearrange
 from .exceptions import (
     CapScanError,
     DegenerateFieldError,
@@ -20,7 +19,7 @@ from .exceptions import (
     ZeroMassError,
 )
 from .measures import DirectionForm, DiscreteMeasure, direction_form
-from .moebius import _disk_matrix, _lft, renormalize
+from .moebius import _disk_matrix, _lft, _scaled_sum, renormalize
 
 __all__ = [
     "Classification",
@@ -89,21 +88,6 @@ class CanonicalMap:
             return base_density(w) * np.abs(der) ** 2
 
         return dens
-
-
-def _rotation_to_e1(direction: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix sending ``direction`` to the first basis vector."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    n = len(d)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    v = d - e1
-    nv = np.linalg.norm(v)
-    if nv < 1e-14:
-        return np.eye(n)
-    v = v / nv
-    return np.eye(n) - 2.0 * np.outer(v, v)  # Householder swaps d and e1
 
 
 def canonicalize(m: DiscreteMeasure) -> tuple[DiscreteMeasure, CanonicalMap]:
@@ -315,10 +299,9 @@ def winding_diagnostic(
 # the multiple-cap solver shared by the disk scan and the sphere search
 # ---------------------------------------------------------------------------
 
-def _cap_trace(m: DiscreteMeasure, r: float, p, start=None):
+def _cap_rearrange(m: DiscreteMeasure, r: float, p, start=None):
     cap = Cap(float(r), p, m.space)
-    _, trace = rearrange(m, cap, start=start)
-    return cap, trace
+    return (cap,) + rearrange(m, cap, start=start)
 
 
 def _tangents(p) -> np.ndarray:
@@ -326,7 +309,7 @@ def _tangents(p) -> np.ndarray:
     tangent i p) or of the unit sphere (rows)."""
     if np.iscomplexobj(p):
         return np.array([1j * p])
-    return null_space(p[None, :]).T
+    return _tangent_frame(p)
 
 
 def _compressed_traceless(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -336,24 +319,160 @@ def _compressed_traceless(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.array([c[0, 0] - c[1, 1], 2.0 * c[0, 1]]) / (c[0, 0] + c[1, 1])
 
 
+def _difference_jacobian(m, cap, moved, trace, basis, f, tangents):
+    """Forward-difference Jacobian (step 1e-5) of ``_compressed_traceless``
+    on ``basis`` in r and the ``tangents`` of p: one rearrangement per
+    column, each started at the current cap's ``xi_a``, a Newton step or
+    two from the nearby cap's balancing point.  ``moved`` (the current
+    cap's rearranged measure) is not needed."""
+    h = 1e-5
+    trials = [(cap.r + h, cap.p)] + [
+        (cap.r, (cap.p + h * t) / np.linalg.norm(cap.p + h * t)) for t in tangents
+    ]
+    return np.column_stack([
+        (_compressed_traceless(
+            _cap_rearrange(m, rk, pk, trace.xi_a)[2].form.matrix, basis
+        ) - f) / h
+        for rk, pk in trials
+    ])
+
+
+def _sphere_cap_jacobian(m, cap, moved, trace, basis, f, tangents):
+    """Closed-form Jacobian of ``_compressed_traceless`` on ``basis`` in r
+    and the ``tangents`` of p, for a sphere cap whose rearrangement of
+    ``m`` is ``moved``; no trial measure is built.
+
+    Each parameter moves the folded atoms y = (a x + c p) / d outside the
+    cap (``moebius._inversion_terms``; on the sphere c = 2 (h - (x, p)))
+    by dy = (da x + dc p - dd y) / d, through h = 2r/(1+r^2) for r, and
+    leaves the atoms inside where they are.  The balancing point moves by
+    dxi = -J^-1 sum w D_y phi[dy], with J = sum w D_xi phi the ball
+    Jacobian, and the moved atoms M = phi_xi(y) by
+    dM = D_y phi[dy] + D_xi phi[dxi], where, with s = |xi|^2,
+    Dn = 1 + 2 (xi, y) + s and atoms on the sphere (|y| = 1, (y, dy) = 0),
+
+        D_y phi[e]  = ((1 - s) e + 2 (xi, e) (xi - M)) / Dn,
+        D_xi phi[g] = (-2 (xi, g) y + 2 (g, y) xi + 2 (1 + (xi, y)) g
+                       - 2 M ((g, y) + (xi, g))) / Dn.
+
+    The compressed form moves by dC = 2 sym(sum w (U^T dM)(U^T M)^T), so
+    dy enters only through its coordinates along U and xi, and every sum
+    over the atoms is a product of the atoms with a few vectors.
+    """
+    x, w = m.points, m.weights
+    p, h, r = cap.p, cap.height, cap.r
+    xi = np.asarray(trace.xi_a, dtype=float)
+    s = float(xi @ xi)
+    dim, n_atoms = len(xi), len(w)
+    # atoms as columns (contiguous rows of the column-major measures), and
+    # their coordinates along U_0, U_1, xi, p and the tangents
+    xt, mt = x.T, moved.points.T
+    frame = np.column_stack([basis, xi])
+    xb = np.column_stack([frame, p, tangents.T]).T @ xt
+    xv, xp = xb[:3], xb[3]
+    # the fold, from (x, p) alone: outside the cap, scale a/d and shift c/d
+    a = (1.0 - h) * (1.0 + h)
+    c = 2.0 * (h - xp)
+    out = c > 0.0
+    inv = out / (a + h * c)
+    ce, xe = c * inv, xb[4:] * inv
+    y = _scaled_sum(np.where(out, a * inv, 1.0), x, ce, p)
+    yt = y.T
+    pv, ev = frame.T @ p, frame.T @ tangents.T
+    yv = frame.T @ yt
+    omega = w / (1.0 + 2.0 * yv[2] + s)
+    # (v, dy) for v = U_0, U_1, xi (first index) and each parameter (second):
+    # dy = dh (-2 h x + 2 p - c y) / d along r (dd/dh = 2 h - 2 (x, p) = c),
+    # dy = (x, e_k) (2 h y - 2 p) / d + c e_k / d along a tangent e_k
+    # (dc = -2 (x, e_k), dd = h dc), and dy = 0 inside the cap
+    dh = 2.0 * (1.0 - r * r) / (1.0 + r * r) ** 2
+    vdy = np.empty((3, len(tangents) + 1, n_atoms))
+    vdy[:, 0] = dh * inv * (2.0 * pv[:, None] - c * yv - 2.0 * h * xv)
+    np.multiply((2.0 * (h * yv - pv[:, None]))[:, None], xe, out=vdy[:, 1:])
+    vdy[:, 1:] += ev[:, :, None] * ce
+    proj = basis.T @ mt
+    wp = omega * proj
+    feats = np.vstack([wp, (proj[:, None] * wp).reshape(4, -1)])
+    sums = (vdy.reshape(-1, n_atoms) @ np.vstack([omega, feats]).T).reshape(3, -1, 7)
+    # the balancing point: dxi = -J^-1 sum w D_y phi[dy], one column each
+    y_sums = yt @ np.vstack([omega, omega * ce, omega * xe]).T
+    sum_dy = np.column_stack([
+        dh * (2.0 * (omega @ inv) * p - 2.0 * h * (xt @ (omega * inv)) - y_sums[:, 1]),
+        2.0 * h * y_sums[:, 2:] - 2.0 * np.outer(p, xe @ omega)
+        + tangents.T * (omega @ ce),
+    ])
+    pull = (
+        (1.0 - s) * sum_dy + 2.0 * np.outer(xi, sums[2, :, 0])
+        - 2.0 * mt @ (vdy[2] * omega).T
+    )
+    jac = (
+        2.0 * (omega @ (1.0 + yv[2])) * np.eye(dim)
+        + 2.0 * (np.outer(xi, y_sums[:, 0]) - np.outer(y_sums[:, 0] + mt @ omega, xi))
+        - 2.0 * (mt * omega) @ y
+    )
+    g = -np.linalg.solve(jac, pull)
+    gv = frame.T @ g
+    # half[k, j, l] = sum w (U_j, dM_k) (U_l, M); with z = (xi, dy) + (g, y),
+    # Dn (U_j, dM) = (1 - s) (U_j, dy) + 2 (U_j, xi) z - 2 (U_j, M) (z + (xi, g))
+    #                - 2 (xi, g) (U_j, y) + 2 (1 + (xi, y)) (U_j, g)
+    z = sums[2, :, 1:] + g.T @ (yt @ feats.T)
+    half = (
+        (1.0 - s) * sums[:2, :, 1:3].transpose(1, 0, 2)
+        + 2.0 * (basis.T @ xi)[None, :, None] * z[:, None, :2]
+        - 2.0 * z[:, 2:].reshape(-1, 2, 2)
+        - 2.0 * gv[2][:, None, None] * (feats[2:].sum(axis=1).reshape(2, 2) + yv[:2] @ wp.T)
+        + 2.0 * gv[:2].T[:, :, None] * ((1.0 + yv[2]) @ wp.T)
+    )
+    dc = half + half.transpose(0, 2, 1)
+    mat = trace.form.matrix
+    trace_c = float(basis[:, 0] @ mat @ basis[:, 0] + basis[:, 1] @ mat @ basis[:, 1])
+    dtr = dc[:, 0, 0] + dc[:, 1, 1]
+    return np.vstack([
+        dc[:, 0, 0] - dc[:, 1, 1] - f[0] * dtr,
+        2.0 * dc[:, 0, 1] - f[1] * dtr,
+    ]) / trace_c
+
+
+def _line_search(m, cap, trace, step, tangents):
+    """Halve ``step`` up to five times until the cap it reaches has a
+    smaller gap than ``trace``; returns that cap with its rearrangement, or
+    None."""
+    gap = trace.form.gap
+    for lam in 0.5 ** np.arange(6):
+        r_new = cap.r + lam * step[0]
+        if abs(r_new) >= 0.95:
+            # the fold and the transport keep sphere atoms on the sphere
+            # to about 1e-11 up to r = 0.98, but the balancing solve does
+            # not keep up: at r = 0.98 its Newton stage stalls near the
+            # boundary on 1 of 6 seeded S^3 res-16 caps
+            continue
+        p_new = cap.p + lam * (step[1:] @ tangents)
+        found = _cap_rearrange(m, r_new, p_new / np.linalg.norm(p_new), trace.xi_a)
+        if found[2].form.gap < gap:
+            return found
+    return None
+
+
 def _gauss_newton(m: DiscreteMeasure, start: Cap):
     """Min-norm Gauss-Newton for a multiple cap, started at ``start``.
 
     Unknowns are r and a tangent step of p (one on the disk, n on the
     n-sphere), retracted onto the circle or sphere; the residual is
     ``_compressed_traceless`` on the top-2 eigenspace picked at the current
-    cap and held fixed for the step (on the disk the whole plane).  The
-    Jacobian is a forward difference, so a step costs 1 + (n+1)
-    rearrangements plus its line search.  Each of these starts its
-    balancing solve at the current cap's ``xi_a``, a Newton step or two from
-    the nearby cap's balancing point; that point is unique, so the start
-    moves the solve's result by no more than its tolerance.  Stops at gap
-    1e-10, after 20 steps, or when no halving of the step lowers the gap.
-    Returns the final cap and the direction form of a cold ``rearrange``
-    of it, so its gap is exactly recomputable.
+    cap and held fixed for the step (on the disk the whole plane).  On the
+    sphere the Jacobian is closed form (``_sphere_cap_jacobian``), so a step
+    costs one rearrangement plus that Jacobian; on the disk it is a forward
+    difference (``_difference_jacobian``), and a step costs 1 + 2
+    rearrangements.  Line-search halvings cost one rearrangement each.
+    Every rearrangement starts its balancing solve at the current cap's
+    ``xi_a``; that point is unique, so the start moves the solve's result
+    by no more than its tolerance.  When no halving of a closed-form step
+    lowers the gap, one forward-difference step is tried before the solver
+    gives up.  Stops at gap 1e-10, after 20 steps, or when no halving of the
+    step lowers the gap.  Returns the final cap and the direction form of a
+    cold ``rearrange`` of it, so its gap is exactly recomputable.
     """
-    h = 1e-5
-    cap, trace = start, rearrange(m, start)[1]
+    cap, moved, trace = (start,) + rearrange(m, start)
     warm = False
     for _ in range(20):
         form = trace.form
@@ -362,34 +481,17 @@ def _gauss_newton(m: DiscreteMeasure, start: Cap):
         basis = np.linalg.eigh(form.matrix)[1][:, -2:]
         f = _compressed_traceless(form.matrix, basis)
         tangents = _tangents(cap.p)
-        trials = [(cap.r + h, cap.p)] + [
-            (cap.r, (cap.p + h * t) / np.linalg.norm(cap.p + h * t))
-            for t in tangents
-        ]
-        jac = np.column_stack([
-            (_compressed_traceless(
-                _cap_trace(m, rk, pk, trace.xi_a)[1].form.matrix, basis
-            ) - f) / h
-            for rk, pk in trials
-        ])
-        step = -np.linalg.pinv(jac) @ f
-        for lam in 0.5 ** np.arange(6):
-            r_new = cap.r + lam * step[0]
-            if abs(r_new) >= 0.95:
-                # the fold and the transport keep sphere atoms on the sphere
-                # to about 1e-11 up to r = 0.98, but the balancing solve does
-                # not keep up: at r = 0.98 its Newton stage stalls near the
-                # boundary on 1 of 6 seeded S^3 res-16 caps
-                continue
-            p_new = cap.p + lam * (step[1:] @ tangents)
-            cand, cand_trace = _cap_trace(
-                m, r_new, p_new / np.linalg.norm(p_new), trace.xi_a
-            )
-            if cand_trace.form.gap < form.gap:
-                cap, trace, warm = cand, cand_trace, True
+        jacobians = (_difference_jacobian,)
+        if m.space == "sphere":
+            jacobians = (_sphere_cap_jacobian,) + jacobians
+        for jacobian in jacobians:
+            jac = jacobian(m, cap, moved, trace, basis, f, tangents)
+            found = _line_search(m, cap, trace, -np.linalg.pinv(jac) @ f, tangents)
+            if found is not None:
                 break
         else:
             break
+        (cap, moved, trace), warm = found, True
     if warm:
         trace = rearrange(m, cap)[1]
     return cap, trace.form
@@ -423,7 +525,9 @@ def sphere_cap_search(
 
     Solves for a zero of the traceless part of the direction form,
     compressed onto its top-2 eigenspace, by min-norm Gauss-Newton over the
-    cap parameters (``_gauss_newton``, shared with ``scan_caps``).  The
+    cap parameters (``_gauss_newton``, shared with ``scan_caps``).  Each
+    step costs one rearrangement plus the closed-form Jacobian
+    (``_sphere_cap_jacobian``), and each line-search halving one more.  The
     first start is the hemisphere r = 0 around the top eigenvector of
     ``direction_form(m)`` (e1 for a canonicalized measure).  If that stalls
     at gap ``eps`` or above, the search restarts from r = +-0.3 around the
@@ -493,7 +597,7 @@ def _orientation_sign(p, q):
     """Orientation sign of psi(p) = 2 p0 p - e1 at its preimage p of q: the
     sign of its Jacobian between the frames (p, tangents) and (q, images).
     psi's derivative along a tangent t is exactly 2 t0 p + 2 p0 t."""
-    basis_p = null_space(p[None, :]).T
+    basis_p = _tangent_frame(p)
     cols = [2.0 * t[0] * p + 2.0 * p[0] * t for t in basis_p]
     det_source = np.linalg.det(np.column_stack([p] + list(basis_p)))
     det_target = np.linalg.det(np.column_stack([q] + cols))

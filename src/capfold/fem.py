@@ -608,12 +608,20 @@ def verify_corpus(specs, h: float = 0.02) -> dict:
     ``two_disk_ok`` and ``polya_k2_ok``.  A spec that raises a
     ``CapfoldError`` lands in ``failures`` (name -> repr) and ``errors``
     (name -> exception) without aborting the sweep; any other exception is
-    a bug and propagates.  ``all_ok``: every record holds, no spec failed.
+    a bug and propagates.  A name that an earlier spec already used gets
+    the first free count (``disk``, ``disk#2``, ...), so every row and
+    failure keeps its own key.  ``all_ok``: every record holds, no spec failed.
     """
     rows = []
     errors = {}
+    used = set()
     for spec in specs:
-        name = spec.get("name", spec.get("kind", "domain")) if isinstance(spec, dict) else "conformal"
+        base = spec.get("name", spec.get("kind", "domain")) if isinstance(spec, dict) else "conformal"
+        name, count = base, 1
+        while name in used:
+            count += 1
+            name = f"{base}#{count}"
+        used.add(name)
         try:
             spec_h = spec.get("h", h) if isinstance(spec, dict) else h
             mesh = build_mesh(spec, spec_h)

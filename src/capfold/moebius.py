@@ -97,7 +97,7 @@ def _scaled_sum(s, x, t, p):
     return out
 
 
-def _inversion_terms(x, h: float, p, a: float, t: float):
+def _inversion_terms(x, h: float, p, a: float, t: float, sq=None, dot=None):
     """Terms c and d of the inversion in the circle or sphere orthogonal to
     the unit sphere through {(x, p) = h}, |h| < 1 (``reflection`` at h = 0):
 
@@ -105,7 +105,8 @@ def _inversion_terms(x, h: float, p, a: float, t: float):
                                 d = |h x - p|^2 = a + h c.
 
     Disk points are complex, sphere points rows; the caller passes a and
-    t = 1 - |h| computed without cancellation.  Near the centre p/h the map
+    t = 1 - |h| computed without cancellation, and may pass |x|^2 and
+    (x, p) as ``sq`` and ``dot`` if it has them.  Near the centre p/h the map
     stretches by up to (1 + |h|)/(1 - |h|), so for |h| >= 1/2 both terms are
     written in w = x - sign(h) p, which is small there:
 
@@ -114,7 +115,9 @@ def _inversion_terms(x, h: float, p, a: float, t: float):
     where no term of d is negative, since sign(h) (w, p) <= 0 in the ball.
     """
     if abs(h) < 0.5:
-        c = h * (1.0 + _sq_norm(x)) - 2.0 * _dot(x, p)
+        sq = _sq_norm(x) if sq is None else sq
+        dot = _dot(x, p) if dot is None else dot
+        c = h * (1.0 + sq) - 2.0 * dot
         return c, a + h * c
     sign = np.copysign(1.0, h)
     w = x - sign * p

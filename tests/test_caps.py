@@ -19,6 +19,8 @@ from capfold.caps import (
     reflection_renormalizer,
     subharmonic_diagnostics,
     _cap_corners,
+    _fold_points,
+    _tangent_frame,
 )
 from capfold.exceptions import EvaluationOutsideCapError, GridMismatchError
 from capfold.measures import (
@@ -185,6 +187,53 @@ def test_fold_matches_high_resolution_oracle():
     d_base = measure_distance(base, oracle)
     assert d_mid < 1e-6
     assert d_base < 1e-5 and d_mid < d_base
+
+
+@pytest.mark.parametrize("r", [-0.9, -0.45, -0.2, 0.0, 0.2, 0.45, 0.9])
+def test_sphere_fold_reflects_exactly_the_outside_atoms(rng, r):
+    # few atoms outside (r < 0) and most atoms outside (r > 0) take
+    # different paths; both keep the inside atoms bitwise and the layout,
+    # and reflect the others up to the rounding of the row sums, which
+    # follows the memory layout
+    x = sphere_quadrature(3, resolution=8).points
+    p = rng.normal(size=4)
+    cap = Cap(r, p / np.linalg.norm(p), "sphere")
+    folded = _fold_points(cap, x)
+    inside = cap_contains(cap, x)
+    assert folded.flags.f_contiguous
+    assert np.array_equal(folded[inside], x[inside])
+    assert np.max(np.abs(folded[~inside] - cap_reflection(cap, x[~inside])), initial=0.0) <= 1e-14
+
+
+def test_disk_fold_writes_the_reflected_atoms_bitwise(rng):
+    x = disk_quadrature(12, 24).points
+    for r in (-0.6, 0.0, 0.6):
+        cap = Cap(r, np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        out = ~cap_contains(cap, x)
+        expected = x.copy()
+        expected[out] = cap_reflection(cap, x[out])
+        assert np.array_equal(_fold_points(cap, x), expected)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_tangent_frame_is_an_orthonormal_basis_of_the_tangent_space(rng, n):
+    for p in [rng.normal(size=n + 1) for _ in range(5)] + [np.eye(n + 1)[0], -np.eye(n + 1)[0]]:
+        p = p / np.linalg.norm(p)
+        frame = _tangent_frame(p)
+        assert frame.shape == (n, n + 1)
+        assert np.max(np.abs(frame @ frame.T - np.eye(n))) < 1e-14
+        assert np.max(np.abs(frame @ p)) < 1e-14
+
+
+def test_image_cap_sphere_xi_parallel_to_p():
+    # with xi along p the image cap stays centred on the axis of p, however
+    # the frame completes it
+    p = np.array([0.0, 0.6, 0.0, 0.8])
+    for along in (-0.4, 0.3):
+        img = image_cap(Cap(0.2, p, "sphere"), along * p)
+        flat = image_cap(Cap(0.2, 1.0, "disk"), complex(along, 0.0))
+        assert img.r == pytest.approx(flat.r, abs=1e-14)
+        assert np.max(np.abs(img.p - flat.p.real * p)) < 1e-14
 
 
 # ------------------------------------------------------------- cap-to-disk

@@ -251,6 +251,22 @@ def test_corpus_bad_specs_exit_code(tmp_path, capsys, specs):
         assert list(json.loads(out)["failures"]) == ["bad"]
 
 
+def test_corpus_reports_both_failures_of_two_disk_specs(tmp_path, capsys):
+    # both failed disk specs are reported; the first one's input error
+    # sets the exit code
+    spec_file = tmp_path / "specs.json"
+    spec_file.write_text(json.dumps([
+        {"kind": "disk", "radius": -1.0}, {"kind": "disk", "radius": None},
+    ]))
+    code = run(["corpus", str(spec_file), "--h", "0.1"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:")
+    failures = json.loads(out)["failures"]
+    assert list(failures) == ["disk", "disk#2"]
+    assert failures["disk"] != failures["disk#2"]
+
+
 def _square_and(spec, tmp_path):
     path = tmp_path / "specs.json"
     square = {"kind": "rectangle", "a": 1.0, "b": 1.0, "name": "square"}

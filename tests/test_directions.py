@@ -4,9 +4,14 @@ winding counts, and the sphere degree diagnostics."""
 import numpy as np
 import pytest
 
+from capfold import directions
 from capfold.caps import Cap, fold_measure, rearrange
 from capfold.directions import (
+    _cap_rearrange,
+    _compressed_traceless,
     _loop_rotation,
+    _sphere_cap_jacobian,
+    _tangents,
     canonicalize,
     classify,
     sphere_cap_search,
@@ -178,6 +183,13 @@ def test_sphere_degree_check_n5():
     assert out == {"deg_psi": 2, "deg_phi": 4}
 
 
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_sphere_degree_check_any_tangent_frame(n):
+    # the sign product does not depend on the orientation of the frames
+    for seed in range(3):
+        assert sphere_degree_check(n, n_targets=3, seed=seed) == {"deg_psi": 2, "deg_phi": 4}
+
+
 def test_sphere_degree_check_even_rejected():
     with pytest.raises(EvenDimensionError):
         sphere_degree_check(2)
@@ -197,10 +209,10 @@ def test_sphere_cap_search_finds_small_gap():
     assert gap < 1e-3
 
 
-def _sphere_density_measure(resolution, density):
+def _sphere_density_measure(resolution, density, n=3):
     from capfold.measures import DiscreteMeasure
 
-    g = sphere_quadrature(3, resolution=resolution)
+    g = sphere_quadrature(n, resolution=resolution)
     m = DiscreteMeasure("sphere", g.points, g.weights * density(g.points))
     return m.scaled(1.0 / m.total_mass)
 
@@ -305,13 +317,85 @@ def test_sphere_cap_search_reports_best_gap_when_every_start_stalls():
 
 def test_canonicalize_hands_over_column_major_sphere_atoms():
     # the rotated atoms come out column-major, as DiscreteMeasure stores
-    # them, and the cap search on draw 11 of the seeded sweep lands where
-    # it did when the rotation was computed row by row
+    # them, and the cap search on draw 11 of the seeded sweep lands on a
+    # fixed cap of its 2-dimensional set of multiple caps (the one the
+    # closed-form Gauss-Newton steps reach)
     canon, _ = canonicalize(list(_seeded_sweep(12))[-1])
     assert canon.points.flags.f_contiguous
     cap, gap = sphere_cap_search(canon)
-    assert cap.r == pytest.approx(0.002559699838989003, abs=1e-10)
-    expected = [0.9999804610689743, 0.001786507894853923,
-                -0.005933790632847423, -0.0008221913090658878]
+    assert cap.r == pytest.approx(0.0028173751677452313, abs=1e-10)
+    expected = [0.9999814697647781, 0.001736708851957376,
+                -0.005783101835224685, -0.0007744046752968247]
     assert np.max(np.abs(cap.p - expected)) <= 1e-10
     assert gap < 1e-10
+
+
+@pytest.mark.parametrize("n, resolution", [(3, 10), (5, 6)])
+def test_sphere_cap_jacobian_matches_central_differences(n, resolution):
+    # r in {-0.6, 0.7} folds with the w-form of the inversion terms,
+    # r in {-0.2, 0.3} with the direct one
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=n + 1)
+    a *= 0.3 / np.linalg.norm(a)
+    canon, _ = canonicalize(_sphere_density_measure(
+        resolution, lambda x: 1.0 + x @ a + 0.1 * x[:, 0] ** 2, n=n
+    ))
+    p = rng.normal(size=n + 1)
+    p /= np.linalg.norm(p)
+    tangents = _tangents(p)
+    step = 1e-6
+    for r in (-0.6, -0.2, 0.3, 0.7):
+        cap = Cap(r, p, "sphere")
+        nu, trace = rearrange(canon, cap)
+        basis = np.linalg.eigh(trace.form.matrix)[1][:, -2:]
+        f = _compressed_traceless(trace.form.matrix, basis)
+        jac = _sphere_cap_jacobian(canon, cap, nu, trace, basis, f, tangents)
+
+        def residual(dr, dp):
+            moved = _cap_rearrange(canon, r + dr, (p + dp) / np.linalg.norm(p + dp))
+            return _compressed_traceless(moved[2].form.matrix, basis)
+
+        central = np.column_stack(
+            [(residual(step, 0.0) - residual(-step, 0.0)) / (2.0 * step)]
+            + [(residual(0.0, step * t) - residual(0.0, -step * t)) / (2.0 * step)
+               for t in tangents]
+        )
+        assert np.max(np.abs(jac - central)) <= 1e-6 * np.max(np.abs(central))
+
+
+def test_sphere_cap_search_rearranges_at_most_twelve_times(monkeypatch):
+    # draw 11 of the seeded sweep took 29 rearrangements when every step
+    # paid n+1 more for a forward-difference Jacobian
+    canon, _ = canonicalize(list(_seeded_sweep(12))[-1])
+    calls = []
+    cold = directions.rearrange
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return cold(*args, **kwargs)
+
+    monkeypatch.setattr(directions, "rearrange", counted)
+    _, gap = sphere_cap_search(canon)
+    assert gap < 1e-10
+    assert len(calls) <= 12
+
+
+def test_sphere_cap_search_falls_back_to_a_difference_step(monkeypatch):
+    # a closed-form Jacobian of the wrong sign sends every step uphill, so
+    # each line search fails and the forward-difference step that follows
+    # is what reaches the multiple cap
+    canon, _ = canonicalize(list(_seeded_sweep(12))[-1])
+    closed = directions._sphere_cap_jacobian
+    difference = directions._difference_jacobian
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(args[1])
+        return difference(*args)
+
+    monkeypatch.setattr(directions, "_sphere_cap_jacobian", lambda *args: -closed(*args))
+    monkeypatch.setattr(directions, "_difference_jacobian", counted)
+    cap, gap = sphere_cap_search(canon)
+    assert len(fallbacks) >= 2
+    assert gap < 1e-8
+    assert gap == direction_form(rearrange(canon, cap)[0]).gap

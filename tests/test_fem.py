@@ -478,6 +478,29 @@ def test_corpus_collects_capfold_errors():
     assert not report["all_ok"]
 
 
+def test_corpus_keeps_every_failure_of_a_repeated_name():
+    # two failing disk specs: each error is kept under its own key, and a
+    # count that another spec already names is skipped
+    specs = [
+        {"kind": "rectangle", "a": 1.0, "b": 1.0, "name": "disk#2"},
+        {"kind": "disk", "radius": -1.0},
+        {"kind": "disk", "radius": None},
+    ]
+    report = verify_corpus(specs, h=0.1)
+    assert list(report["failures"]) == ["disk", "disk#3"]
+    assert list(report["errors"]) == ["disk", "disk#3"]
+    assert "radius" in str(report["errors"]["disk"])
+    assert report["errors"]["disk"] is not report["errors"]["disk#3"]
+    assert [r["name"] for r in report["rows"]] == ["disk#2"]
+
+
+def test_corpus_rows_of_a_repeated_name_get_counts():
+    square = {"kind": "rectangle", "a": 1.0, "b": 1.0, "name": "square"}
+    report = verify_corpus([square, square, square], h=0.1)
+    assert [r["name"] for r in report["rows"]] == ["square", "square#2", "square#3"]
+    assert not report["failures"]
+
+
 @pytest.mark.parametrize(
     "spec",
     [
