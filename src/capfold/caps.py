@@ -154,17 +154,19 @@ def _fold_points(cap: Cap, x) -> np.ndarray:
     x = _points(cap, x)
     sq, dot = _sq_norm(x), _dot(x, cap.p)
     out = cap.height * (1.0 + sq) > 2.0 * dot  # the negation of cap_contains
-    if x.ndim == 1 or 4 * np.count_nonzero(out) < len(x):
-        # few atoms outside (and every disk fold): reflect just those, picked
-        # and written back through the transpose, which holds column-major
-        # sphere atoms as contiguous rows (a no-op on the disk's 1-D array)
-        moving = np.compress(out, x.T, axis=-1).T
-        a, c, d = _inversion(cap, moving, sq[out], dot[out])
+    if x.ndim == 1 or 3 * np.count_nonzero(out) < len(x):
+        # under a third of the atoms outside (and every disk fold): reflect
+        # just those, picked and written back through the transpose, which
+        # holds column-major sphere atoms as contiguous rows (a no-op on the
+        # disk's 1-D array); the test's arrays go first, since a fresh
+        # allocation costs more than reusing freed memory
+        del sq, dot
         folded = x.copy(order="K")
-        folded.T[..., out] = _scaled_sum(a / d, moving, c / d, cap.p).T
+        folded.T[..., out] = cap_reflection(cap, np.compress(out, x.T, axis=-1).T).T
         return folded
-    # most atoms outside: one pass over all of them writes the result once,
-    # column-major like x, with scale 1 and shift 0 inside the cap
+    # more outside: one pass over all the atoms writes the result once,
+    # column-major like x, with scale 1 and shift 0 inside the cap and the
+    # |x|^2 and (x, p) of the test reused
     a, c, d = _inversion(cap, x, sq, dot)
     return _scaled_sum(np.where(out, a / d, 1.0), x, np.where(out, c / d, 0.0), cap.p)
 

@@ -424,8 +424,7 @@ def _sphere_cap_jacobian(m, cap, moved, trace, basis, f, tangents):
         + 2.0 * gv[:2].T[:, :, None] * ((1.0 + yv[2]) @ wp.T)
     )
     dc = half + half.transpose(0, 2, 1)
-    mat = trace.form.matrix
-    trace_c = float(basis[:, 0] @ mat @ basis[:, 0] + basis[:, 1] @ mat @ basis[:, 1])
+    trace_c = float(np.trace(basis.T @ trace.form.matrix @ basis))
     dtr = dc[:, 0, 0] + dc[:, 1, 1]
     return np.vstack([
         dc[:, 0, 0] - dc[:, 1, 1] - f[0] * dtr,
