@@ -183,44 +183,33 @@ def planar_bound_certificate(
     """Run the full test-function pipeline for one planar domain.
 
     Canonicalize the pullback measure; a multiple measure is certified
-    directly with the eigenfunction coordinates against mu_1, a simple one
-    goes through the cap scan and the lifted test functions against 2 mu_1.
-    The quotient normalizes the denominator to unit-area scale, so the
-    reported bound is dimensionless and the margin is bound - quotient.
+    directly with the eigenfunction coordinates against mu_1 (k = 1), a
+    simple one through the cap scan with the lifted test functions, of twice
+    the energy, against 2 mu_1 (k = 2).  The quotient k mu_1 pi E / ((pi /
+    area) m), E the radial square integral and m the runner-up eigenvalue,
+    has its denominator at unit-area scale, so the bound k mu_1 is
+    dimensionless and the margin is bound - quotient.
     """
-    mu1 = mu1_disk()
-    energy_integral = radial_square_integral()
     area = domain.area
     raw = pullback_measure(domain, n_r, n_theta)
     canon, cmap = canonicalize(raw)
-    form = cmap.form
-
-    if form.gap < SCAN_GAP_TOL:
-        denom = (np.pi / area) * form.eig_second
-        quotient = mu1 * np.pi * energy_integral / denom
-        return BoundReport(
-            domain_id=domain_id,
-            area=area,
-            branch="multiple-direct",
-            quotient_sup=quotient,
-            bound=mu1,
-            margin=mu1 - quotient,
-            gap=form.gap,
-            cap=None,
-        )
-
-    scan = scan_caps(canon)
-    denom = (np.pi / area) * scan.form.eig_second
-    quotient = dirichlet_energy_closed_form() / denom
+    if cmap.form.gap < SCAN_GAP_TOL:
+        branch, k, form, cap = "multiple-direct", 1.0, cmap.form, None
+    else:
+        scan = scan_caps(canon)
+        branch, k, form, cap = "simple-folded", 2.0, scan.form, scan.cap
+    bound = k * mu1_disk()
+    denom = (np.pi / area) * form.eig_second
+    quotient = bound * np.pi * radial_square_integral() / denom
     return BoundReport(
         domain_id=domain_id,
         area=area,
-        branch="simple-folded",
+        branch=branch,
         quotient_sup=quotient,
-        bound=2.0 * mu1,
-        margin=2.0 * mu1 - quotient,
-        gap=scan.gap,
-        cap=scan.cap,
+        bound=bound,
+        margin=bound - quotient,
+        gap=form.gap,
+        cap=cap,
     )
 
 
@@ -276,8 +265,11 @@ def sphere_modified_quotient(
     """Conformally invariant Rayleigh quotient of a lifted coordinate.
 
     ``g`` must be a unit-mass sphere measure; ``s`` a direction from the
-    top eigenspace of the rearranged measure; ``trace``, if given, must come
-    from ``rearrange(g, cap)``.  The numerator integrates the exact gradient
+    top eigenspace of the rearranged measure, of norm 1 within 1e-12 as
+    ``Cap`` asks of ``p``: the numerator sees only the direction of ``s``
+    and the denominator also its length, so any other norm raises
+    ``InvalidInputError``.  ``trace``, if given, must come from
+    ``rearrange(g, cap)``.  The numerator integrates the exact gradient
     power over the image cap (a strict subset of the sphere), the
     denominator is the lifted-coordinate second moment against ``g``.  The
     lift folds and transports each atom of ``g`` exactly as the
@@ -293,6 +285,8 @@ def sphere_modified_quotient(
     n = g.sphere_dim
     if not abs(g.total_mass - 1.0) <= 1e-8:
         raise InvalidInputError("sphere measure must be normalized to unit mass")
+    if not abs(float(np.linalg.norm(s)) - 1.0) <= 1e-12:
+        raise InvalidInputError("direction s must be a unit vector")
     if trace is None:
         _, trace = rearrange(g, cap)
     denominator = trace.form.value(s)

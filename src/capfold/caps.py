@@ -346,19 +346,20 @@ class RearrangeTrace:
 
 
 def rearrange(
-    m: DiscreteMeasure, cap: Cap, tol: float = 1e-10, start=None
+    m: DiscreteMeasure, cap: Cap, start=None
 ) -> tuple[DiscreteMeasure, RearrangeTrace]:
     """Fold ``m`` into the cap and spread the result back over the full space.
 
     Disk: fold, balance, transport to the image cap, open it up with the cap
     map, and balance again.  Sphere: fold and balance once (no cap-map stage).
-    The input must already be balanced; the output is balanced to the solver
-    tolerance and has the same total mass.  ``start`` is passed to the first
-    ``renormalize`` (the balancing point of a nearby cap saves iterations).
+    The input must already be balanced; the output is balanced to the
+    default ``renormalize`` tolerance and has the same total mass.
+    ``start`` is passed to the first ``renormalize`` (the balancing point of
+    a nearby cap saves iterations).
     """
     if m.space != cap.space:
         raise SpaceMismatchError("measure and cap live on different spaces")
-    first = renormalize(fold_measure(m, cap), tol=tol, start=start)
+    first = renormalize(fold_measure(m, cap), start=start)
     b = image_cap(cap, first.xi)
     zeta_pred = reflection_renormalizer(cap)
     eta, q_norm = None, 1.0
@@ -366,7 +367,7 @@ def rearrange(
     if m.space == "disk":
         moved = first.measure
         opened = moved.with_points(CapDiskMap(b)(moved.points, check=False))
-        last = renormalize(opened, tol=tol)
+        last = renormalize(opened)
         eta = last.xi
         zeta = complex(zeta_pred)
         q = (np.conj(zeta) * eta + 1.0) / (zeta * np.conj(eta) + 1.0)

@@ -119,7 +119,7 @@ def canonicalize(m: DiscreteMeasure) -> tuple[DiscreteMeasure, CanonicalMap]:
 # ---------------------------------------------------------------------------
 
 def _field_entry(m: DiscreteMeasure, cap: Cap):
-    form = rearrange(m, cap, tol=1e-9)[1].form
+    form = rearrange(m, cap)[1].form
     return form.gap, form.max_direction
 
 

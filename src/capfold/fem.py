@@ -224,7 +224,9 @@ def _two_disk_mesh(eps: float, neck_length: float, h: float) -> Mesh:
       lies inside and whose circumdisk lies within the band
       (``sd(centre) + radius < _BAND * h``) has an empty circle in the full
       set, because every point of the full set inside that disk belongs to
-      the band.  Band simplices that are also lattice triangles are dropped.
+      the band.  Such a simplex of three lattice nodes is a lattice
+      triangle; it is dropped when its centre passes the depth test that
+      admits lattice triangles.
 
     Every kept triangle is then a Delaunay triangle, and none overlap.  The
     union is complete when it triangulates the boundary polygon, whose
@@ -293,20 +295,11 @@ def _two_disk_mesh(eps: float, neck_length: float, h: float) -> Mesh:
     centroids = near_pts[simplices].mean(axis=1)
     simplices = simplices[_two_disk_signed(eps, neck_length, centroids) > 1e-12]
     centres, radii = _circumcircles(near_pts, simplices)
-    simplices = simplices[_two_disk_signed(eps, neck_length, centres) + radii < band]
-    # drop the lattice triangles among them, matched by their sorted vertex
-    # triples in band numbering as integers below m**3
-    m = len(near)
-    local = np.full(len(pts), -1)
-    local[near] = np.arange(m)
-    shared = local[lattice]
-    shared = shared[np.all(shared >= 0, axis=1)]
-
-    def key(tris):
-        tris = np.sort(tris, axis=1).astype(np.int64)
-        return (tris[:, 0] * m + tris[:, 1]) * m + tris[:, 2]
-
-    simplices = near[simplices[~np.isin(key(simplices), key(shared))]]
+    sd = _two_disk_signed(eps, neck_length, centres)
+    # a simplex of three lattice nodes with an empty circle is a lattice
+    # triangle; drop it where the lattice test above admitted it
+    in_lattice = np.all(simplices >= nb, axis=1) & (sd > radii * (1.0 + 1e-6))
+    simplices = near[simplices[(sd + radii < band) & ~in_lattice]]
 
     n = len(pts)
     triangles = np.concatenate([lattice, simplices])

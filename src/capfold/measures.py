@@ -176,13 +176,6 @@ def sphere_quadrature(n: int, resolution: int = 24) -> "DiscreteMeasure":
     """
     if n < 1 or resolution < 1:
         raise InvalidInputError(f"need n, resolution >= 1, got {n}, {resolution}")
-    if n == 1:
-        m = 2 * resolution
-        theta = 2.0 * np.pi * np.arange(m) / m
-        pts = np.stack([np.cos(theta), np.sin(theta)]).T
-        w = np.full(m, 2.0 * np.pi / m)
-        return DiscreteMeasure("sphere", pts, w)
-
     x, w = gauss_legendre(resolution)
     m_az = 2 * resolution
     az = 2.0 * np.pi * np.arange(m_az) / m_az

@@ -315,6 +315,19 @@ def test_certificate_rotation_invariance(bent_certificate):
     assert spun.quotient_sup == pytest.approx(base.quotient_sup, rel=1e-6)
 
 
+@pytest.mark.parametrize("coeffs, spun", [
+    ([1.0, 0.3], [1.0, 0.3j]),
+    ([1.0, 0.2, 0.05], [1.0, 0.2j, -0.05]),
+])
+def test_certificate_rotation_covariance_coarse(coeffs, spun):
+    # w + 0.2i w^2 - 0.05 w^3 is i (z + 0.2 z^2 + 0.05 z^3) at z = -i w, a
+    # rotated copy of the same domain, so the certificates must agree
+    base = planar_bound_certificate(ConformalDomain(coeffs), n_r=24, n_theta=48)
+    turned = planar_bound_certificate(ConformalDomain(spun), n_r=24, n_theta=48)
+    assert base.branch == turned.branch == "simple-folded"
+    assert turned.quotient_sup == pytest.approx(base.quotient_sup, rel=1e-9)
+
+
 def test_certificate_quintic_symmetric_multiple():
     # |1 + 0.25 z^4|^2 has only 0th and 4th harmonics: the second-moment
     # matrix is isotropic and the direct branch applies
@@ -379,7 +392,8 @@ def test_modified_quotient_denominator_is_the_lifted_second_moment(n, res):
         p = rng.normal(size=n + 1)
         cap = Cap(r, p / np.linalg.norm(p), "sphere")
         nu, trace = rearrange(g, cap)
-        for s in (direction_form(nu).max_direction, rng.normal(size=n + 1)):
+        t = rng.normal(size=n + 1)
+        for s in (direction_form(nu).max_direction, t / np.linalg.norm(t)):
             out = sphere_modified_quotient(g, cap, s, trace=trace)
             tf = TestFunction(cap=cap, direction=s, trace=trace)
             lifted = float(np.sum(g.weights * lift_evaluate(tf, g.points) ** 2))
@@ -395,6 +409,20 @@ def test_modified_quotient_needs_unit_mass():
     g = sphere_quadrature(3, resolution=6)
     with pytest.raises(InvalidInputError):
         sphere_modified_quotient(g, Cap(0.2, np.eye(4)[0], "sphere"), np.eye(4)[0])
+
+
+def test_modified_quotient_needs_a_unit_direction():
+    # the numerator normalizes s and the denominator does not, so 2s would
+    # read a quarter of the quotient (29.22 -> 7.31 here)
+    g = sphere_quadrature(3, resolution=10)
+    g = g.scaled(1.0 / g.total_mass)
+    cap = Cap(0.3, np.eye(4)[0], "sphere")
+    nu, trace = rearrange(g, cap)
+    s = direction_form(nu).max_direction
+    assert sphere_modified_quotient(g, cap, s, trace=trace)["quotient"] > 29.0
+    for scaled in (2.0 * s, 0.5 * s):
+        with pytest.raises(InvalidInputError):
+            sphere_modified_quotient(g, cap, scaled, trace=trace)
 
 
 # ------------------------------------------------------------ Hoelder gap

@@ -9,16 +9,18 @@ from capfold.caps import Cap, fold_measure, rearrange
 from capfold.directions import (
     _cap_rearrange,
     _compressed_traceless,
+    _field_entry,
     _loop_rotation,
     _sphere_cap_jacobian,
     _tangents,
     canonicalize,
     classify,
+    scan_caps,
     sphere_cap_search,
     sphere_degree_check,
     winding_diagnostic,
 )
-from capfold.exceptions import EvenDimensionError
+from capfold.exceptions import CapScanError, EvenDimensionError
 from capfold.measures import (
     direction_form,
     disk_quadrature,
@@ -128,6 +130,37 @@ def test_scan_carries_the_form_of_a_cold_rearrange(bent_canonical, bent_scan):
     form = rearrange(canon, bent_scan.cap)[1].form
     assert np.array_equal(bent_scan.form.matrix, form.matrix)
     assert bent_scan.gap == bent_scan.form.gap == form.gap
+
+
+@pytest.fixture(scope="module")
+def bent_coarse(bent_domain):
+    return canonicalize(pullback_measure(bent_domain, 24, 48))[0]
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (2, 3), (5, 7), (7, 11)])
+def test_scan_grid_complement_caps_share_a_gap(bent_coarse, i, j):
+    # (r, theta) and (-r, theta + pi) are complement caps, both on the scan
+    # grid: their folded measures differ by the cap reflection, so the
+    # rearranged measures share a gap and the grid holds each gap twice
+    r_grid, theta_grid = directions.SCAN_R_GRID, directions.SCAN_THETA_GRID
+    half = len(theta_grid) // 2
+    gaps = [
+        _field_entry(bent_coarse, Cap(float(r_grid[a]), np.exp(1j * theta_grid[b])))[0]
+        for a, b in ((i, j), (-1 - i, (j + half) % len(theta_grid)))
+    ]
+    assert gaps[1] == pytest.approx(gaps[0], abs=1e-9)
+
+
+def test_scan_reports_best_gap_when_every_start_stalls(bent_domain, monkeypatch):
+    # with a zero tolerance both Gauss-Newton starts run and fail, and the
+    # error carries the smallest gap reached, that of a cold rearrange
+    canon, _ = canonicalize(pullback_measure(bent_domain, 16, 32))
+    monkeypatch.setattr(directions, "SCAN_GAP_TOL", 0.0)
+    with pytest.raises(CapScanError) as info:
+        scan_caps(canon)
+    best = info.value
+    assert best.best_gap < 1e-8
+    assert best.best_gap == rearrange(canon, best.best_cap)[1].form.gap
 
 
 @pytest.mark.parametrize("half_turns", [-2, -1, 0, 1, 3])
@@ -305,8 +338,6 @@ def test_sphere_cap_search_does_not_depend_on_the_sign_eigh_returns(monkeypatch)
 def test_sphere_cap_search_reports_best_gap_when_every_start_stalls():
     # no cap reaches gap 0 exactly, so every start runs and the error carries
     # the smallest gap any of them reached
-    from capfold.exceptions import CapScanError
-
     canon, _ = canonicalize(next(_seeded_sweep(1)))
     with pytest.raises(CapScanError) as info:
         sphere_cap_search(canon, eps=0.0)
