@@ -130,7 +130,8 @@ class CapScanResult:
     ``cap``/``gap``: the best cap found and its relative eigen-gap;
     ``form``: the direction form of the measure rearranged at ``cap`` (cold
     ``rearrange``), whose gap is ``gap``;
-    ``direction_field``: list of (r, theta, s_x, s_y, gap) grid rows;
+    ``direction_field``: list of (r, theta, s_x, s_y, gap) grid rows, each
+    axis (s_x, s_y) signed so that its larger-magnitude component is positive;
     ``winding_numbers``: half-turn counts of the direction field along each
     scanned r-level loop.
     """
@@ -169,6 +170,9 @@ def scan_caps(m: DiscreteMeasure) -> CapScanResult:
             cap = Cap(float(r), np.exp(1j * th), "disk")
             gap, s = _field_entry(m, cap)
             table[(float(r), float(th))] = (gap, s)
+            # an axis has no sign: print it with its larger component
+            # positive (the first on a tie), not with the sign eigh returns
+            s = s * np.sign(s[np.argmax(np.abs(s))])
             rows.append((float(r), float(th), float(s[0]), float(s[1]), float(gap)))
             if gap < best_gap:
                 best_gap, best_cap = gap, cap

@@ -17,8 +17,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .exceptions import (
     CapfoldError,
@@ -372,6 +370,8 @@ def assemble(mesh: Mesh):
     Constants lie in the stiffness kernel (row sums vanish) and the total
     mass equals the mesh area.
     """
+    import scipy.sparse as sparse
+
     v = mesh.vertices
     t = mesh.triangles
     area = mesh.areas
@@ -524,6 +524,8 @@ def neumann_eigs(mesh: Mesh, k: int = 2, h: float = float("nan")) -> SpectralRes
         raise InvalidInputError(
             f"need 1 <= k < vertices - 1 = {len(mesh.vertices) - 1}, got {k}"
         )
+    import scipy.sparse.linalg as spla
+
     perm = _dissection_order(mesh)
     rank = np.empty_like(perm)
     rank[perm] = np.arange(len(perm))

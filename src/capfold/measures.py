@@ -361,10 +361,16 @@ def moment_vector(m: DiscreteMeasure) -> np.ndarray:
     return moment_vector_raw(m.space, m.points, m.weights)
 
 
+@functools.cache
+def _j1_at_zeta() -> float:
+    # once per process: every disk ``renormalize`` asks for it
+    return bessel_j1(find_zeta())
+
+
 def moment_scale(m: DiscreteMeasure) -> float:
     """Natural scale of first moments, used to normalize solver residuals."""
     if m.space == "disk":
-        return m.total_mass * bessel_j1(find_zeta())
+        return m.total_mass * _j1_at_zeta()
     return m.total_mass
 
 
@@ -502,7 +508,8 @@ def measure_to_json(m: DiscreteMeasure) -> str:
 def measure_from_json(text: str) -> DiscreteMeasure:
     """Read a schema-1 measure document as written by ``measure_to_json``.
 
-    A malformed document raises ``InvalidInputError``.
+    A malformed document raises ``InvalidInputError``, and so does one whose
+    integer ``n`` is missing or is not the dimension its atoms have.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("schema") != 1:
@@ -511,6 +518,11 @@ def measure_from_json(text: str) -> DiscreteMeasure:
     atoms = _number_rows(doc.get("atoms"), "measure atoms")
     if atoms.shape[1] < 3 or (space == "disk" and atoms.shape[1] != 3):
         raise InvalidInputError(f"measure atoms have shape {atoms.shape}")
+    n = doc.get("n")
+    if type(n) is not int or n != (1 if space == "disk" else atoms.shape[1] - 2):
+        raise InvalidInputError(
+            f"measure n = {n!r} does not match atoms of width {atoms.shape[1]}"
+        )
     if space == "disk":
         return DiscreteMeasure(
             "disk", atoms[:, 0] + 1j * atoms[:, 1], atoms[:, 2]

@@ -3,6 +3,8 @@
 Gamma, Bessel J0/J1 and the first positive zero of J1' come from ``math`` and
 ``scipy.special``; on top of them sit the disk radial profile, sphere
 volumes, and the eigenvalue-bound constants built from them.
+``scipy.special`` is imported on first use, so the sphere constants and
+quadrature never load it.
 ``gauss_legendre`` serves every Gauss-Legendre rule, computed once per node
 count and process.  ``inequality`` is the one record of a checked bound.
 """
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .exceptions import InvalidInputError
 
@@ -55,6 +56,8 @@ def gamma(x: float) -> float:
 
 def bessel_j1(x: float) -> float:
     """Bessel function of the first kind, order one."""
+    from scipy import special
+
     return float(special.j1(x))
 
 
@@ -95,6 +98,8 @@ def find_zeta() -> float:
     J1' gives the float one ulp below, the value earlier versions computed,
     so reports keep their digits.
     """
+    from scipy import special
+
     z = special.jnp_zeros(1, 1)[0]
     return float(z - special.jvp(1, z) / special.jvp(1, z, 2))
 
@@ -114,6 +119,8 @@ def radial_profile(r):
 
 def radial_profile_derivative(r):
     """d/dr of J1(zeta r), via zeta * (J0(zeta r) - J1(zeta r)/(zeta r))."""
+    from scipy import special
+
     z = find_zeta()
     x = z * np.asarray(r, dtype=float)
     return z * (special.j0(x) - j1_over_x(x))

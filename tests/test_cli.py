@@ -86,8 +86,15 @@ def test_numerical_failure_exit_code(tmp_path):
         # numeric text and a boolean: read as numbers, these are two atoms
         {"schema": 1, "space": "disk", "n": 1, "atoms": [["0.5", 0, True], [-0.5, 0, True]]},
         {"schema": 1, "space": "disk", "n": 1, "atoms": [[0.5, 0, 1], [-0.5, 0]]},
+        # n must be the atoms' dimension: these were read as S^3, the disk, the disk
+        {"schema": 1, "space": "sphere", "n": 5, "atoms": [[1, 0, 0, 0, 1]]},
+        {"schema": 1, "space": "disk", "n": 7, "atoms": [[0.0, 0.0, 1.0]]},
+        {"schema": 1, "space": "disk", "atoms": [[0.0, 0.0, 1.0]]},
     ],
-    ids=["schema-2", "no-atoms", "atom-outside-disk", "text-and-bool", "ragged"],
+    ids=[
+        "schema-2", "no-atoms", "atom-outside-disk", "text-and-bool", "ragged",
+        "sphere-n-5-of-s3-atoms", "disk-n-7", "no-n",
+    ],
 )
 def test_bad_measure_file_exit_code(tmp_path, doc):
     path = tmp_path / "bad.json"
@@ -459,17 +466,38 @@ def test_one_process_many_runs_match_a_fresh_process(tmp_path):
     assert first.read_bytes() == second.read_bytes() == fresh.read_bytes()
 
 
-def test_cli_import_leaves_interpolate_and_spatial_unloaded():
-    code = (
-        "import sys, capfold.cli; "
-        "print(sorted(m for m in ('scipy.interpolate', 'scipy.spatial') if m in sys.modules))"
+LAZY_SCIPY = (
+    "scipy.interpolate", "scipy.spatial", "scipy.special", "scipy.sparse",
+    "scipy.sparse.linalg",
+)
+
+
+def _scipy_loaded_after(code: str) -> list:
+    """The modules of ``LAZY_SCIPY`` a fresh interpreter holds after ``code``."""
+    code += (
+        f"; import json, sys"
+        f"; print(json.dumps([m for m in {LAZY_SCIPY!r} if m in sys.modules]))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(capfold.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, check=True, timeout=300,
         capture_output=True, text=True,
     )
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_lazy_scipy_subpackages_unloaded():
+    assert _scipy_loaded_after("import capfold.cli") == []
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [(["sphere", "--n", "3"], []), (["constants"], ["scipy.special"])],
+    ids=["sphere", "constants"],
+)
+def test_cli_command_loads_only_the_scipy_it_uses(argv, loaded):
+    code = f"from capfold.cli import run; assert run({argv!r}) == 0"
+    assert _scipy_loaded_after(code) == loaded
 
 
 def test_fem_csv_format(tmp_path):

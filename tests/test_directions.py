@@ -188,6 +188,16 @@ def test_scan_winding_table(bent_scan):
     assert bent_scan.winding_numbers[levels[-1]] == 4
 
 
+def test_scan_rows_sign_each_axis_by_its_larger_component(bent_domain):
+    canon, _ = canonicalize(pullback_measure(bent_domain, 16, 32))
+    result = scan_caps(canon)
+    s = np.asarray(result.direction_field)[:, 2:4]
+    lead = s[np.arange(len(s)), np.argmax(np.abs(s), axis=1)]
+    assert np.all(lead >= 0)
+    # the windings double the angles, so the sign leaves them alone
+    assert list(result.winding_numbers.values()) == [0, 2, 2, 2, 2, 2, 2, 2, 4]
+
+
 def test_scan_rotation_covariance(bent_canonical):
     # gap at the found cap is rotation covariant: rotate measure and cap
     canon, _ = bent_canonical

@@ -282,6 +282,28 @@ def test_measure_json_bad_schema_rejected():
         measure_from_json(_json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "space, n, atoms",
+    [
+        ("sphere", 5, [[1.0, 0.0, 0.0, 0.0, 1.0]]),  # S^3 atoms
+        ("sphere", 3.0, [[1.0, 0.0, 0.0, 0.0, 1.0]]),
+        ("sphere", "3", [[1.0, 0.0, 0.0, 0.0, 1.0]]),
+        ("disk", 7, [[0.0, 0.0, 1.0]]),
+        ("disk", True, [[0.0, 0.0, 1.0]]),
+        ("disk", None, [[0.0, 0.0, 1.0]]),
+    ],
+    ids=["sphere-5-of-width-5", "float", "text", "disk-7", "bool", "missing"],
+)
+def test_measure_json_n_must_match_the_atoms(space, n, atoms):
+    import json as _json
+
+    doc = {"schema": 1, "space": space, "atoms": atoms}
+    if n is not None:
+        doc["n"] = n
+    with pytest.raises(InvalidInputError, match="measure n"):
+        measure_from_json(_json.dumps(doc))
+
+
 def test_measure_json_roundtrip(uniform_disk):
     small = DiscreteMeasure(
         "disk", uniform_disk.points[:7], uniform_disk.weights[:7]
