@@ -6,6 +6,7 @@ dimension constants.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from .specfun import (
     gauss_legendre,
     inequality,
     mu1_disk,
+    omega_n,
     radial_profile,
     radial_square_integral,
 )
@@ -217,6 +219,17 @@ def planar_bound_certificate(
 # sphere side
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _phi_axis(n: int):
+    """cap_gradient_integral's phi axis, which does not depend on the cap:
+    read-only cos(phi) and sin(phi)^(n-2) w_phi, and the (n-2)-sphere volume."""
+    xg, wg = gauss_legendre(64)
+    phi = 0.5 * np.pi * (xg + 1.0)
+    cos_phi, weight = np.cos(phi), np.sin(phi) ** (n - 2) * (0.5 * np.pi * wg)
+    cos_phi.flags.writeable = weight.flags.writeable = False
+    return cos_phi, weight, 2.0 if n == 2 else omega_n(n - 2)
+
+
 def cap_gradient_integral(n: int, cap: Cap, s) -> float:
     """Integral of |grad X_s|^n over a metric cap of the round n-sphere.
 
@@ -244,15 +257,10 @@ def cap_gradient_integral(n: int, cap: Cap, s) -> float:
         )
         return float(np.sum(wt * vals))
 
-    from .specfun import omega_n as _omega
-
-    w_eq = 2.0 if n == 2 else _omega(n - 2)
-    phi = 0.5 * np.pi * (xg + 1.0)
-    wphi = 0.5 * np.pi * wg
-    th_mat, ph_mat = np.meshgrid(theta, phi, indexing="ij")
-    a = sc * np.cos(th_mat) + s_perp * np.sin(th_mat) * np.cos(ph_mat)
+    cos_phi, wphi, w_eq = _phi_axis(n)
+    a = sc * np.cos(theta)[:, None] + s_perp * np.sin(theta)[:, None] * cos_phi
     integrand = np.maximum(0.0, 1.0 - a * a) ** (n / 2.0)
-    inner = (integrand * (np.sin(ph_mat) ** (n - 2) * wphi)).sum(axis=1) * w_eq
+    inner = (integrand * wphi).sum(axis=1) * w_eq
     return float(np.sum(wt * np.sin(theta) ** (n - 1) * inner))
 
 

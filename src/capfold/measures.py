@@ -42,6 +42,15 @@ __all__ = [
 
 _BOUNDARY_SLACK = 1e-9
 
+# sums over atoms walk row blocks of this many floats, so that no pass
+# builds a temporary as long as the measure
+_BLOCK_FLOATS = 2**16
+
+
+def _row_blocks(rows: int, columns: int):
+    step = _BLOCK_FLOATS // max(columns, 1)
+    return [slice(start, start + step) for start in range(0, max(rows, 1), step)]
+
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -63,6 +72,7 @@ class DiscreteMeasure:
     balancing kernels as N short inner loops, while column-major storage
     runs them as n+1 long ones.  The kernels that build sphere atoms keep
     this layout, so constructing a measure from their output copies nothing.
+    Sums over atoms walk row blocks (``_row_blocks``) of 2^16 floats.
     """
 
     space: str
@@ -88,9 +98,11 @@ class DiscreteMeasure:
         else:
             if points.ndim != 2:
                 raise InvalidInputError("sphere atoms must be rows of an (N, n+1) array")
-            norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-            if not np.all(np.abs(norms - 1.0) <= 1e-9):
-                raise InvalidInputError("sphere atoms must lie on the unit sphere")
+            for rows in _row_blocks(*points.shape):
+                x = points[rows]
+                norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+                if not np.all(np.abs(norms - 1.0) <= 1e-9):
+                    raise InvalidInputError("sphere atoms must lie on the unit sphere")
 
     @property
     def total_mass(self) -> float:
@@ -424,7 +436,11 @@ def direction_form(m: DiscreteMeasure) -> DirectionForm:
 
 def _form_from_columns(cols: np.ndarray, weights: np.ndarray) -> DirectionForm:
     # cols holds the coordinates X_{e_i} at the atoms, one column each
-    mat = cols.T @ (cols * weights[:, None])
+    mat = None
+    for rows in _row_blocks(*cols.shape):
+        x = cols[rows]
+        part = x.T @ (x * weights[rows, None])
+        mat = part if mat is None else mat + part
     mat = 0.5 * (mat + mat.T)
     evals, evecs = np.linalg.eigh(mat)
     return DirectionForm(

@@ -15,6 +15,7 @@ from .measures import (
     DiscreteMeasure,
     _disk_xy_factors,
     _form_from_columns,
+    _row_blocks,
     direction_form,
     moment_scale,
 )
@@ -200,23 +201,31 @@ def _ball_moments(points, sq, weights, xi, jacobian=False):
     v = X^T u the moments are F = (1-s) v + (u.a) xi.  With ``jacobian`` the
     derivative dF/dxi = (u.a) I + 2 (xi v^T - v xi^T)
     - 2 sum u_i M_i (x_i + q_i xi)^T is returned as well.  Neither builds the
-    moved atoms.
+    moved atoms: every sum over atoms walks the row blocks of
+    ``measures._row_blocks``, so its temporaries are one block long.
     """
-    t = points @ xi
     s = float(xi @ xi)
-    a = 1.0 + 2.0 * t + sq
-    d = 1.0 + 2.0 * t + s * sq
-    u = weights / d
-    v = points.T @ u
-    ua = float(u @ a)
+    sums = None
+    for rows in _row_blocks(*points.shape):
+        x, q = points[rows], sq[rows]
+        b = 1.0 + 2.0 * (x @ xi)
+        a = b + q
+        d = b + s * q
+        u = weights[rows] / d
+        part = [x.T @ u, u @ a]
+        if jacobian:
+            # u_i M_i = r_i ((1-s) x_i + a_i xi) with r_i = w_i / d_i^2
+            r = u / d
+            ra = r * a
+            part += [(1.0 - s) * (x.T * r) @ x, x.T @ ra, x.T @ (r * q), ra @ q]
+        sums = part if sums is None else [total + p for total, p in zip(sums, part)]
+    v, ua = sums[0], float(sums[1])
     mom = (1.0 - s) * v + ua * xi
     if not jacobian:
         return mom
-    # u_i M_i = r_i ((1-s) x_i + a_i xi) with r_i = w_i / d_i^2
-    r = u / d
-    ra = r * a
-    um_x = (1.0 - s) * (points.T * r) @ points + np.outer(xi, points.T @ ra)
-    um_q = (1.0 - s) * (points.T @ (r * sq)) + float(ra @ sq) * xi
+    gram, x_ra, x_rq, ra_q = sums[2:]
+    um_x = gram + np.outer(xi, x_ra)
+    um_q = (1.0 - s) * x_rq + float(ra_q) * xi
     jac = (
         ua * np.eye(len(xi))
         + 2.0 * (np.outer(xi, v) - np.outer(v, xi))
@@ -235,16 +244,18 @@ def _point_outweighs(points, weights, limit: float) -> bool:
     low ten bits of the first coordinate: equal values share them
     (-0.0 + 0.0 is +0.0), and it needs no sort.
     """
-    keep = np.arange(len(points))
+    keep, w = None, weights
     labels = (points[:, 0] + 0.0).view(np.int64) & 1023
     for column in points.T:
-        totals = np.bincount(labels, weights[keep])
+        totals = np.bincount(labels, w)
         heaviest = np.argmax(totals)
         if totals[heaviest] <= limit:
             return False
-        keep = keep[labels == heaviest]
+        hits = np.flatnonzero(labels == heaviest)
+        keep = hits if keep is None else keep[hits]
+        w = weights[keep]
         labels = np.unique(column[keep], return_inverse=True)[1]
-    return np.max(np.bincount(labels, weights[keep])) > limit
+    return np.max(np.bincount(labels, w)) > limit
 
 
 # near the boundary guard the moments of a measure without a balancing point

@@ -347,6 +347,26 @@ def test_cap_gradient_integral_full_sphere():
         assert val == pytest.approx(k_n(n), rel=1e-5)
 
 
+def test_cap_gradient_integral_matches_the_full_grid(rng):
+    # the cached phi axis gives the sum over the full 64 x 64 grid
+    x, w = np.polynomial.legendre.leggauss(64)
+    for n in (3, 5, 7):
+        for _ in range(5):
+            p, s = (v / np.linalg.norm(v) for v in rng.normal(size=(2, n + 1)))
+            cap = Cap(float(rng.uniform(-0.9, 0.9)), p, "sphere")
+            sc = float(s @ p)
+            s_perp = float(np.linalg.norm(s - sc * p))
+            t_max = float(np.arccos(cap.height))
+            theta, phi = 0.5 * t_max * (x + 1.0), 0.5 * np.pi * (x + 1.0)
+            th, ph = np.meshgrid(theta, phi, indexing="ij")
+            a = sc * np.cos(th) + s_perp * np.sin(th) * np.cos(ph)
+            inner = np.maximum(0.0, 1.0 - a * a) ** (n / 2.0) * np.sin(ph) ** (n - 2)
+            full = omega_n(n - 2) * 0.25 * np.pi * t_max * float(
+                np.sin(theta) ** (n - 1) * w @ inner @ w
+            )
+            assert cap_gradient_integral(n, cap, s) == pytest.approx(full, rel=1e-13)
+
+
 def test_cap_gradient_integral_half_sphere_direct():
     g = sphere_quadrature(3, resolution=20)
     c = np.array([1.0, 0, 0, 0])

@@ -1,5 +1,6 @@
 """Moebius maps, reflections, and the renormalization solver."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,10 +10,13 @@ from capfold.exceptions import InvalidInputError, NonConvergenceError, ZeroMassE
 from capfold.measures import (
     DiscreteMeasure,
     coordinate_values,
+    direction_form,
     disk_quadrature,
     sphere_quadrature,
 )
 from capfold.moebius import (
+    _ball_moments,
+    _point_outweighs,
     ball_moebius,
     disk_moebius,
     disk_moebius_derivative,
@@ -292,6 +296,46 @@ def test_renormalize_half_mass_antipodal_atoms_balance():
     x = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
     res = renormalize(DiscreteMeasure("sphere", x, np.array([0.5, 0.5])))
     assert np.linalg.norm(res.xi) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def sphere5_res8():
+    return sphere_quadrature(5, resolution=8)
+
+
+@pytest.mark.parametrize("extra, outweighs", [(1, True), (0, False)])
+def test_heavy_cluster_among_many_atoms(sphere5_res8, extra, outweighs):
+    # 65,536 atoms of weight 1, of which half (plus ``extra``) sit at one
+    # point: only a cluster above half the mass fails at once
+    x = np.array(sphere5_res8.points)
+    w = np.ones(len(x))
+    x[: len(x) // 2 + extra] = x[0]
+    assert _point_outweighs(x, w, 0.5 * w.sum()) == outweighs
+    if outweighs:
+        with pytest.raises(NonConvergenceError) as err:
+            renormalize(DiscreteMeasure("sphere", x, w))
+        assert err.value.iterations == 0
+
+
+def _peak_bytes(call):
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_atom_sums_allocate_one_row_block(sphere5_res8):
+    # sums over the 65,536 x 6 atoms (3 MB) walk row blocks of 2^16 floats
+    # (0.5 MB), so no temporary is as long as the measure
+    g = sphere5_res8
+    sq = np.einsum("ij,ij->i", g.points, g.points)
+    xi = np.array([0.1, -0.2, 0.05, 0.3, 0.0, 0.1])
+    jac_peak = _peak_bytes(lambda: _ball_moments(g.points, sq, g.weights, xi, jacobian=True))
+    assert jac_peak <= 1.5 * 2**20
+    assert _peak_bytes(lambda: direction_form(g)) <= 1.0 * 2**20
 
 
 def test_renormalize_start_must_lie_inside(uniform_disk, sphere3_uniform):

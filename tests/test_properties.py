@@ -22,7 +22,13 @@ from capfold.caps import (  # noqa: E402
     rearrange_map,
 )
 from capfold.exceptions import InvalidInputError  # noqa: E402
-from capfold.measures import DiscreteMeasure, moment_vector_raw, sphere_quadrature  # noqa: E402
+from capfold.measures import (  # noqa: E402
+    _BLOCK_FLOATS,
+    DiscreteMeasure,
+    direction_form,
+    moment_vector_raw,
+    sphere_quadrature,
+)
 from capfold.moebius import (  # noqa: E402
     _ball_moments,
     _disk_matrix,
@@ -120,6 +126,86 @@ def test_ball_moment_jacobian_matches_central_differences(dim, xi_len, count, se
     for j, e in enumerate(step * np.eye(dim)):
         fd[:, j] = (_ball_moments(x, sq, w, xi + e) - _ball_moments(x, sq, w, xi - e)) / (2 * step)
     assert np.linalg.norm(jac - fd) <= 1e-6 * np.linalg.norm(jac)
+
+
+# sums over atoms walk row blocks of _BLOCK_FLOATS // dim rows: atom counts
+# one short of a block, one block, one past it, and three blocks and a part
+def _block_counts(dim):
+    rows = _BLOCK_FLOATS // dim
+    return [rows - 1, rows, rows + 1, 3 * rows + rows // 3]
+
+
+block_cases = pytest.mark.parametrize(
+    "dim, count", [(dim, count) for dim in (4, 6) for count in _block_counts(dim)]
+)
+
+
+def _one_block_moments(points, sq, weights, xi):
+    # the closed-form moments and Jacobian summed over all atoms at once
+    t = points @ xi
+    s = float(xi @ xi)
+    a = 1.0 + 2.0 * t + sq
+    d = 1.0 + 2.0 * t + s * sq
+    u = weights / d
+    v = points.T @ u
+    ua = float(u @ a)
+    r = u / d
+    ra = r * a
+    um_x = (1.0 - s) * (points.T * r) @ points + np.outer(xi, points.T @ ra)
+    um_q = (1.0 - s) * (points.T @ (r * sq)) + float(ra @ sq) * xi
+    jac = (
+        ua * np.eye(len(xi))
+        + 2.0 * (np.outer(xi, v) - np.outer(v, xi))
+        - 2.0 * (um_x + np.outer(um_q, xi))
+    )
+    return (1.0 - s) * v + ua * xi, jac
+
+
+@block_cases
+def test_ball_moments_across_row_blocks(dim, count):
+    rng = np.random.default_rng(count)
+    xi = 0.7 * _unit(rng, dim)
+    x, w = _ball_atoms(rng, dim, count)
+    x = np.asfortranarray(x)
+    sq = np.sum(x * x, axis=1)
+    mom = _ball_moments(x, sq, w, xi)
+    mom_j, jac = _ball_moments(x, sq, w, xi, jacobian=True)
+    assert np.array_equal(mom_j, mom)
+    ref = moment_vector_raw("sphere", ball_moebius(xi, x), w)
+    assert np.max(np.abs(mom - ref)) <= 1e-12 * w.sum()
+
+    fd, step = np.empty((dim, dim)), 1e-6
+    for j, e in enumerate(step * np.eye(dim)):
+        fd[:, j] = (_ball_moments(x, sq, w, xi + e) - _ball_moments(x, sq, w, xi - e)) / (2 * step)
+    assert np.linalg.norm(jac - fd) <= 1e-6 * np.linalg.norm(jac)
+
+    one_mom, one_jac = _one_block_moments(x, sq, w, xi)
+    if count <= _BLOCK_FLOATS // dim:
+        assert np.array_equal(mom, one_mom) and np.array_equal(jac, one_jac)
+    else:
+        assert _relative(one_mom, mom) <= 1e-13 and _relative(one_jac, jac) <= 1e-13
+
+
+@block_cases
+def test_direction_form_across_row_blocks(dim, count):
+    rng = np.random.default_rng(count)
+    x = rng.normal(size=(count, dim))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    w = rng.uniform(0.1, 2.0, size=count)
+    m = DiscreteMeasure("sphere", x, w)
+    mat = direction_form(m).matrix
+    ref = np.einsum("i,ij,ik->jk", w, x, x)
+    assert _relative(ref, mat) <= 1e-14
+    if count <= _BLOCK_FLOATS // dim:
+        one = m.points.T @ (m.points * w[:, None])
+        assert np.array_equal(mat, 0.5 * (one + one.T))
+
+    # the sphere-point check sees an atom off the sphere in every block
+    for k in range(0, count, _BLOCK_FLOATS // dim):
+        moved = x.copy()
+        moved[-1 - k] *= 1.0 + 2e-9
+        with pytest.raises(InvalidInputError):
+            DiscreteMeasure("sphere", moved, w)
 
 
 reflection_case = given(
