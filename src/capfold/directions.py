@@ -16,6 +16,7 @@ from .exceptions import (
     DegenerateFieldError,
     DimensionUnsupportedError,
     EvenDimensionError,
+    InvalidInputError,
     ZeroMassError,
 )
 from .measures import DirectionForm, DiscreteMeasure, direction_form
@@ -118,9 +119,17 @@ def canonicalize(m: DiscreteMeasure) -> tuple[DiscreteMeasure, CanonicalMap]:
 # direction field over caps, winding, and the multiple-cap scan
 # ---------------------------------------------------------------------------
 
-def _field_entry(m: DiscreteMeasure, cap: Cap):
-    form = rearrange(m, cap)[1].form
-    return form.gap, form.max_direction
+def _field(m: DiscreteMeasure, rs, ts):
+    """Relative gaps and top axes of ``m`` rearranged at the caps
+    (r, e^{it}) for r in ``rs`` and t in ``ts``: arrays of shape
+    (len rs, len ts) and (len rs, len ts, 2), one cold ``rearrange`` each."""
+    gaps = np.empty((len(rs), len(ts)))
+    axes = np.empty((len(rs), len(ts), 2))
+    for i, r in enumerate(rs):
+        for j, t in enumerate(ts):
+            form = rearrange(m, Cap(float(r), np.exp(1j * t), "disk"))[1].form
+            gaps[i, j], axes[i, j] = form.gap, form.max_direction
+    return gaps, axes
 
 
 @dataclass
@@ -148,155 +157,107 @@ def scan_caps(m: DiscreteMeasure) -> CapScanResult:
 
     Evaluate the direction field over the ``SCAN_R_GRID`` x
     ``SCAN_THETA_GRID`` grid of caps, which gives the ``direction_field``
-    table and the ``winding_numbers``; find the cell around which the field
-    makes a half turn (such a cell must contain a degeneracy) and subdivide
-    it ``REFINE_DEPTH`` times.  Then the multiple-cap solver shared with
-    ``sphere_cap_search`` (``_gauss_newton``) runs from the refined cap
-    and, if that ends at gap ``REFINED_GAP_TOL`` or above, from the best
-    grid cap too.  Returns the cap with the smaller gap, that of a
-    cold ``rearrange`` of it, if below ``SCAN_GAP_TOL``; raises
-    ``CapScanError`` with the smallest gap reached when both starts end at
-    ``SCAN_GAP_TOL`` or above.
+    table and the ``winding_numbers``.  Then descend up to ``REFINE_DEPTH``
+    3 x 3 levels, each into the cell around which the field makes a half
+    turn (such a cell must contain a degeneracy) and, of several, the one
+    with the smallest corner gap; the first cell is the grid cell around the
+    best grid cap when no grid cell turns.  Then the multiple-cap solver
+    shared with ``sphere_cap_search`` (``_gauss_newton``) runs from the
+    smallest-gap cap of the descent and, if that ends at gap
+    ``REFINED_GAP_TOL`` or above, from the best grid cap too.  Returns the
+    cap with the smaller gap, that of a cold ``rearrange`` of it, if below
+    ``SCAN_GAP_TOL``; raises ``CapScanError`` with the smallest gap reached
+    when both starts end at ``SCAN_GAP_TOL`` or above.
     """
     if m.space != "disk":
         raise DimensionUnsupportedError("scan_caps operates on disk measures")
     r_grid, theta_grid = SCAN_R_GRID, SCAN_THETA_GRID
+    gaps, axes = _field(m, r_grid, theta_grid)
+    # an axis has no sign: print it with its larger component positive (the
+    # first on a tie), not with the sign eigh returns
+    lead = np.take_along_axis(axes, np.abs(axes).argmax(axis=-1)[..., None], -1)
+    grid = np.stack(np.meshgrid(r_grid, theta_grid, indexing="ij"), axis=-1)
+    table = np.dstack([grid, axes * np.sign(lead), gaps])
+    rows = list(map(tuple, table.reshape(-1, 5).tolist()))
+    turns = np.rint(_loop_rotation(axes) / np.pi).astype(int)
+    windings = dict(zip(r_grid.tolist(), turns.tolist()))
+    i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+    best_cap = Cap(float(r_grid[i]), np.exp(1j * theta_grid[j]), "disk")
 
-    rows = []
-    table = {}
-    best_gap, best_cap = np.inf, None
-    for r in r_grid:
-        for th in theta_grid:
-            cap = Cap(float(r), np.exp(1j * th), "disk")
-            gap, s = _field_entry(m, cap)
-            table[(float(r), float(th))] = (gap, s)
-            # an axis has no sign: print it with its larger component
-            # positive (the first on a tie), not with the sign eigh returns
-            s = s * np.sign(s[np.argmax(np.abs(s))])
-            rows.append((float(r), float(th), float(s[0]), float(s[1]), float(gap)))
-            if gap < best_gap:
-                best_gap, best_cap = gap, cap
-
-    windings = {
-        float(r): _winding_from_field(
-            [table[(float(r), float(th))] for th in theta_grid]
-        )
-        for r in r_grid
-    }
-
-    # pick the cell with a rotating direction field, preferring small gaps
-    cell = _find_singular_cell(table)
+    # the theta loop closes one step past the last grid angle
+    dr, dt = r_grid[1] - r_grid[0], theta_grid[1] - theta_grid[0]
+    cell = _turning_cell(
+        np.concatenate([gaps, gaps[:, :1]], axis=1),
+        np.concatenate([axes, axes[:, :1]], axis=1),
+        r_grid, np.append(theta_grid, theta_grid[-1] + dt),
+    )
     if cell is None:
         rb, tb = float(best_cap.r), float(np.angle(best_cap.p)) % (2 * np.pi)
-        dr = r_grid[1] - r_grid[0]
-        dt = theta_grid[1] - theta_grid[0]
         cell = (rb - dr / 2, rb + dr / 2, tb - dt / 2, tb + dt / 2)
+    refined, refined_gap = None, np.inf
+    for _ in range(REFINE_DEPTH):
+        rs, ts = np.linspace(*cell[:2], 3), np.linspace(*cell[2:], 3)
+        gaps, axes = _field(m, rs, ts)
+        i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+        if gaps[i, j] < refined_gap:
+            refined_gap = gaps[i, j]
+            refined = Cap(float(rs[i]), np.exp(1j * ts[j]), "disk")
+        cell = _turning_cell(gaps, axes, rs, ts)
+        if cell is None:
+            break
 
-    refined, _ = _refine_cell(m, cell)
-    starts = [c for c in (refined, best_cap) if c is not None]
-    cap, form = _first_multiple_cap(m, starts, SCAN_GAP_TOL, enough=REFINED_GAP_TOL)
+    cap, form = _first_multiple_cap(
+        m, [refined, best_cap], SCAN_GAP_TOL, enough=REFINED_GAP_TOL
+    )
     return CapScanResult(
         cap=cap, gap=float(form.gap), form=form, direction_field=rows,
         winding_numbers=windings,
     )
 
 
-def _winding_from_field(entries) -> int:
-    return int(round(_loop_rotation([s for _, s in entries]) / np.pi))
-
-
-def _find_singular_cell(table):
-    r_grid, theta_grid = SCAN_R_GRID, SCAN_THETA_GRID
-    nr, nt = len(r_grid), len(theta_grid)
-    best = None
-    for i in range(nr - 1):
-        for j in range(nt):
-            j2 = (j + 1) % nt
-            quad = [
-                table[(float(r_grid[i]), float(theta_grid[j]))],
-                table[(float(r_grid[i]), float(theta_grid[j2]))],
-                table[(float(r_grid[i + 1]), float(theta_grid[j2]))],
-                table[(float(r_grid[i + 1]), float(theta_grid[j]))],
-            ]
-            rot = _loop_rotation([s for _, s in quad])
-            if abs(rot) > np.pi / 2:
-                score = min(g for g, _ in quad)
-                if best is None or score < best[0]:
-                    th_hi = theta_grid[j2] if j2 != 0 else theta_grid[j] + (
-                        theta_grid[1] - theta_grid[0]
-                    )
-                    best = (
-                        score,
-                        (r_grid[i], r_grid[i + 1], theta_grid[j], th_hi),
-                    )
-    return best[1] if best else None
-
-
-def _loop_rotation(directions) -> float:
-    """Turn of an axis field (directions up to sign) around a closed loop.
+def _loop_rotation(directions) -> np.ndarray:
+    """Turn of an axis field (directions up to sign) around closed loops
+    that run along the second-to-last axis of ``directions``.
 
     Doubling the angles makes an axis a point of the circle, which
-    ``np.unwrap`` lifts; the loop closes back at the first direction.
+    ``np.unwrap`` lifts; each loop closes back at its first direction.
     """
     s = np.asarray(directions)
-    doubled = 2.0 * np.arctan2(s[:, 1], s[:, 0])
-    lift = np.unwrap(np.append(doubled, doubled[0]))
-    return 0.5 * float(lift[-1] - lift[0])
+    doubled = 2.0 * np.arctan2(s[..., 1], s[..., 0])
+    lift = np.unwrap(np.concatenate([doubled, doubled[..., :1]], axis=-1))
+    return 0.5 * (lift[..., -1] - lift[..., 0])
 
 
-def _refine_cell(m, cell):
-    r_lo, r_hi, t_lo, t_hi = cell
-    best_gap, best_cap = np.inf, None
-    for _ in range(REFINE_DEPTH):
-        rs = np.linspace(r_lo, r_hi, 3)
-        ts = np.linspace(t_lo, t_hi, 3)
-        quads = {}
-        for r in rs:
-            for th in ts:
-                cap = Cap(float(np.clip(r, -0.99, 0.99)), np.exp(1j * th), "disk")
-                gap, s = _field_entry(m, cap)
-                quads[(r, th)] = (gap, s)
-                if gap < best_gap:
-                    best_gap, best_cap = gap, cap
-        # descend into the subcell whose boundary field still rotates
-        found = None
-        for i in range(2):
-            for j in range(2):
-                loop = [
-                    quads[(rs[i], ts[j])],
-                    quads[(rs[i], ts[j + 1])],
-                    quads[(rs[i + 1], ts[j + 1])],
-                    quads[(rs[i + 1], ts[j])],
-                ]
-                if abs(_loop_rotation([s for _, s in loop])) > np.pi / 2:
-                    found = (rs[i], rs[i + 1], ts[j], ts[j + 1])
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        r_lo, r_hi, t_lo, t_hi = found
-    return best_cap, best_gap
+def _turning_cell(gaps, axes, rs, ts):
+    """Bounds (r_lo, r_hi, t_lo, t_hi) of the cell of the field at (``rs``,
+    ``ts``) around whose corners the axes turn by more than a quarter turn,
+    the first one with the smallest corner gap; None if no cell turns."""
+    f = np.dstack([gaps, axes])
+    quads = np.stack([f[:-1, :-1], f[:-1, 1:], f[1:, 1:], f[1:, :-1]], axis=-2)
+    turning = np.abs(_loop_rotation(quads[..., 1:])) > np.pi / 2
+    if not turning.any():
+        return None
+    score = np.where(turning, quads[..., 0].min(axis=-1), np.inf)
+    i, j = np.unravel_index(np.argmin(score), score.shape)
+    return rs[i], rs[i + 1], ts[j], ts[j + 1]
 
 
-def winding_diagnostic(
-    m: DiscreteMeasure, r: float, n_theta: int = 24
-) -> int:
-    """Half-turn count of the maximizing direction along the loop of caps
-    a_{r, e^{i theta}}.
+def winding_diagnostic(m: DiscreteMeasure, r: float, n_theta: int = 24) -> int:
+    """Half-turn count of the maximizing direction along the loop of
+    ``n_theta`` >= 3 caps a_{r, e^{i theta}}.
 
     A change of winding between two r-levels brackets a multiple cap.  Raises
     ``DegenerateFieldError`` if the eigen-gap vanishes on the loop, where the
     direction (and the count) is meaningless.
     """
+    if n_theta < 3:
+        raise InvalidInputError(f"a winding loop needs n_theta >= 3, got {n_theta}")
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    entries = []
-    for th in thetas:
-        gap, s = _field_entry(m, Cap(float(r), np.exp(1j * th), "disk"))
-        if gap < 1e-9:
-            raise DegenerateFieldError(f"gap {gap:.2e} on the loop at theta={th}")
-        entries.append((gap, s))
-    return _winding_from_field(entries)
+    (gaps,), (axes,) = _field(m, [r], thetas)
+    k = np.argmin(gaps)
+    if gaps[k] < 1e-9:
+        raise DegenerateFieldError(f"gap {gaps[k]:.2e} on the loop at theta={thetas[k]}")
+    return int(round(_loop_rotation(axes) / np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +524,8 @@ def sphere_degree_check(n: int, n_targets: int = 6, seed: int = 0) -> dict:
     to 4.  Even n is rejected: the two orientations cancel and the argument
     collapses.
     """
+    if n < 1 or n_targets < 1:
+        raise InvalidInputError(f"need n, n_targets >= 1, got {n}, {n_targets}")
     if n % 2 == 0:
         raise EvenDimensionError("degree diagnostics require odd sphere dimension")
     rng = np.random.default_rng(seed)

@@ -298,7 +298,11 @@ def renormalize(
         with ``iterations`` = 0.
     ZeroMassError
         If the measure has no mass.
+    InvalidInputError
+        If ``tol`` is not finite and positive.
     """
+    if not 0.0 < tol < np.inf:
+        raise InvalidInputError(f"tol must be finite and positive, got {tol}")
     mass = m.total_mass
     if mass <= 0:
         raise ZeroMassError("cannot renormalize a zero measure")

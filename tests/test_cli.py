@@ -77,6 +77,11 @@ def test_numerical_failure_exit_code(tmp_path):
     assert run(["renormalize", str(path)]) == 3
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_renormalize_bad_tolerance_exit_code(measure_file, tol):
+    assert run(["renormalize", measure_file, "--tol", tol]) == 1
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -9,10 +9,11 @@ from capfold.caps import Cap, fold_measure, rearrange
 from capfold.directions import (
     _cap_rearrange,
     _compressed_traceless,
-    _field_entry,
+    _field,
     _loop_rotation,
     _sphere_cap_jacobian,
     _tangents,
+    _turning_cell,
     canonicalize,
     classify,
     scan_caps,
@@ -20,8 +21,9 @@ from capfold.directions import (
     sphere_degree_check,
     winding_diagnostic,
 )
-from capfold.exceptions import CapScanError, EvenDimensionError
+from capfold.exceptions import CapScanError, EvenDimensionError, InvalidInputError
 from capfold.measures import (
+    ConformalDomain,
     direction_form,
     disk_quadrature,
     moment_vector,
@@ -115,6 +117,14 @@ def test_winding_diagnostic_levels(bent_canonical):
     assert winding_diagnostic(canon, 0.95, n_theta=16) == 4
 
 
+@pytest.mark.parametrize("n_theta", [-1, 0, 1, 2])
+def test_winding_diagnostic_needs_three_points(n_theta):
+    # fewer than three caps make no loop that can turn: one or two used to
+    # read 0 half turns, and zero raised IndexError
+    with pytest.raises(InvalidInputError):
+        winding_diagnostic(disk_quadrature(4, 8), 0.5, n_theta=n_theta)
+
+
 def test_winding_stable_under_angle_doubling(bent_canonical):
     canon, _ = bent_canonical
     assert winding_diagnostic(canon, 0.95, n_theta=32) == 4
@@ -145,7 +155,7 @@ def test_scan_grid_complement_caps_share_a_gap(bent_coarse, i, j):
     r_grid, theta_grid = directions.SCAN_R_GRID, directions.SCAN_THETA_GRID
     half = len(theta_grid) // 2
     gaps = [
-        _field_entry(bent_coarse, Cap(float(r_grid[a]), np.exp(1j * theta_grid[b])))[0]
+        _field(bent_coarse, r_grid[[a]], theta_grid[[b]])[0][0, 0]
         for a, b in ((i, j), (-1 - i, (j + half) % len(theta_grid)))
     ]
     assert gaps[1] == pytest.approx(gaps[0], abs=1e-9)
@@ -163,15 +173,78 @@ def test_scan_reports_best_gap_when_every_start_stalls(bent_domain, monkeypatch)
     assert best.best_gap == rearrange(canon, best.best_cap)[1].form.gap
 
 
-@pytest.mark.parametrize("half_turns", [-2, -1, 0, 1, 3])
-def test_loop_rotation_of_an_axis_field(half_turns):
+HALF_TURNS = [-2, -1, 0, 1, 3]
+
+
+def _axis_field(half_turns):
     # an axis turning by half_turns * pi around the loop, with the sign of
     # every third direction flipped, which leaves the axis alone
     theta = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
     angle = 0.5 * half_turns * theta + 0.3
     signs = np.where(np.arange(24) % 3 == 0, -1.0, 1.0)
-    directions = signs[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
-    assert _loop_rotation(directions) == pytest.approx(half_turns * np.pi, abs=1e-12)
+    return signs[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+
+
+@pytest.mark.parametrize("half_turns", HALF_TURNS)
+def test_loop_rotation_of_an_axis_field(half_turns):
+    rotation = _loop_rotation(_axis_field(half_turns))
+    assert rotation == pytest.approx(half_turns * np.pi, abs=1e-12)
+
+
+def test_loop_rotation_batched_equals_each_loop():
+    # loops run along the second-to-last axis; a stack of them gives each
+    # loop's turn exactly, as the grid windings and cells rely on
+    fields = np.stack([_axis_field(k) for k in HALF_TURNS])
+    batched = _loop_rotation(fields)
+    assert batched.shape == (5,)
+    assert batched.tolist() == [float(_loop_rotation(f)) for f in fields]
+    grid = np.stack([fields, fields[::-1]])
+    assert np.array_equal(_loop_rotation(grid), np.stack([batched, batched[::-1]]))
+
+
+def _vortex_field(centers, rs, ts):
+    # axes at half the angle around each center: a half turn around each
+    x, y = np.meshgrid(rs, ts, indexing="ij")
+    angle = sum(0.5 * np.arctan2(y - cy, x - cx) for cx, cy in centers)
+    gaps = np.min([np.hypot(x - cx, y - cy) for cx, cy in centers], axis=0)
+    return gaps, np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+
+
+def test_turning_cell_holds_the_vortex():
+    rs, ts = np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 6)
+    gaps, axes = _vortex_field([(0.3, 0.7)], rs, ts)
+    assert _turning_cell(gaps, axes, rs, ts) == (rs[2], rs[3], ts[1], ts[2])
+
+
+def test_turning_cell_prefers_the_smallest_corner_gap():
+    # two vortices; the one nearer a grid corner has the smaller corner gap
+    rs, ts = np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9)
+    gaps, axes = _vortex_field([(-0.6, -0.6), (0.51, 0.51)], rs, ts)
+    assert _turning_cell(gaps, axes, rs, ts) == (rs[6], rs[7], ts[6], ts[7])
+    gaps, axes = _vortex_field([(-0.51, -0.51), (0.6, 0.6)], rs, ts)
+    assert _turning_cell(gaps, axes, rs, ts) == (rs[1], rs[2], ts[1], ts[2])
+
+
+def test_turning_cell_none_on_a_constant_field():
+    rs, ts = np.linspace(-1.0, 1.0, 4), np.linspace(0.0, 1.0, 4)
+    axes = np.broadcast_to([np.cos(0.4), np.sin(0.4)], (4, 4, 2))
+    assert _turning_cell(np.ones((4, 4)), axes, rs, ts) is None
+
+
+@pytest.mark.parametrize("coeffs, count", [([1.0, 0.3], 173), ([1.0, 0.2, 0.05], 170)])
+def test_scan_rearrangement_count(monkeypatch, coeffs, count):
+    # grid, descent and Gauss-Newton together; the wavy grid has no turning
+    # cell, so its descent starts from the cell around the best grid cap
+    canon, _ = canonicalize(pullback_measure(ConformalDomain(coeffs), 16, 32))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rearrange(*args, **kwargs)
+
+    monkeypatch.setattr(directions, "rearrange", counted)
+    assert scan_caps(canon).gap < 1e-3
+    assert len(calls) == count
 
 
 def test_scan_direction_field_table(bent_scan):
@@ -231,6 +304,12 @@ def test_sphere_degree_check_any_tangent_frame(n):
     # the sign product does not depend on the orientation of the frames
     for seed in range(3):
         assert sphere_degree_check(n, n_targets=3, seed=seed) == {"deg_psi": 2, "deg_phi": 4}
+
+
+@pytest.mark.parametrize("n, n_targets", [(-1, 6), (0, 6), (3, 0), (3, -2)])
+def test_sphere_degree_check_rejects_bad_input(n, n_targets):
+    with pytest.raises(InvalidInputError):
+        sphere_degree_check(n, n_targets=n_targets)
 
 
 def test_sphere_degree_check_even_rejected():

@@ -352,6 +352,14 @@ def test_renormalize_start_must_lie_inside(uniform_disk, sphere3_uniform):
     assert abs(res.xi + 0.3) < 1e-8
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_renormalize_tolerance_must_be_finite_and_positive(tol):
+    # zero, negative and NaN tolerances used to run a solve that could only
+    # fail, and an infinite one returned after the drift stage alone
+    with pytest.raises(InvalidInputError):
+        renormalize(disk_quadrature(4, 8), tol=tol)
+
+
 def test_renormalize_mass_scale_invariance(uniform_disk):
     # the residual normalization makes recovery independent of total mass
     big = uniform_disk.scaled(1e6)
