@@ -15,8 +15,10 @@ from .caps import (
     Cap,
     RearrangeTrace,
     _fold_points,
+    image_cap,
     rearrange,
     rearrange_map,
+    reflection_renormalizer,
 )
 from .directions import SCAN_GAP_TOL, canonicalize, scan_caps
 from .exceptions import (
@@ -277,7 +279,8 @@ def sphere_modified_quotient(
     ``Cap`` asks of ``p``: the numerator sees only the direction of ``s``
     and the denominator also its length, so any other norm raises
     ``InvalidInputError``.  ``trace``, if given, must come from
-    ``rearrange(g, cap)``.  The numerator integrates the exact gradient
+    ``rearrange(g, cap)``; a trace of another cap raises
+    ``InvalidInputError``.  The numerator integrates the exact gradient
     power over the image cap (a strict subset of the sphere), the
     denominator is the lifted-coordinate second moment against ``g``.  The
     lift folds and transports each atom of ``g`` exactly as the
@@ -297,6 +300,13 @@ def sphere_modified_quotient(
         raise InvalidInputError("direction s must be a unit vector")
     if trace is None:
         _, trace = rearrange(g, cap)
+    elif not (
+        np.array_equal(trace.zeta_predicted, reflection_renormalizer(cap))
+        # zeta = -2r/(1+r^2) p is the same for (r, p) and (-r, -p), and 0 for
+        # every hemisphere; the image cap's direction tells those apart
+        and np.array_equal(image_cap(cap, trace.xi_a).p, trace.b.p)
+    ):
+        raise InvalidInputError("trace comes from the rearrangement at another cap")
     denominator = trace.form.value(s)
     integral = cap_gradient_integral(n, trace.b, s)
     numerator = (2.0 * integral) ** (2.0 / n)

@@ -20,9 +20,16 @@ from .exceptions import (
     InvalidInputError,
     SpaceMismatchError,
 )
-from .measures import DirectionForm, DiscreteMeasure, disk_grid
+from .measures import (
+    DirectionForm,
+    DiscreteMeasure,
+    _atom_blocks,
+    direction_form,
+    disk_grid,
+)
 from .moebius import (
     _adjugate,
+    _ball_transport,
     _disk_matrix,
     _dot,
     _inversion_terms,
@@ -142,33 +149,47 @@ def reflection_renormalizer(cap: Cap):
 def fold_measure(m: DiscreteMeasure, cap: Cap) -> DiscreteMeasure:
     """Fold ``m`` into the cap: atoms outside are reflected in, weights kept.
 
+    The folded atoms are a fresh array and the weights are the array of
+    ``m``, shared as ``with_points`` shares it; ``m`` is never written.
     Atoms exactly on the geodesic are assigned to the cap side (deterministic
     tie-break on a measure-zero set).
     """
     if m.space != cap.space:
         raise SpaceMismatchError("measure and cap live on different spaces")
-    return DiscreteMeasure(m.space, _fold_points(cap, m.points), m.weights.copy())
+    return m.with_points(_fold_points(cap, m.points))
 
 
 def _fold_points(cap: Cap, x) -> np.ndarray:
+    # a fresh array, written one row block at a time, so that every
+    # temporary is one block long
     x = _points(cap, x)
-    sq, dot = _sq_norm(x), _dot(x, cap.p)
-    out = cap.height * (1.0 + sq) > 2.0 * dot  # the negation of cap_contains
-    if x.ndim == 1 or 3 * np.count_nonzero(out) < len(x):
-        # under a third of the atoms outside (and every disk fold): reflect
-        # just those, picked and written back through the transpose, which
-        # holds column-major sphere atoms as contiguous rows (a no-op on the
-        # disk's 1-D array); the test's arrays go first, since a fresh
-        # allocation costs more than reusing freed memory
-        del sq, dot
-        folded = x.copy(order="K")
-        folded.T[..., out] = cap_reflection(cap, np.compress(out, x.T, axis=-1).T).T
-        return folded
-    # more outside: one pass over all the atoms writes the result once,
-    # column-major like x, with scale 1 and shift 0 inside the cap and the
-    # |x|^2 and (x, p) of the test reused
-    a, c, d = _inversion(cap, x, sq, dot)
-    return _scaled_sum(np.where(out, a / d, 1.0), x, np.where(out, c / d, 0.0), cap.p)
+    folded = np.empty_like(x)
+    for rows in _atom_blocks(x):
+        block, out = x[rows], folded[rows]
+        sq, dot = _sq_norm(block), _dot(block, cap.p)
+        outside = cap.height * (1.0 + sq) > 2.0 * dot  # the negation of cap_contains
+        if block.ndim == 1 or 3 * np.count_nonzero(outside) < len(block):
+            # under a third of the atoms outside (and every disk fold):
+            # reflect just those, picked and written back through the
+            # transpose, which holds column-major sphere atoms as contiguous
+            # rows (a no-op on the disk's 1-D array); the test's arrays go
+            # first, since a fresh allocation costs more than reusing freed
+            # memory
+            del sq, dot
+            np.copyto(out, block)
+            out.T[..., outside] = cap_reflection(
+                cap, np.compress(outside, block.T, axis=-1).T
+            ).T
+        else:
+            # more outside: one pass writes the atoms once, with scale 1 and
+            # shift 0 inside the cap and the |x|^2 and (x, p) of the test
+            # reused
+            a, c, d = _inversion(cap, block, sq, dot)
+            _scaled_sum(
+                np.where(outside, a / d, 1.0), block,
+                np.where(outside, c / d, 0.0), cap.p, out,
+            )
+    return folded
 
 
 def _rotation_to_e1(direction: np.ndarray) -> np.ndarray:
@@ -355,15 +376,19 @@ def rearrange(
     The input must already be balanced; the output is balanced to the
     default ``renormalize`` tolerance and has the same total mass.
     ``start`` is passed to the first ``renormalize`` (the balancing point of
-    a nearby cap saves iterations).
+    a nearby cap saves iterations).  ``m`` is never written.  On the sphere
+    the fold writes a fresh atom array, and the transport overwrites that
+    array in place (``moebius._ball_transport``): it is the only atom array
+    a rearrangement allocates, and the output measure holds it, with the
+    weights of ``m``.
     """
     if m.space != cap.space:
         raise SpaceMismatchError("measure and cap live on different spaces")
-    first = renormalize(fold_measure(m, cap), start=start)
+    folded = fold_measure(m, cap)
+    first = renormalize(folded, start=start)
     b = image_cap(cap, first.xi)
     zeta_pred = reflection_renormalizer(cap)
     eta, q_norm = None, 1.0
-    last = first
     if m.space == "disk":
         moved = first.measure
         opened = moved.with_points(CapDiskMap(b)(moved.points, check=False))
@@ -372,11 +397,17 @@ def rearrange(
         zeta = complex(zeta_pred)
         q = (np.conj(zeta) * eta + 1.0) / (zeta * np.conj(eta) + 1.0)
         q_norm = float(abs(q))
+        nu, form = last.measure, last.form
+    else:
+        # nothing else holds the folded atoms; ``first`` would build its
+        # measure and form from them, so neither is read
+        nu = folded.with_points(_ball_transport(first.xi, folded.points, folded.points))
+        form = direction_form(nu)
     trace = RearrangeTrace(
         xi_a=first.xi, b=b, eta_a=eta, zeta_predicted=zeta_pred,
-        q_norm=q_norm, form=last.form,
+        q_norm=q_norm, form=form,
     )
-    return last.measure, trace
+    return nu, trace
 
 
 def _pipeline(trace: RearrangeTrace):

@@ -19,7 +19,7 @@ from .exceptions import (
     InvalidInputError,
     ZeroMassError,
 )
-from .measures import DirectionForm, DiscreteMeasure, direction_form
+from .measures import DirectionForm, DiscreteMeasure, _row_blocks, direction_form
 from .moebius import _disk_matrix, _lft, _scaled_sum, renormalize
 
 __all__ = [
@@ -322,71 +322,83 @@ def _sphere_cap_jacobian(m, cap, moved, trace, basis, f, tangents):
 
     The compressed form moves by dC = 2 sym(sum w (U^T dM)(U^T M)^T), so
     dy enters only through its coordinates along U and xi, and every sum
-    over the atoms is a product of the atoms with a few vectors.
+    over the atoms is a product of the atoms with a few vectors.  The sums
+    walk row blocks (``measures._row_blocks``) sized to the largest per-atom
+    temporary, the 3 (n+1) values (v, dy), so no pass builds an array as
+    long as the measure.
     """
-    x, w = m.points, m.weights
     p, h, r = cap.p, cap.height, cap.r
     xi = np.asarray(trace.xi_a, dtype=float)
     s = float(xi @ xi)
-    dim, n_atoms = len(xi), len(w)
-    # atoms as columns (contiguous rows of the column-major measures), and
-    # their coordinates along U_0, U_1, xi, p and the tangents
-    xt, mt = x.T, moved.points.T
+    dim = len(xi)
+    # coordinates along U_0, U_1, xi, p and the tangents
     frame = np.column_stack([basis, xi])
-    xb = np.column_stack([frame, p, tangents.T]).T @ xt
-    xv, xp = xb[:3], xb[3]
+    coords = np.column_stack([frame, p, tangents.T]).T
+    pv, ev = frame.T @ p, frame.T @ tangents.T
     # the fold, from (x, p) alone: outside the cap, scale a/d and shift c/d
     a = (1.0 - h) * (1.0 + h)
-    c = 2.0 * (h - xp)
-    out = c > 0.0
-    inv = out / (a + h * c)
-    ce, xe = c * inv, xb[4:] * inv
-    y = _scaled_sum(np.where(out, a * inv, 1.0), x, ce, p)
-    yt = y.T
-    pv, ev = frame.T @ p, frame.T @ tangents.T
-    yv = frame.T @ yt
-    omega = w / (1.0 + 2.0 * yv[2] + s)
-    # (v, dy) for v = U_0, U_1, xi (first index) and each parameter (second):
-    # dy = dh (-2 h x + 2 p - c y) / d along r (dd/dh = 2 h - 2 (x, p) = c),
-    # dy = (x, e_k) (2 h y - 2 p) / d + c e_k / d along a tangent e_k
-    # (dc = -2 (x, e_k), dd = h dc), and dy = 0 inside the cap
     dh = 2.0 * (1.0 - r * r) / (1.0 + r * r) ** 2
-    vdy = np.empty((3, len(tangents) + 1, n_atoms))
-    vdy[:, 0] = dh * inv * (2.0 * pv[:, None] - c * yv - 2.0 * h * xv)
-    np.multiply((2.0 * (h * yv - pv[:, None]))[:, None], xe, out=vdy[:, 1:])
-    vdy[:, 1:] += ev[:, :, None] * ce
-    proj = basis.T @ mt
-    wp = omega * proj
-    feats = np.vstack([wp, (proj[:, None] * wp).reshape(4, -1)])
-    sums = (vdy.reshape(-1, n_atoms) @ np.vstack([omega, feats]).T).reshape(3, -1, 7)
+    totals = None
+    for rows in _row_blocks(len(m.weights), 3 * dim):
+        # atoms as columns (contiguous rows of the column-major measures)
+        x, w = m.points[rows], m.weights[rows]
+        n_atoms = len(w)
+        xt, mt = x.T, moved.points[rows].T
+        xb = coords @ xt
+        xv, xp = xb[:3], xb[3]
+        c = 2.0 * (h - xp)
+        out = c > 0.0
+        inv = out / (a + h * c)
+        ce, xe = c * inv, xb[4:] * inv
+        y = _scaled_sum(np.where(out, a * inv, 1.0), x, ce, p)
+        yt = y.T
+        yv = frame.T @ yt
+        omega = w / (1.0 + 2.0 * yv[2] + s)
+        # (v, dy) for v = U_0, U_1, xi (first index) and each parameter
+        # (second): dy = dh (-2 h x + 2 p - c y) / d along r
+        # (dd/dh = 2 h - 2 (x, p) = c), dy = (x, e_k) (2 h y - 2 p) / d
+        # + c e_k / d along a tangent e_k (dc = -2 (x, e_k), dd = h dc),
+        # and dy = 0 inside the cap
+        vdy = np.empty((3, len(tangents) + 1, n_atoms))
+        vdy[:, 0] = dh * inv * (2.0 * pv[:, None] - c * yv - 2.0 * h * xv)
+        np.multiply((2.0 * (h * yv - pv[:, None]))[:, None], xe, out=vdy[:, 1:])
+        vdy[:, 1:] += ev[:, :, None] * ce
+        proj = basis.T @ mt
+        wp = omega * proj
+        feats = np.vstack([wp, (proj[:, None] * wp).reshape(4, -1)])
+        part = [
+            (vdy.reshape(-1, n_atoms) @ np.vstack([omega, feats]).T).reshape(3, -1, 7),
+            yt @ np.vstack([omega, omega * ce, omega * xe]).T,
+            omega @ inv, xt @ (omega * inv), xe @ omega, omega @ ce,
+            mt @ (vdy[2] * omega).T, omega @ (1.0 + yv[2]), mt @ omega, (mt * omega) @ y,
+            yt @ feats.T, feats[2:].sum(axis=1), yv[:2] @ wp.T, (1.0 + yv[2]) @ wp.T,
+        ]
+        totals = part if totals is None else [t + q for t, q in zip(totals, part)]
+    (sums, y_sums, w_inv, x_w_inv, xe_w, w_ce, m_vdy, w_yxi, m_w, m_w_y, y_feats,
+     feat_sums, y_wp, yxi_wp) = totals
     # the balancing point: dxi = -J^-1 sum w D_y phi[dy], one column each
-    y_sums = yt @ np.vstack([omega, omega * ce, omega * xe]).T
     sum_dy = np.column_stack([
-        dh * (2.0 * (omega @ inv) * p - 2.0 * h * (xt @ (omega * inv)) - y_sums[:, 1]),
-        2.0 * h * y_sums[:, 2:] - 2.0 * np.outer(p, xe @ omega)
-        + tangents.T * (omega @ ce),
+        dh * (2.0 * w_inv * p - 2.0 * h * x_w_inv - y_sums[:, 1]),
+        2.0 * h * y_sums[:, 2:] - 2.0 * np.outer(p, xe_w) + tangents.T * w_ce,
     ])
-    pull = (
-        (1.0 - s) * sum_dy + 2.0 * np.outer(xi, sums[2, :, 0])
-        - 2.0 * mt @ (vdy[2] * omega).T
-    )
+    pull = (1.0 - s) * sum_dy + 2.0 * np.outer(xi, sums[2, :, 0]) - 2.0 * m_vdy
     jac = (
-        2.0 * (omega @ (1.0 + yv[2])) * np.eye(dim)
-        + 2.0 * (np.outer(xi, y_sums[:, 0]) - np.outer(y_sums[:, 0] + mt @ omega, xi))
-        - 2.0 * (mt * omega) @ y
+        2.0 * w_yxi * np.eye(dim)
+        + 2.0 * (np.outer(xi, y_sums[:, 0]) - np.outer(y_sums[:, 0] + m_w, xi))
+        - 2.0 * m_w_y
     )
     g = -np.linalg.solve(jac, pull)
     gv = frame.T @ g
     # half[k, j, l] = sum w (U_j, dM_k) (U_l, M); with z = (xi, dy) + (g, y),
     # Dn (U_j, dM) = (1 - s) (U_j, dy) + 2 (U_j, xi) z - 2 (U_j, M) (z + (xi, g))
     #                - 2 (xi, g) (U_j, y) + 2 (1 + (xi, y)) (U_j, g)
-    z = sums[2, :, 1:] + g.T @ (yt @ feats.T)
+    z = sums[2, :, 1:] + g.T @ y_feats
     half = (
         (1.0 - s) * sums[:2, :, 1:3].transpose(1, 0, 2)
         + 2.0 * (basis.T @ xi)[None, :, None] * z[:, None, :2]
         - 2.0 * z[:, 2:].reshape(-1, 2, 2)
-        - 2.0 * gv[2][:, None, None] * (feats[2:].sum(axis=1).reshape(2, 2) + yv[:2] @ wp.T)
-        + 2.0 * gv[:2].T[:, :, None] * ((1.0 + yv[2]) @ wp.T)
+        - 2.0 * gv[2][:, None, None] * (feat_sums.reshape(2, 2) + y_wp)
+        + 2.0 * gv[:2].T[:, :, None] * yxi_wp
     )
     dc = half + half.transpose(0, 2, 1)
     trace_c = float(np.trace(basis.T @ trace.form.matrix @ basis))

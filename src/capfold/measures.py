@@ -52,6 +52,12 @@ def _row_blocks(rows: int, columns: int):
     return [slice(start, start + step) for start in range(0, max(rows, 1), step)]
 
 
+def _atom_blocks(x):
+    # the row blocks of sphere atoms; 1-D disk atoms and a single sphere
+    # point are one block
+    return _row_blocks(*x.shape) if x.ndim == 2 else [...]
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Weighted atoms on the closed disk or the unit n-sphere.

@@ -5,6 +5,7 @@ measure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +14,7 @@ from .exceptions import InvalidInputError, NonConvergenceError, ZeroMassError
 from .measures import (
     DirectionForm,
     DiscreteMeasure,
+    _atom_blocks,
     _disk_xy_factors,
     _form_from_columns,
     _row_blocks,
@@ -84,15 +86,16 @@ def _dot(x, p):
     return x @ p
 
 
-def _scaled_sum(s, x, t, p):
+def _scaled_sum(s, x, t, p, out=None):
     """s x + t p for disk points (complex) or sphere points (rows) ``x`` and
     one point ``p``, with the scalars ``s`` and ``t`` given per point or once
-    for all.  Sphere results keep the column-major layout of ``x``, as in a
+    for all, written into ``out`` if given (``x`` itself may be ``out``).
+    Fresh sphere results keep the column-major layout of ``x``, as in a
     ``DiscreteMeasure``: t p is added in place one column at a time, so no
     (N, n+1) outer product is built."""
     if np.iscomplexobj(x) or x.ndim == 1:
-        return s * x + t * p
-    out = np.expand_dims(s, -1) * x
+        return np.add(s * x, t * p, out=out)
+    out = np.multiply(np.expand_dims(s, -1), x, out=out)
     for column, pk in zip(out.T, p):
         column += t * pk
     return out
@@ -136,19 +139,35 @@ def ball_moebius(xi, x):
     h = |xi|, p = xi/|xi| (``_inversion_terms``), whose denominator
     |h x + p|^2 is built without cancellation, so an atom near -p, which the
     map stretches by up to (1 + h)/(1 - h), stays on the sphere to rounding
-    times that stretch.
+    times that stretch.  The result is a fresh array (``_ball_transport``);
+    ``x`` is never written.
     """
-    xi = np.asarray(xi, dtype=float)
     x = np.asarray(x, dtype=float)
+    return _ball_transport(np.asarray(xi, dtype=float), x, np.empty_like(x))
+
+
+def _ball_transport(xi, x, out):
+    """Write ``ball_moebius(xi, x)`` into ``out`` and return it.
+
+    ``out`` has the shape of ``x`` and may be ``x`` itself: the points are
+    transported one row block (``measures._row_blocks``) at a time, and each
+    block of ``x`` is read in full before the same block of ``out`` is
+    written, so every temporary is one block long.  A single point (1-D
+    ``x``) is one block.
+    """
     h = float(np.linalg.norm(xi))
     if h == 0.0:
-        return x.copy(order="K")
+        np.copyto(out, x)
+        return out
     p = xi / h
     a = (1.0 - h) * (1.0 + h)
-    # the reflected point has the c and d of x at (h, -p), and
-    # a reflection(p, x) + c p = a x + (c - 2 a (x, p)) p
-    c, d = _inversion_terms(x, h, -p, a, 1.0 - h)
-    return _scaled_sum(a / d, x, (c - 2.0 * a * _dot(x, p)) / d, p)
+    for rows in _atom_blocks(x):
+        block = x[rows]
+        # the reflected point has the c and d of x at (h, -p), and
+        # a reflection(p, x) + c p = a x + (c - 2 a (x, p)) p
+        c, d = _inversion_terms(block, h, -p, a, 1.0 - h)
+        _scaled_sum(a / d, block, (c - 2.0 * a * _dot(block, p)) / d, p, out[rows])
+    return out
 
 
 def reflection(p, x):
@@ -176,20 +195,37 @@ class RenormResult:
     """Balancing point xi with the balanced measure and the work the solve took.
 
     ``measure`` is ``pushforward(m, xi)`` and ``form`` its ``direction_form``,
-    bitwise; on the disk both reuse the moved atoms and J1 factors of the
-    residual at ``xi``.  ``evaluations`` counts moment-map evaluations, one
-    per closed-form ball Jacobian and one per moment vector of a disk
-    central difference; ``halvings`` counts the Newton line-search step
-    halvings.
+    bitwise.  Each is built on first read, in fresh arrays, from the atoms
+    of ``m``; neither ever writes an array of ``m``.  On the disk both reuse
+    the moved atoms and J1 factors of the residual at ``xi``; on the sphere
+    a caller that reads neither builds no moved atoms here (``caps.rearrange``
+    transports its own folded atoms in place instead).  ``evaluations``
+    counts moment-map evaluations, one per closed-form ball Jacobian and one
+    per moment vector of a disk central difference; ``halvings`` counts the
+    Newton line-search step halvings.
     """
 
     xi: object  # complex (disk) or ndarray (sphere)
     residual: float
     iterations: int
-    measure: DiscreteMeasure = field(compare=False, repr=False)
-    form: DirectionForm = field(compare=False, repr=False)
     evaluations: int = 0
     halvings: int = 0
+    # the measure that was balanced, and on the disk the moved atoms and
+    # their J1 factors at xi
+    _source: DiscreteMeasure | None = field(default=None, compare=False, repr=False)
+    _kept: tuple | None = field(default=None, compare=False, repr=False)
+
+    @functools.cached_property
+    def measure(self) -> DiscreteMeasure:
+        if self._kept is None:
+            return pushforward(self._source, self.xi)
+        return self._source.with_points(self._kept[0])
+
+    @functools.cached_property
+    def form(self) -> DirectionForm:
+        if self._kept is None:
+            return direction_form(self.measure)
+        return _form_from_columns(np.stack(self._kept[1], axis=1), self._source.weights)
 
 
 def _ball_moments(points, sq, weights, xi, jacobian=False):
@@ -283,10 +319,11 @@ def renormalize(
     a halving line search finishes.  On the ball the moments and the Newton
     Jacobian are closed form (``_ball_moments``); the disk still builds its
     Jacobian from central differences (ROADMAP item 2).  The returned ``xi`` is
-    complex on the disk.  The result also carries the balanced measure and
-    its direction form; on the disk they are built from the moved atoms and
-    J1 factors of the residual at the returned ``xi``, which the Jacobian's
-    evaluations and rejected line-search candidates leave alone.
+    complex on the disk.  The result also gives the balanced measure and
+    its direction form, built when first read (``RenormResult``); on the
+    disk from the moved atoms and J1 factors of the residual at the returned
+    ``xi``, which the Jacobian's evaluations and rejected line-search
+    candidates leave alone.  ``m`` is never written.
 
     Raises
     ------
@@ -415,17 +452,9 @@ def renormalize(
     # boundary by rounding) fails it too
     if not rn <= tol:
         raise failure("renormalization did not reach tolerance")
-    xi = _public(m, xi)
-    if m.space == "disk":
-        moved, cols = kept
-        measure = m.with_points(moved)
-        form = _form_from_columns(np.stack(cols, axis=1), weights)
-    else:
-        measure = pushforward(m, xi)
-        form = direction_form(measure)
     return RenormResult(
-        xi=xi, residual=rn, iterations=iterations, measure=measure, form=form,
-        evaluations=evaluations, halvings=halvings,
+        xi=_public(m, xi), residual=rn, iterations=iterations,
+        evaluations=evaluations, halvings=halvings, _source=m, _kept=kept,
     )
 
 

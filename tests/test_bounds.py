@@ -445,6 +445,30 @@ def test_modified_quotient_needs_a_unit_direction():
             sphere_modified_quotient(g, cap, scaled, trace=trace)
 
 
+def test_modified_quotient_rejects_a_trace_of_another_cap():
+    # the trace of A = Cap(0.3, e0) read at B = Cap(-0.4, e1) gave 50.18,
+    # above the theorem constant, for B's own 30.99; a hemisphere's trace
+    # at another hemisphere and a cap's at its complement share zeta
+    g = sphere_quadrature(3, resolution=8)
+    g = g.scaled(1.0 / g.total_mass)
+    e = np.eye(4)
+    pairs = [
+        (Cap(-0.4, e[1], "sphere"), Cap(0.3, e[0], "sphere")),
+        (Cap(0.0, e[0], "sphere"), Cap(0.0, e[1], "sphere")),
+        (Cap(-0.3, -e[0], "sphere"), Cap(0.3, e[0], "sphere")),
+    ]
+    for cap, other in pairs:
+        nu, trace = rearrange(g, cap)
+        s = direction_form(nu).max_direction
+        own = sphere_modified_quotient(g, cap, s, trace=trace)
+        assert own["quotient"] < own["constant"]
+        with pytest.raises(InvalidInputError):
+            sphere_modified_quotient(g, cap, s, trace=rearrange(g, other)[1])
+    assert sphere_modified_quotient(
+        g, pairs[0][0], direction_form(rearrange(g, pairs[0][0])[0]).max_direction
+    )["quotient"] == pytest.approx(30.99, abs=0.01)
+
+
 # ------------------------------------------------------------ Hoelder gap
 
 def test_holder_equality_constant_gradient():

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from capfold.caps import Cap, rearrange
+from capfold.directions import _compressed_traceless, _sphere_cap_jacobian, _tangents
 from capfold.exceptions import InvalidInputError, NonConvergenceError, ZeroMassError
 from capfold.measures import (
     DiscreteMeasure,
@@ -336,6 +338,24 @@ def test_atom_sums_allocate_one_row_block(sphere5_res8):
     jac_peak = _peak_bytes(lambda: _ball_moments(g.points, sq, g.weights, xi, jacobian=True))
     assert jac_peak <= 1.5 * 2**20
     assert _peak_bytes(lambda: direction_form(g)) <= 1.0 * 2**20
+
+
+def test_sphere_rearrangement_and_cap_jacobian_allocate_one_atom_array(sphere5_res8):
+    # the fold writes the one atom array a rearrangement allocates (3 MB
+    # here) and the transport overwrites it in place; the cap Jacobian sums
+    # over row blocks.  Before, their peaks were 9.5 MB and 34.1 MB.
+    g = sphere5_res8.scaled(1.0 / sphere5_res8.total_mass)
+    rng = np.random.default_rng(8)
+    for r in (-0.6, 0.3):
+        p = rng.normal(size=6)
+        p /= np.linalg.norm(p)
+        cap = Cap(r, p, "sphere")
+        assert _peak_bytes(lambda: rearrange(g, cap)) <= 6 * 2**20
+        nu, trace = rearrange(g, cap)
+        basis = np.linalg.eigh(trace.form.matrix)[1][:, -2:]
+        f = _compressed_traceless(trace.form.matrix, basis)
+        args = (g, cap, nu, trace, basis, f, _tangents(p))
+        assert _peak_bytes(lambda: _sphere_cap_jacobian(*args)) <= 6 * 2**20
 
 
 def test_renormalize_start_must_lie_inside(uniform_disk, sphere3_uniform):

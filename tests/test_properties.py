@@ -12,6 +12,7 @@ from capfold.caps import (  # noqa: E402
     Cap,
     RearrangeTrace,
     _fold_points,
+    _inversion,
     cap_contains,
     cap_reflection,
     cap_reflection_factor,
@@ -31,8 +32,13 @@ from capfold.measures import (  # noqa: E402
 )
 from capfold.moebius import (  # noqa: E402
     _ball_moments,
+    _ball_transport,
     _disk_matrix,
+    _dot,
+    _inversion_terms,
     _lft,
+    _scaled_sum,
+    _sq_norm,
     ball_moebius,
     disk_moebius,
     disk_moebius_derivative,
@@ -206,6 +212,61 @@ def test_direction_form_across_row_blocks(dim, count):
         moved[-1 - k] *= 1.0 + 2e-9
         with pytest.raises(InvalidInputError):
             DiscreteMeasure("sphere", moved, w)
+
+
+def _one_pass_fold(cap, x):
+    # the fold over all the atoms at once, as before its row blocks
+    sq, dot = _sq_norm(x), _dot(x, cap.p)
+    out = cap.height * (1.0 + sq) > 2.0 * dot
+    if 3 * np.count_nonzero(out) < len(x):
+        folded = x.copy(order="K")
+        folded.T[..., out] = cap_reflection(cap, np.compress(out, x.T, axis=-1).T).T
+        return folded
+    a, c, d = _inversion(cap, x, sq, dot)
+    return _scaled_sum(np.where(out, a / d, 1.0), x, np.where(out, c / d, 0.0), cap.p)
+
+
+def _one_pass_transport(xi, x):
+    # ball_moebius over all the atoms at once, as before its row blocks
+    h = float(np.linalg.norm(xi))
+    p = xi / h
+    a = (1.0 - h) * (1.0 + h)
+    c, d = _inversion_terms(x, h, -p, a, 1.0 - h)
+    return _scaled_sum(a / d, x, (c - 2.0 * a * _dot(x, p)) / d, p)
+
+
+@block_cases
+def test_fold_and_transport_across_row_blocks(dim, count):
+    # caps with |h| below and above 1/2 (direct and w-form inversion terms),
+    # each with most atoms inside (only the outside ones are reflected) and
+    # most outside (one pass), and Moebius parameters below and above 1/2
+    rng = np.random.default_rng(count)
+    x = rng.normal(size=(count, dim))
+    x = np.asfortranarray(x / np.linalg.norm(x, axis=1)[:, None])
+    kept = x.copy(order="K")
+
+    def same(got, ref, h):
+        assert got.flags.f_contiguous
+        if count <= _BLOCK_FLOATS // dim:
+            assert np.array_equal(got, ref)
+        else:
+            # a row's (x, p) can round differently in a short block (one ulp
+            # in a one-row last block), which the inversion stretches by up
+            # to (1 + |h|)/(1 - |h|)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * (1.0 + abs(h)) / (1.0 - abs(h))
+
+    for r in (-0.6, -0.2, 0.2, 0.6):
+        cap = Cap(r, _unit(rng, dim), "sphere")
+        same(_fold_points(cap, x), _one_pass_fold(cap, x), cap.height)
+    for size in (0.3, 0.8):
+        xi = size * _unit(rng, dim)
+        moved = ball_moebius(xi, x)
+        same(moved, _one_pass_transport(xi, x), size)
+        # in place, each block is read before it is written
+        atoms = x.copy(order="K")
+        assert _ball_transport(xi, atoms, atoms) is atoms
+        assert np.array_equal(atoms, moved)
+    assert np.array_equal(x, kept)
 
 
 reflection_case = given(
@@ -546,3 +607,34 @@ def test_sphere_results_do_not_depend_on_the_atom_layout(n, r, seed):
                     DiscreteMeasure("sphere", points, w)
             else:
                 DiscreteMeasure("sphere", points, w)
+
+
+@pytest.mark.parametrize("n, res", [(3, 16), (5, 8)])
+def test_sphere_kernels_never_write_the_callers_atoms(n, res):
+    # rearrange transports its own folded atoms in place; no public function
+    # writes the atoms or weights it is given, nor do the balanced measure
+    # and form of a renormalize result when they are read.  Caps have |h|
+    # below and above 1/2, balancing points norms below and above 1/2.
+    rng = np.random.default_rng(n)
+    g = sphere_quadrature(n, resolution=res)
+    norms = []
+    for size in (0.1, 0.7):
+        m = pushforward(g, size * _unit(rng, n + 1))
+        balanced = renormalize(m)
+        inputs = [(m, m.points.copy(order="K"), m.weights.copy())]
+        bm = balanced.measure
+        direction_form(bm), balanced.form
+        inputs.append((bm, bm.points.copy(order="K"), bm.weights.copy()))
+        norms.append(np.linalg.norm(balanced.xi))
+        for r in (-0.6, 0.2, 0.6):
+            cap = Cap(r, _unit(rng, n + 1), "sphere")
+            for source in (m, bm):
+                nu, trace = rearrange(source, cap)
+                assert not np.shares_memory(nu.points, source.points)
+                norms.append(np.linalg.norm(trace.xi_a))
+                fold_measure(source, cap), cap_reflection(cap, source.points)
+            pushforward(bm, trace.xi_a), ball_moebius(trace.xi_a, bm.points)
+        for source, points, weights in inputs:
+            assert np.array_equal(source.points, points)
+            assert np.array_equal(source.weights, weights)
+    assert min(norms) < 0.5 <= max(norms)
