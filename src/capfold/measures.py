@@ -90,11 +90,15 @@ class DiscreteMeasure:
         if self.space == "sphere":
             points = np.asfortranarray(self.points, dtype=float)
         else:
-            points = np.asarray(self.points)
+            points = np.asarray(self.points, dtype=complex)  # keeps a grid's own array
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.space not in ("disk", "sphere"):
             raise InvalidInputError(f"unknown space {self.space!r}")
+        if points.ndim != (1 if self.space == "disk" else 2):
+            raise InvalidInputError(f"{self.space} atoms cannot have shape {points.shape}")
+        if self.weights.shape != points.shape[:1]:
+            raise InvalidInputError(f"{self.weights.shape} weights, {len(points)} atoms")
         # each check is written to fail on NaN
         if not np.all(self.weights >= 0):
             raise NegativeDensityError("atom weights must be nonnegative")
@@ -102,8 +106,6 @@ class DiscreteMeasure:
             if not np.all(np.abs(points) <= 1.0 + _BOUNDARY_SLACK):
                 raise InvalidInputError("disk atoms must lie in the closed unit disk")
         else:
-            if points.ndim != 2:
-                raise InvalidInputError("sphere atoms must be rows of an (N, n+1) array")
             for rows in _row_blocks(*points.shape):
                 x = points[rows]
                 norms = np.sqrt(np.einsum("ij,ij->i", x, x))
@@ -152,7 +154,8 @@ def disk_grid(n_r: int = 96, n_theta: int = 192):
     Returns (points, base_weights, radii, radial_weights) where base_weights
     already contain the r dr dtheta area element, so that a density-1 measure
     has total mass pi.  Computed once per grid shape and read-only, since
-    every caller shares the arrays.
+    every caller shares the arrays; so are the J1 columns X_{e1}, X_{e2} at
+    ``points``, which serve every measure whose atoms are this very array.
     """
     if n_r < 4 or n_theta < 4:
         raise InvalidInputError(f"need n_r, n_theta >= 4, got {n_r}, {n_theta}")
@@ -344,6 +347,23 @@ def _disk_xy_factors(points: np.ndarray):
     return amp * points.real, amp * points.imag
 
 
+@functools.cache
+def _grid_xy_factors(n_r: int, n_theta: int):
+    # the same columns on a standard grid, shared read-only like the grid
+    x1, x2 = _disk_xy_factors(disk_grid(n_r, n_theta)[0])
+    x1.flags.writeable = x2.flags.writeable = False
+    return x1, x2
+
+
+def _grid_columns(m: DiscreteMeasure):
+    # the cached columns when m's atoms are its standard grid's own array,
+    # else None: a copy of the grid, or atoms moved off it, never match
+    shape = m.grid_shape
+    if shape is not None and m.points is disk_grid(*shape)[0]:
+        return _grid_xy_factors(*shape)
+    return None
+
+
 def disk_coordinate_values(z, s) -> np.ndarray:
     """Disk eigenfunction coordinate X_s(z) = J1(zeta |z|) (z . s)/|z|.
 
@@ -376,6 +396,9 @@ def moment_vector_raw(space: str, points, weights) -> np.ndarray:
 
 def moment_vector(m: DiscreteMeasure) -> np.ndarray:
     """First-order moments (integral of X_{e_i}) for each coordinate direction."""
+    if m.space == "disk":
+        cols = _grid_columns(m) or _disk_xy_factors(m.points)
+        return np.array([np.sum(m.weights * col) for col in cols])
     return moment_vector_raw(m.space, m.points, m.weights)
 
 
@@ -432,9 +455,10 @@ class DirectionForm:
 
 
 def direction_form(m: DiscreteMeasure) -> DirectionForm:
-    """Assemble and diagonalize the matrix of second moments of X."""
+    """Assemble and diagonalize the matrix of second moments of X; on atoms
+    that are a ``disk_grid`` array itself, X is that grid's cached columns."""
     if m.space == "disk":
-        cols = np.stack(_disk_xy_factors(m.points), axis=1)
+        cols = np.stack(_grid_columns(m) or _disk_xy_factors(m.points), axis=1)
     else:
         cols = m.points
     return _form_from_columns(cols, m.weights)

@@ -17,6 +17,7 @@ from .measures import (
     _atom_blocks,
     _disk_xy_factors,
     _form_from_columns,
+    _grid_columns,
     _row_blocks,
     direction_form,
     moment_scale,
@@ -195,14 +196,14 @@ class RenormResult:
     """Balancing point xi with the balanced measure and the work the solve took.
 
     ``measure`` is ``pushforward(m, xi)`` and ``form`` its ``direction_form``,
-    bitwise.  Each is built on first read, in fresh arrays, from the atoms
-    of ``m``; neither ever writes an array of ``m``.  On the disk both reuse
-    the moved atoms and J1 factors of the residual at ``xi``; on the sphere
-    a caller that reads neither builds no moved atoms here (``caps.rearrange``
-    transports its own folded atoms in place instead).  ``evaluations``
-    counts moment-map evaluations, one per closed-form ball Jacobian and one
-    per moment vector of a disk central difference; ``halvings`` counts the
-    Newton line-search step halvings.
+    bitwise, each built on first read and never writing an array of ``m``.
+    On the disk both reuse the moved atoms and J1 factors of the residual at
+    ``xi``; at ``xi`` = 0 on a grid measure ``measure`` shares the grid's
+    read-only atoms.  On the sphere a caller that reads neither builds no
+    moved atoms here (``caps.rearrange`` transports its own folded atoms in
+    place instead).  ``evaluations`` counts moment-map evaluations, one per
+    closed-form ball Jacobian and one per moment vector of a disk central
+    difference; ``halvings`` counts the Newton line-search step halvings.
     """
 
     xi: object  # complex (disk) or ndarray (sphere)
@@ -323,7 +324,8 @@ def renormalize(
     its direction form, built when first read (``RenormResult``); on the
     disk from the moved atoms and J1 factors of the residual at the returned
     ``xi``, which the Jacobian's evaluations and rejected line-search
-    candidates leave alone.  ``m`` is never written.
+    candidates leave alone; at ``xi`` = 0 a grid measure skips the map and
+    keeps its grid's read-only atoms and cached columns.  ``m`` is never written.
 
     Raises
     ------
@@ -348,11 +350,15 @@ def renormalize(
     points, weights = m.points, m.weights
     if m.space == "disk":
         fd = 1e-6
+        grid_cols = _grid_columns(m)
 
         def moments(xi):
-            # the moved atoms and their J1 factors, kept for the result
-            moved = disk_moebius(complex(xi[0], xi[1]), points)
-            cols = _disk_xy_factors(moved)
+            # moved atoms and J1 factors, kept for the result; xi = 0 moves nothing
+            if grid_cols is not None and not xi.any():
+                moved, cols = points, grid_cols
+            else:
+                moved = disk_moebius(complex(xi[0], xi[1]), points)
+                cols = _disk_xy_factors(moved)
             return np.array([np.sum(weights * c) for c in cols]), (moved, cols)
 
         def jacobian(xi):

@@ -216,16 +216,18 @@ def test_certificate_disk_multiple_direct():
 
 
 def test_certificate_multiple_direct_evaluates_the_kernel_once(monkeypatch):
-    # the residual of the balancing solve at its accepted point is the one
-    # J1 evaluation: the balanced measure, its direction form and the
-    # canonical form the certificate reads are all built from it
+    # the J1 kernel runs once per grid shape: a cold certificate evaluates
+    # it on the grid's atoms alone, for the cached columns that give the
+    # balancing solve's residual at xi = 0, the balanced measure, its
+    # direction form and the canonical form the certificate reads; a warm
+    # certificate evaluates it zero times, at any resolution
     import capfold.bounds
     import capfold.directions
     import capfold.measures
     import capfold.moebius
 
     domain = ConformalDomain([1.0])
-    expected = planar_bound_certificate(domain, "disk", n_r=16, n_theta=32)
+    quintic = ConformalDomain([1.0, 0.0, 0.0, 0.0, 0.05])
     kernel_calls, form_calls = [], []
     kernel = capfold.measures.j1_over_x
 
@@ -240,11 +242,21 @@ def test_certificate_multiple_direct_evaluates_the_kernel_once(monkeypatch):
     monkeypatch.setattr(capfold.measures, "j1_over_x", counted_kernel)
     for module in (capfold.bounds, capfold.directions, capfold.moebius):
         monkeypatch.setattr(module, "direction_form", counted_form)
-    report = planar_bound_certificate(domain, "disk", n_r=16, n_theta=32)
-    assert report.branch == "multiple-direct"
-    assert len(kernel_calls) == 1
+    def certify_both():
+        return [
+            planar_bound_certificate(domain, "disk", n_r=16, n_theta=32).as_dict(),
+            planar_bound_certificate(quintic, "quintic").as_dict(),
+        ]
+
+    capfold.measures._grid_xy_factors.cache_clear()
+    cold = certify_both()
+    assert [x.size for x in kernel_calls] == [16 * 32, 96 * 192]
+    kernel_calls.clear()
+    warm = certify_both()
+    assert len(kernel_calls) == 0
     assert len(form_calls) == 0
-    assert report.as_dict() == expected.as_dict()
+    assert [r["branch"] for r in cold] == ["multiple-direct"] * 2
+    assert cold == warm
 
 
 def test_certificate_bent_simple_folded(bent_certificate):

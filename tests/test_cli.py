@@ -228,6 +228,22 @@ def test_fem_disk(tmp_path):
     assert doc["factor_nnz"] > len(doc["eigenvalues"])
 
 
+def test_certify_report_is_the_same_with_a_cold_or_warm_grid_cache(tmp_path):
+    # the first certify at a grid shape fills the cached grid columns, the
+    # second reads them; both write the same bytes
+    from capfold.measures import _grid_xy_factors
+
+    domain = tmp_path / "quartic.json"
+    domain.write_text(json.dumps({"schema": 1, "coeffs": [[1, 0], [0, 0], [0, 0], [0.03, 0.01]]}))
+    _grid_xy_factors.cache_clear()
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    for out in (cold, warm):
+        argv = ["certify", str(domain), "--n-r", "48", "--n-theta", "96", "--output", str(out)]
+        assert run(argv) == 0
+    assert json.loads(cold.read_text())["branch"] == "multiple-direct"
+    assert cold.read_bytes() == warm.read_bytes()
+
+
 def test_certify_subcommand(domain_file, tmp_path):
     out = tmp_path / "cert.json"
     code = run([

@@ -12,6 +12,10 @@ from capfold.exceptions import (
 from capfold.measures import (
     ConformalDomain,
     DiscreteMeasure,
+    _disk_xy_factors,
+    _form_from_columns,
+    _grid_columns,
+    _grid_xy_factors,
     coordinate_values,
     direction_form,
     disk_grid,
@@ -50,6 +54,66 @@ def test_disk_grid_is_shared_read_only_and_unchanged():
         assert np.array_equal(arr, ref)
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_grid_columns_are_cached_read_only_and_unchanged():
+    # X_e1, X_e2 of a standard grid: one pair per grid shape, bitwise the
+    # kernel's values at the grid's atoms, and read-only like the grid
+    for shape in ((12, 20), (96, 192)):
+        cols = _grid_xy_factors(*shape)
+        fresh = _disk_xy_factors(disk_grid(*shape)[0])
+        assert all(a is b for a, b in zip(cols, _grid_xy_factors(*shape)))
+        for col, ref in zip(cols, fresh):
+            assert col.tobytes() == ref.tobytes()
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 0.0
+
+
+def test_grid_columns_serve_only_the_grid_array():
+    # only a measure whose atoms are the grid's own array reads the cached
+    # columns; a copy of the grid or a with_points measure evaluates the
+    # kernel, and every one of them gets the fresh evaluation's numbers
+    grid = disk_quadrature(12, 20, lambda z: np.abs(1.0 + 0.4 * z) ** 2)
+    copy = DiscreteMeasure("disk", grid.points.copy(), grid.weights, grid.grid_shape)
+    cases = {
+        "grid": (grid, True),
+        "scaled": (grid.scaled(2.0), True),
+        "copy": (copy, False),
+        "with_points": (grid.with_points(grid.points), False),
+    }
+    for name, (m, cached) in cases.items():
+        assert (_grid_columns(m) is _grid_xy_factors(12, 20)) == cached, name
+        fresh = _disk_xy_factors(m.points)
+        moments = np.array([np.sum(m.weights * col) for col in fresh])
+        form = _form_from_columns(np.stack(fresh, axis=1), m.weights)
+        assert moment_vector(m).tobytes() == moments.tobytes(), name
+        assert direction_form(m).matrix.tobytes() == form.matrix.tobytes(), name
+
+
+def test_measure_keeps_atoms_of_the_right_dtype_uncopied():
+    points, base, _, _ = disk_grid(12, 20)
+    assert DiscreteMeasure("disk", points, base).points is points
+    sphere = sphere_quadrature(3, 4)
+    assert DiscreteMeasure("sphere", sphere.points, sphere.weights).points is sphere.points
+
+
+@pytest.mark.parametrize(
+    "space, points, weights",
+    [
+        # (x, y) rows are not complex disk atoms: moment_vector read [0.630, 0]
+        ("disk", np.array([[0.1, 0.2], [0.3, 0.1]]), [1.0, 1.0]),
+        ("disk", np.array([0.1, 0.2j, 0.3]), [1.0, 1.0]),
+        ("disk", np.array([0.1, 0.2j]), [[1.0], [1.0]]),
+        ("sphere", np.eye(4)[:3], [1.0, 1.0]),
+        ("sphere", np.eye(4)[0], [1.0]),
+    ],
+    ids=["disk-xy-rows", "disk-3-atoms-2-weights", "disk-weight-column",
+         "sphere-3-atoms-2-weights", "sphere-1d"],
+)
+def test_measure_rejects_malformed_shapes(space, points, weights):
+    with pytest.raises(InvalidInputError):
+        DiscreteMeasure(space, points, weights)
 
 
 def test_quadrature_of_derivative_density():

@@ -433,3 +433,23 @@ def test_renormalize_returns_the_balanced_measure_and_its_form(space):
         assert np.array_equal(res.measure.points, moved.points)
         assert np.array_equal(res.measure.weights, moved.weights)
         assert _same_form(res.form, direction_form(moved))
+
+
+@pytest.mark.parametrize(
+    "density", [None, lambda z: np.abs(1.0 + 0.6 * z) ** 2], ids=["balanced", "off-center"]
+)
+def test_renormalize_grid_measure_matches_a_copy_bitwise(density):
+    # a grid measure reads its grid's cached columns at xi = 0 and a copy of
+    # its atoms evaluates the kernel there; every number agrees to the bit,
+    # and a measure balanced at 0 keeps the grid's read-only atoms
+    grid = disk_quadrature(24, 48, density)
+    copy = DiscreteMeasure("disk", grid.points.copy(), grid.weights)
+    a, b = renormalize(grid), renormalize(copy)
+    assert (a.xi, a.residual, a.iterations, a.evaluations, a.halvings) == (
+        b.xi, b.residual, b.iterations, b.evaluations, b.halvings
+    )
+    moved = pushforward(grid, a.xi).points.tobytes()
+    assert a.measure.points.tobytes() == b.measure.points.tobytes() == moved
+    assert _same_form(a.form, b.form)
+    assert (a.measure.points is grid.points) == (a.iterations == 0)
+    assert (a.iterations == 0) == (density is None)
