@@ -59,8 +59,9 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
 
-    @property
+    @functools.cached_property
     def areas(self) -> np.ndarray:
+        """Signed triangle areas, computed on first read."""
         return _signed_areas(self.vertices, self.triangles)
 
     @property
@@ -80,13 +81,23 @@ class Mesh:
         return np.stack([once // n, once % n], axis=1)
 
 
+def _with_areas(mesh: Mesh, areas: np.ndarray) -> Mesh:
+    """``mesh`` with ``areas`` as its cached ``Mesh.areas``, which they must
+    equal bit for bit."""
+    mesh.__dict__["areas"] = areas
+    return mesh
+
+
 def _orient_and_wrap(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
-    flip = _signed_areas(vertices, triangles) < 0
+    areas = _signed_areas(vertices, triangles)
+    flip = areas < 0
     triangles = triangles.copy()
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    return Mesh(vertices, triangles)
+    # swapping two vertices negates the signed area exactly
+    areas[flip] = -areas[flip]
+    return _with_areas(Mesh(vertices, triangles), areas)
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +105,20 @@ def _orient_and_wrap(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
 # ---------------------------------------------------------------------------
 
 def _disk_vertices(h: float, radius: float = 1.0):
+    """The centre, then ring ``i = 1 .. rings`` of radius ``radius i / rings``
+    with ``count_i`` equally spaced vertices from angle 0; ``ring_index``
+    lists each ring's (first vertex, count)."""
     rings = max(2, int(round(radius / h)))
-    verts = [(0.0, 0.0)]
-    ring_index = []
-    for i in range(1, rings + 1):
-        r = radius * i / rings
-        count = max(6, int(round(2.0 * np.pi * r / h)))
-        theta = 2.0 * np.pi * np.arange(count) / count
-        ring_index.append((len(verts), count))
-        verts.extend(zip(r * np.cos(theta), r * np.sin(theta)))
-    return np.asarray(verts), ring_index
+    r = radius * np.arange(1, rings + 1) / rings
+    counts = np.maximum(6, np.round(2.0 * np.pi * r / h).astype(np.int64))
+    starts = np.cumsum(counts) - counts + 1
+    ring = np.repeat(np.arange(rings), counts)
+    k = np.arange(len(ring)) - (starts - 1)[ring]
+    theta = 2.0 * np.pi * k / counts[ring]
+    verts = np.zeros((len(ring) + 1, 2))
+    verts[1:, 0] = r[ring] * np.cos(theta)
+    verts[1:, 1] = r[ring] * np.sin(theta)
+    return verts, list(zip(starts.tolist(), counts.tolist()))
 
 
 def _disk_triangles(ring_index):
@@ -369,6 +384,14 @@ def assemble(mesh: Mesh):
 
     Constants lie in the stiffness kernel (row sums vanish) and the total
     mass equals the mesh area.
+
+    Memory: the 9 entries of each of the ``T`` element matrices go in one
+    (9, T) float buffer, entry ``(i, j)`` in row ``3 i + j``, with int32 row
+    and column indices, 144 bytes per triangle in all.  The buffer holds the
+    stiffness entries, the gradients are dropped, the buffer becomes K; then
+    it is refilled with the mass entries and becomes M.  Later stages hold K,
+    M, the SuperLU factor of ``K - sigma M`` and the Lanczos basis, and the
+    factor is the largest.
     """
     import scipy.sparse as sparse
 
@@ -377,26 +400,32 @@ def assemble(mesh: Mesh):
     area = mesh.areas
     if np.any(area <= 0.5e-16):
         raise DegenerateTriangleError("triangle with non-positive area")
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    gx = np.stack([b[:, 1] - c[:, 1], c[:, 1] - a[:, 1], a[:, 1] - b[:, 1]], axis=1)
-    gy = np.stack([c[:, 0] - b[:, 0], a[:, 0] - c[:, 0], b[:, 0] - a[:, 0]], axis=1)
+    n, count = len(v), len(t)
+    corners = t.T.astype(np.int32, copy=False)
+    rows = np.repeat(corners, 3, axis=0).ravel()
+    cols = np.tile(corners, (3, 1)).ravel()
+    del corners
+    vals = np.empty((9, count))
 
-    n = len(v)
-    rows, cols, k_vals, m_vals = [], [], [], []
+    # gradient of the barycentric coordinate i, times twice the area
+    x, y = v[:, 0][t.T], v[:, 1][t.T]
+    gx = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
+    gy = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
+    del x, y
+    quad = 4.0 * area
     for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            k_vals.append((gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]) / (4.0 * area))
-            m_vals.append(area / 12.0 * (2.0 if i == j else 1.0))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    stiffness = sparse.coo_matrix(
-        (np.concatenate(k_vals), (rows, cols)), shape=(n, n)
-    ).tocsc()
-    mass = sparse.coo_matrix(
-        (np.concatenate(m_vals), (rows, cols)), shape=(n, n)
-    ).tocsc()
+        for j in range(i, 3):
+            out = vals[3 * i + j]
+            np.multiply(gx[i], gx[j], out=out)
+            out += gy[i] * gy[j]
+            out /= quad
+            vals[3 * j + i] = out
+    del gx, gy, quad
+    stiffness = sparse.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsc()
+
+    vals[:] = area / 12.0
+    vals[[0, 4, 8]] *= 2.0
+    mass = sparse.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsc()
     return stiffness, mass
 
 
@@ -493,20 +522,39 @@ def _dissection_order(mesh: Mesh) -> np.ndarray:
 
     # an edge between two leaves crosses the cut at their first differing
     # bit; its lower endpoint joins that cut's separator unless it already
-    # sits in a separator higher up
-    edges = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    cu, cv = code[edges[:, 0]], code[edges[:, 1]]
-    cut = cu != cv
-    edges, cu, cv = edges[cut], cu[cut], cv[cut]
-    level = _LEVELS - np.frexp((cu ^ cv).astype(float))[1].astype(np.int64)
+    # sits in a separator higher up.  One triangle side at a time keeps the
+    # transients at a few int64 per triangle.
     node_depth = depth.copy()
-    np.minimum.at(node_depth, np.where(cu < cv, edges[:, 0], edges[:, 1]), level)
+    t = mesh.triangles
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        cu, cv = code[t[:, a]], code[t[:, b]]
+        cut = np.flatnonzero(cu != cv)
+        cu, cv = cu[cut], cv[cut]
+        lower = np.where(cu < cv, t[cut, a], t[cut, b])
+        level = _LEVELS - np.frexp((cu ^ cv).astype(float))[1].astype(np.int64)
+        np.minimum.at(node_depth, lower, level)
 
     # post-order: a vertex goes with the end of its node's code range, and a
     # shallower node (a separator) after the deeper ones ending there
     shift = _LEVELS - node_depth
     end = ((code >> shift) + 1) << shift
     return np.lexsort((-node_depth, end))
+
+
+def _relabelled(mesh: Mesh, perm: np.ndarray) -> Mesh:
+    """``mesh`` with old vertex ``perm[i]`` as vertex ``i`` and its triangles
+    sorted by their lowest new label, which keeps the assembly's scatter into
+    the sparse matrices local.  The labels are int32, and the areas are those
+    of ``mesh`` in the new triangle order."""
+    rank = np.empty(len(perm), dtype=np.int32)
+    rank[perm] = np.arange(len(perm), dtype=np.int32)
+    triangles = rank[mesh.triangles]
+    order = np.argsort(triangles.min(axis=1), kind="stable")
+    return _with_areas(Mesh(mesh.vertices[perm], triangles[order]), mesh.areas[order])
+
+
+# largest relative residual of an accepted eigenpair
+_RESIDUAL_TOL = 1e-8
 
 
 def neumann_eigs(mesh: Mesh, k: int = 2, h: float = float("nan")) -> SpectralResult:
@@ -517,28 +565,28 @@ def neumann_eigs(mesh: Mesh, k: int = 2, h: float = float("nan")) -> SpectralRes
     geometric nested-dissection order (``_dissection_order``), and
     ``K - sigma M``, symmetric positive definite for sigma < 0, is factored
     once by SuperLU in that order as a symmetric LU with diagonal pivots;
-    every Lanczos step solves with that factor.  Residuals are checked
-    against the generalized problem.
+    every Lanczos step solves with that factor.  A relative residual of
+    the generalized problem above ``_RESIDUAL_TOL`` raises
+    ``EigSolveError``, as does a Lanczos run that does not converge.
     """
     if not 1 <= k < len(mesh.vertices) - 1:
         raise InvalidInputError(
             f"need 1 <= k < vertices - 1 = {len(mesh.vertices) - 1}, got {k}"
         )
+    import scipy.sparse as sparse
     import scipy.sparse.linalg as spla
 
-    perm = _dissection_order(mesh)
-    rank = np.empty_like(perm)
-    rank[perm] = np.arange(len(perm))
-    # triangles sorted by their lowest new label keep the assembly's scatter
-    # into the sparse matrices local
-    triangles = rank[mesh.triangles]
-    triangles = triangles[np.argsort(triangles.min(axis=1), kind="stable")]
-    stiffness, mass = assemble(Mesh(mesh.vertices[perm], triangles))
+    stiffness, mass = assemble(_relabelled(mesh, _dissection_order(mesh)))
     n = stiffness.shape[0]
     scale = float(stiffness.diagonal().mean())
     sigma = -1e-8 * scale
+    # K and M come from the same index arrays, so they share one sparsity
+    # pattern and K - sigma M is a pass over their values
     lu = spla.splu(
-        stiffness - sigma * mass,
+        sparse.csc_matrix(
+            (stiffness.data - sigma * mass.data, stiffness.indices, stiffness.indptr),
+            shape=(n, n),
+        ),
         permc_spec="NATURAL",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
@@ -571,11 +619,16 @@ def neumann_eigs(mesh: Mesh, k: int = 2, h: float = float("nan")) -> SpectralRes
         v = vecs[:, i]
         r = stiffness @ v - vals[i] * (mass @ v)
         residuals.append(np.linalg.norm(r) / max(np.linalg.norm(mass @ v), 1e-300))
+    residuals = np.asarray(residuals)
+    if not np.all(residuals <= _RESIDUAL_TOL):
+        raise EigSolveError(
+            f"shift-invert Lanczos residual {residuals.max():.3g} above {_RESIDUAL_TOL:g}"
+        )
     return SpectralResult(
         eigenvalues=vals,
         area=mesh.area,
         h=h,
-        residuals=np.asarray(residuals),
+        residuals=residuals,
         solves=solves,
         factor_nnz=int(lu.nnz),
     )

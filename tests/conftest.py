@@ -1,6 +1,9 @@
 """Shared fixtures: default-resolution measures, canonicalized domains, and
 the bent scan and the bent and wavy certificates, which several modules
-read and which each take tens of seconds."""
+read and which each take tens of seconds; and the tracemalloc peak of a
+call, which the memory tests of several modules measure the same way."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,3 +62,20 @@ def sphere3_uniform():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture(scope="session")
+def peak_bytes():
+    """``peak_bytes(call)``: the tracemalloc peak, in bytes, of a second
+    ``call()``; the first, untraced, fills the caches the call reads."""
+
+    def measure(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -624,6 +624,28 @@ def test_tiny_bound_makes_fem_exit_2(tmp_path, monkeypatch):
     assert record["bound"] == 1e-3 and not record["holds"]
 
 
+def test_fem_residual_failure_exits_3_without_a_verdict(tmp_path, monkeypatch, capsys):
+    # an eigenpair that misses its residual tolerance decides nothing, even
+    # where its products would fail a bound
+    import scipy.sparse.linalg as spla
+
+    from capfold import fem
+
+    eigsh = spla.eigsh
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        vecs[:, 0] += 1e-6 * np.linspace(-1.0, 1.0, len(vecs))
+        return vals, vecs
+
+    monkeypatch.setattr(spla, "eigsh", perturbed)
+    monkeypatch.setattr(fem, "product_bounds", lambda: (("two-disk", 2, 1e-3),))
+    out = tmp_path / "fem.json"
+    assert run(["fem", "square", "--h", "0.1", "--output", str(out)]) == 3
+    assert not out.exists()
+    assert "residual" in capsys.readouterr().err
+
+
 def test_tiny_bound_makes_sphere_exit_2(tmp_path, monkeypatch):
     import dataclasses
 

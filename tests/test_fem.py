@@ -94,10 +94,29 @@ def _ring_walk_triangles(ring_index):
     return np.asarray(tris, dtype=np.int64)
 
 
+def _ring_loop_vertices(h, radius=1.0):
+    # loop reference for the vectorized rings of fem._disk_vertices
+    rings = max(2, int(round(radius / h)))
+    verts = [(0.0, 0.0)]
+    ring_index = []
+    for i in range(1, rings + 1):
+        r = radius * i / rings
+        count = max(6, int(round(2.0 * np.pi * r / h)))
+        theta = 2.0 * np.pi * np.arange(count) / count
+        ring_index.append((len(verts), count))
+        verts.extend(zip(r * np.cos(theta), r * np.sin(theta)))
+    return np.asarray(verts), ring_index
+
+
 @pytest.mark.parametrize("h", [0.3, 0.07, 0.02])
 def test_mesh_builders_match_loop_references(h):
     from capfold.fem import _disk_triangles, _disk_vertices, _rectangle_mesh
 
+    for radius in (1.0, 0.7):
+        verts, rings = _disk_vertices(h, radius)
+        ref_verts, ref_rings = _ring_loop_vertices(h, radius)
+        assert rings == ref_rings
+        assert verts.tobytes() == ref_verts.tobytes()
     _, rings = _disk_vertices(h)
     assert np.array_equal(_disk_triangles(rings), _ring_walk_triangles(rings))
     nx, ny = max(2, round(2.0 / h)), max(2, round(1.0 / h))
@@ -321,6 +340,64 @@ def test_reference_triangle_element_matrices():
     assert np.allclose(mass.toarray(), m_ref, atol=1e-15)
 
 
+def _assemble_by_blocks(mesh):
+    # reference: one (row, column, value) block per element entry (i, j),
+    # concatenated
+    import scipy.sparse as sparse
+
+    v, t, area = mesh.vertices, mesh.triangles, mesh.areas
+    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    gx = np.stack([b[:, 1] - c[:, 1], c[:, 1] - a[:, 1], a[:, 1] - b[:, 1]], axis=1)
+    gy = np.stack([c[:, 0] - b[:, 0], a[:, 0] - c[:, 0], b[:, 0] - a[:, 0]], axis=1)
+    rows, cols, k_vals, m_vals = [], [], [], []
+    for i in range(3):
+        for j in range(3):
+            rows.append(t[:, i])
+            cols.append(t[:, j])
+            k_vals.append((gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]) / (4.0 * area))
+            m_vals.append(area / 12.0 * (2.0 if i == j else 1.0))
+    index = (np.concatenate(rows), np.concatenate(cols))
+    n = len(v)
+    return (
+        sparse.coo_matrix((np.concatenate(k_vals), index), shape=(n, n)).tocsc(),
+        sparse.coo_matrix((np.concatenate(m_vals), index), shape=(n, n)).tocsc(),
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    "disk",
+    "rectangle:2x1",
+    '{"kind": "conformal", "coeffs": [[1, 0], [0.15, 0.2]]}',
+    "two_disks:0.1,0.2",
+])
+def test_assembly_matches_block_reference(spec):
+    from capfold.fem import _relabelled
+
+    mesh = build_mesh(parse_domain_spec(spec), 0.02)
+    relabelled = _relabelled(mesh, _dissection_order(mesh))
+    for m in (mesh, relabelled):
+        for got, ref in zip(assemble(m), _assemble_by_blocks(m)):
+            for part in ("indptr", "indices", "data"):
+                assert getattr(got, part).tobytes() == getattr(ref, part).tobytes()
+        # the areas the mesh builder and the relabelling hand on are cached
+        # and have the bits of a fresh computation
+        assert m.areas is m.areas
+        assert m.areas.tobytes() == fem._signed_areas(m.vertices, m.triangles).tobytes()
+    # neumann_eigs forms K - sigma M over the values of one shared pattern
+    stiffness, mass = assemble(relabelled)
+    assert np.array_equal(stiffness.indptr, mass.indptr)
+    assert np.array_equal(stiffness.indices, mass.indices)
+
+
+def test_assembly_holds_one_value_buffer(peak_bytes):
+    # int32 indices (72 B per triangle) and one (9, T) value buffer (72 B)
+    # that becomes K, then M; the block reference above peaks at 733 B per
+    # triangle here
+    mesh = build_mesh(parse_domain_spec("two_disks:0.1,0.2"), 0.02)
+    peak = peak_bytes(lambda: assemble(mesh))
+    assert peak < 450 * len(mesh.triangles)
+
+
 def test_degenerate_triangle_rejected():
     from capfold.exceptions import DegenerateTriangleError
 
@@ -446,6 +523,26 @@ def test_eigenvalues_match_default_ordered_eigsh():
     for i in (1, 2):
         assert res.mu(i) == pytest.approx(vals[i], rel=1e-10)
     assert np.all(res.residuals < 1e-9)
+
+
+@pytest.mark.parametrize("shift", [1e-6, np.nan])
+def test_residual_check_raises(monkeypatch, shift):
+    # an eigenvector off by 1e-6 leaves a relative residual near 1e-6,
+    # which no accepted eigenpair may have; nor a NaN residual
+    from capfold.exceptions import EigSolveError
+
+    eigsh = spla.eigsh
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        vecs[:, -1] += shift * np.linspace(-1.0, 1.0, len(vecs))
+        return vals, vecs
+
+    mesh = build_mesh({"kind": "disk"}, 0.1)
+    assert max(neumann_eigs(mesh, k=2).residuals) < 1e-9
+    monkeypatch.setattr(spla, "eigsh", perturbed)
+    with pytest.raises(EigSolveError, match="residual"):
+        neumann_eigs(mesh, k=2)
 
 
 @pytest.mark.slow

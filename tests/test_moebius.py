@@ -1,6 +1,5 @@
 """Moebius maps, reflections, and the renormalization solver."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -319,28 +318,20 @@ def test_heavy_cluster_among_many_atoms(sphere5_res8, extra, outweighs):
         assert err.value.iterations == 0
 
 
-def _peak_bytes(call):
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_atom_sums_allocate_one_row_block(sphere5_res8):
+def test_atom_sums_allocate_one_row_block(sphere5_res8, peak_bytes):
     # sums over the 65,536 x 6 atoms (3 MB) walk row blocks of 2^16 floats
     # (0.5 MB), so no temporary is as long as the measure
     g = sphere5_res8
     sq = np.einsum("ij,ij->i", g.points, g.points)
     xi = np.array([0.1, -0.2, 0.05, 0.3, 0.0, 0.1])
-    jac_peak = _peak_bytes(lambda: _ball_moments(g.points, sq, g.weights, xi, jacobian=True))
+    jac_peak = peak_bytes(lambda: _ball_moments(g.points, sq, g.weights, xi, jacobian=True))
     assert jac_peak <= 1.5 * 2**20
-    assert _peak_bytes(lambda: direction_form(g)) <= 1.0 * 2**20
+    assert peak_bytes(lambda: direction_form(g)) <= 1.0 * 2**20
 
 
-def test_sphere_rearrangement_and_cap_jacobian_allocate_one_atom_array(sphere5_res8):
+def test_sphere_rearrangement_and_cap_jacobian_allocate_one_atom_array(
+    sphere5_res8, peak_bytes
+):
     # the fold writes the one atom array a rearrangement allocates (3 MB
     # here) and the transport overwrites it in place; the cap Jacobian sums
     # over row blocks.  Before, their peaks were 9.5 MB and 34.1 MB.
@@ -350,12 +341,12 @@ def test_sphere_rearrangement_and_cap_jacobian_allocate_one_atom_array(sphere5_r
         p = rng.normal(size=6)
         p /= np.linalg.norm(p)
         cap = Cap(r, p, "sphere")
-        assert _peak_bytes(lambda: rearrange(g, cap)) <= 6 * 2**20
+        assert peak_bytes(lambda: rearrange(g, cap)) <= 6 * 2**20
         nu, trace = rearrange(g, cap)
         basis = np.linalg.eigh(trace.form.matrix)[1][:, -2:]
         f = _compressed_traceless(trace.form.matrix, basis)
         args = (g, cap, nu, trace, basis, f, _tangents(p))
-        assert _peak_bytes(lambda: _sphere_cap_jacobian(*args)) <= 6 * 2**20
+        assert peak_bytes(lambda: _sphere_cap_jacobian(*args)) <= 6 * 2**20
 
 
 def test_renormalize_start_must_lie_inside(uniform_disk, sphere3_uniform):
