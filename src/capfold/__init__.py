@@ -29,7 +29,6 @@ from .directions import (
     CanonicalMap,
     CapScanResult,
     canonicalize,
-    classify,
     scan_caps,
     sphere_cap_search,
     sphere_degree_check,

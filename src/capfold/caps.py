@@ -468,10 +468,10 @@ def rearranged_grid_measure(
     Weights are scaled so the measure represents total mass pi (the measure
     being sampled carries ``semantic_mass``, preserved by rearrangement).
     """
-    pts, base, _, _ = disk_grid(n_r, n_theta)
+    rule = disk_grid(n_r, n_theta)
     dens = rearranged_density(base_density, cap, trace)
-    vals = np.asarray(dens(pts), dtype=float) * (np.pi / semantic_mass)
-    return DiscreteMeasure("disk", pts, base * vals, grid_shape=(n_r, n_theta))
+    vals = np.asarray(dens(rule.points), dtype=float) * (np.pi / semantic_mass)
+    return DiscreteMeasure("disk", rule.points, rule.weights * vals, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -496,21 +496,18 @@ class SubharmonicReport:
 
 
 def subharmonic_diagnostics(nu: DiscreteMeasure) -> SubharmonicReport:
-    """Profile checks for a measure sampled on the standard polar grid.
+    """Profile checks for a measure sampled on a polar rule.
 
-    The atoms must sit on a ``disk_grid`` layout carrying total (semantic)
-    mass pi.  W is the exact angular sum at each radial node; G integrates
+    The measure must carry a ``disk_grid`` rule and total (semantic) mass
+    pi.  W is the exact angular sum at each radial node; G integrates
     the barycentric interpolant of W r, which reproduces the uniform-measure
     equality case G(r) = pi r^2 to machine precision.
     """
-    if nu.space != "disk" or nu.grid_shape is None:
-        raise GridMismatchError("measure is not on the standard polar grid")
-    n_r, n_theta = nu.grid_shape
-    if len(nu.points) != n_r * n_theta:
-        raise GridMismatchError("atom count does not match the grid shape")
-    pts, base, radii, wr = disk_grid(n_r, n_theta)
-    if np.max(np.abs(pts - nu.points)) > 1e-9:
-        raise GridMismatchError("atom positions differ from the standard grid")
+    rule = nu.rule
+    if rule is None or rule.shape is None:
+        raise GridMismatchError("measure is not on a polar rule")
+    n_r, n_theta = rule.shape
+    radii = rule.radii
     mass = nu.total_mass
     if abs(mass - np.pi) > 0.05 * np.pi:
         raise GridMismatchError(
@@ -519,7 +516,7 @@ def subharmonic_diagnostics(nu: DiscreteMeasure) -> SubharmonicReport:
 
     # enforce the mass-pi precondition exactly: quadrature of a density with
     # boundary concentration can land slightly off pi either way
-    dens = (nu.weights / base).reshape(n_r, n_theta) * (np.pi / mass)
+    dens = (nu.weights / rule.weights).reshape(n_r, n_theta) * (np.pi / mass)
     w_prof = dens.sum(axis=1) * (2.0 * np.pi / n_theta)
     mono = float(np.max(np.maximum(0.0, w_prof[:-1] - w_prof[1:])))
 

@@ -1,7 +1,6 @@
-"""Maximizing-direction analysis: simple/multiple classification, canonical
-normalization of a measure, the cap scan locating a multiple cap for simple
-measures, and the winding / degree diagnostics that stand in for the
-topological existence arguments.
+"""Maximizing-direction analysis: canonical normalization of a measure, the
+cap scan locating a multiple cap for simple measures, and the winding /
+degree diagnostics that stand in for the topological existence arguments.
 """
 
 from __future__ import annotations
@@ -17,14 +16,11 @@ from .exceptions import (
     DimensionUnsupportedError,
     EvenDimensionError,
     InvalidInputError,
-    ZeroMassError,
 )
 from .measures import DirectionForm, DiscreteMeasure, _row_blocks, direction_form
 from .moebius import _disk_matrix, _lft, _scaled_sum, renormalize
 
 __all__ = [
-    "Classification",
-    "classify",
     "CanonicalMap",
     "canonicalize",
     "CapScanResult",
@@ -41,24 +37,6 @@ REFINED_GAP_TOL = 1e-6
 SCAN_R_GRID = np.linspace(-0.8, 0.8, 9)
 SCAN_THETA_GRID = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 REFINE_DEPTH = 12
-
-
-@dataclass(frozen=True)
-class Classification:
-    multiple: bool
-    direction: np.ndarray | None
-    gap: float
-
-
-def classify(m: DiscreteMeasure) -> Classification:
-    """Simple vs multiple by the relative gap of the top two eigenvalues,
-    multiple below ``SCAN_GAP_TOL``."""
-    if m.total_mass <= 0:
-        raise ZeroMassError("cannot classify a zero measure")
-    form = direction_form(m)
-    if form.gap < SCAN_GAP_TOL:
-        return Classification(multiple=True, direction=None, gap=form.gap)
-    return Classification(multiple=False, direction=form.max_direction, gap=form.gap)
 
 
 @dataclass(frozen=True)

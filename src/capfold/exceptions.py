@@ -51,7 +51,7 @@ class EvaluationOutsideCapError(CapfoldError):
 
 
 class GridMismatchError(CapfoldError):
-    """Measure atoms do not sit on the expected standard polar grid."""
+    """A measure's atoms are not its rule's own array, or it lacks a polar rule."""
 
 
 class NotMultipleError(CapfoldError):

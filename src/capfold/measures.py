@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import (
+    GridMismatchError,
     InvalidInputError,
     NegativeDensityError,
     SpaceMismatchError,
@@ -25,11 +26,13 @@ from .exceptions import (
 from .specfun import bessel_j1, find_zeta, gauss_legendre, j1_over_x
 
 __all__ = [
+    "QuadratureRule",
     "DiscreteMeasure",
     "DirectionForm",
     "ConformalDomain",
     "disk_quadrature",
     "disk_grid",
+    "sphere_rule",
     "sphere_quadrature",
     "pullback_measure",
     "coordinate_values",
@@ -58,6 +61,34 @@ def _atom_blocks(x):
     return _row_blocks(*x.shape) if x.ndim == 2 else [...]
 
 
+@dataclass(frozen=True, eq=False)
+class QuadratureRule:
+    """Read-only atoms ``points`` and base ``weights``, shared per shape.
+
+    A polar rule (``disk_grid``) also holds its Gauss-Legendre ``radii``,
+    their ``radial_weights`` and its ``shape`` (n_r, n_theta).
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    radii: np.ndarray | None = None
+    radial_weights: np.ndarray | None = None
+    shape: tuple | None = None
+
+    def __post_init__(self):
+        for arr in (self.points, self.weights, self.radii, self.radial_weights):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    @functools.cached_property
+    def columns(self):
+        """The J1 columns X_{e1}, X_{e2} at the atoms of a disk rule,
+        computed once and read-only like the atoms."""
+        x1, x2 = _disk_xy_factors(self.points)
+        x1.flags.writeable = x2.flags.writeable = False
+        return x1, x2
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Weighted atoms on the closed disk or the unit n-sphere.
@@ -71,6 +102,8 @@ class DiscreteMeasure:
         (N, n+1) for the sphere, stored column-major (Fortran order).
     weights : ndarray
         Nonnegative weights, one per atom.
+    rule : QuadratureRule, optional
+        The rule whose own array ``points`` must be (else ``GridMismatchError``).
 
     Sphere atoms keep one row per atom, but each coordinate is a contiguous
     column: with only n+1 = 4 or 6 floats per row, row-major storage runs
@@ -84,13 +117,13 @@ class DiscreteMeasure:
     space: str
     points: np.ndarray
     weights: np.ndarray
-    grid_shape: tuple | None = field(default=None, compare=False)
+    rule: QuadratureRule | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.space == "sphere":
             points = np.asfortranarray(self.points, dtype=float)
         else:
-            points = np.asarray(self.points, dtype=complex)  # keeps a grid's own array
+            points = np.asarray(self.points, dtype=complex)  # keeps a rule's own array
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.space not in ("disk", "sphere"):
@@ -99,6 +132,8 @@ class DiscreteMeasure:
             raise InvalidInputError(f"{self.space} atoms cannot have shape {points.shape}")
         if self.weights.shape != points.shape[:1]:
             raise InvalidInputError(f"{self.weights.shape} weights, {len(points)} atoms")
+        if self.rule is not None and points is not self.rule.points:
+            raise GridMismatchError("atoms are not the rule's own array")
         # each check is written to fail on NaN
         if not np.all(self.weights >= 0):
             raise NegativeDensityError("atom weights must be nonnegative")
@@ -131,15 +166,13 @@ class DiscreteMeasure:
     def with_points(self, points) -> "DiscreteMeasure":
         """Same weights, new atom positions (e.g. after a pushforward).
 
-        Transported atoms no longer sit on any quadrature grid, so the grid
-        tag is dropped.
+        Transported atoms no longer sit on any quadrature rule, so the rule
+        is dropped.
         """
         return DiscreteMeasure(self.space, points, self.weights)
 
     def scaled(self, factor: float) -> "DiscreteMeasure":
-        return DiscreteMeasure(
-            self.space, self.points, self.weights * factor, self.grid_shape
-        )
+        return DiscreteMeasure(self.space, self.points, self.weights * factor, self.rule)
 
     def same_space(self, other: "DiscreteMeasure") -> bool:
         return (
@@ -148,14 +181,12 @@ class DiscreteMeasure:
 
 
 @functools.cache
-def disk_grid(n_r: int = 96, n_theta: int = 192):
-    """Standard polar grid: Gauss-Legendre radii x uniform angles.
+def disk_grid(n_r: int = 96, n_theta: int = 192) -> QuadratureRule:
+    """Standard polar rule: Gauss-Legendre radii x uniform angles.
 
-    Returns (points, base_weights, radii, radial_weights) where base_weights
-    already contain the r dr dtheta area element, so that a density-1 measure
-    has total mass pi.  Computed once per grid shape and read-only, since
-    every caller shares the arrays; so are the J1 columns X_{e1}, X_{e2} at
-    ``points``, which serve every measure whose atoms are this very array.
+    Its weights already contain the r dr dtheta area element, so that a
+    density-1 measure has total mass pi.  Built once per shape and shared
+    by every measure on it, as are its cached J1 columns.
     """
     if n_r < 4 or n_theta < 4:
         raise InvalidInputError(f"need n_r, n_theta >= 4, got {n_r}, {n_theta}")
@@ -166,9 +197,7 @@ def disk_grid(n_r: int = 96, n_theta: int = 192):
     r_mat, th_mat = np.meshgrid(radii, theta, indexing="ij")
     points = (r_mat * np.exp(1j * th_mat)).ravel()
     base = np.outer(radii * wr, np.full(n_theta, 2.0 * np.pi / n_theta)).ravel()
-    for arr in (points, base, radii, wr):
-        arr.flags.writeable = False
-    return points, base, radii, wr
+    return QuadratureRule(points, base, radii, wr, (n_r, n_theta))
 
 
 def disk_quadrature(n_r: int, n_theta: int, density=None) -> DiscreteMeasure:
@@ -177,23 +206,27 @@ def disk_quadrature(n_r: int, n_theta: int, density=None) -> DiscreteMeasure:
     ``density`` is a callable taking a complex array; ``None`` means the
     uniform density 1 (Lebesgue measure, mass pi).
     """
-    points, base, _, _ = disk_grid(n_r, n_theta)
+    rule = disk_grid(n_r, n_theta)
     if density is None:
-        weights = base
+        weights = rule.weights
     else:
-        values = np.asarray(density(points), dtype=float)
+        values = np.asarray(density(rule.points), dtype=float)
         if np.any(values < 0):
             raise NegativeDensityError("density is negative on the grid")
-        weights = base * values
-    return DiscreteMeasure("disk", points, weights, grid_shape=(n_r, n_theta))
+        weights = rule.weights * values
+    return DiscreteMeasure("disk", rule.points, weights, rule)
 
 
-def sphere_quadrature(n: int, resolution: int = 24) -> "DiscreteMeasure":
-    """Product-angle quadrature for the round measure on the unit n-sphere.
+@functools.cache
+def sphere_rule(n: int, resolution: int = 24) -> QuadratureRule:
+    """Product-angle rule for the round measure on the unit n-sphere.
 
-    Gauss-Legendre in the polar angles, uniform in the final azimuthal one.
-    Total mass equals omega_n to quadrature accuracy (exactly, for the
-    trigonometric-polynomial weights involved).
+    Gauss-Legendre in the polar angles, uniform in the final azimuthal one;
+    built once per (n, resolution) and shared.  The weights carry the
+    sin^(n-1-k) factors of the polar angles, which are not polynomials in
+    the angle, so the total mass is not exactly omega_n: its relative error
+    decays spectrally in the resolution, from 2.3e-2 at n = 3, resolution 3
+    to 4.9e-13 at n = 5, resolution 12.
     """
     if n < 1 or resolution < 1:
         raise InvalidInputError(f"need n, resolution >= 1, got {n}, {resolution}")
@@ -223,7 +256,13 @@ def sphere_quadrature(n: int, resolution: int = 24) -> "DiscreteMeasure":
     for wm in wmesh:
         weight = weight * wm
 
-    return DiscreteMeasure("sphere", coords.reshape(n + 1, -1).T, weight.ravel())
+    return QuadratureRule(coords.reshape(n + 1, -1).T, weight.ravel())
+
+
+def sphere_quadrature(n: int, resolution: int = 24) -> DiscreteMeasure:
+    """The round measure on the unit n-sphere, on the rule ``sphere_rule``."""
+    rule = sphere_rule(n, resolution)
+    return DiscreteMeasure("sphere", rule.points, rule.weights, rule)
 
 
 @dataclass(frozen=True)
@@ -347,23 +386,6 @@ def _disk_xy_factors(points: np.ndarray):
     return amp * points.real, amp * points.imag
 
 
-@functools.cache
-def _grid_xy_factors(n_r: int, n_theta: int):
-    # the same columns on a standard grid, shared read-only like the grid
-    x1, x2 = _disk_xy_factors(disk_grid(n_r, n_theta)[0])
-    x1.flags.writeable = x2.flags.writeable = False
-    return x1, x2
-
-
-def _grid_columns(m: DiscreteMeasure):
-    # the cached columns when m's atoms are its standard grid's own array,
-    # else None: a copy of the grid, or atoms moved off it, never match
-    shape = m.grid_shape
-    if shape is not None and m.points is disk_grid(*shape)[0]:
-        return _grid_xy_factors(*shape)
-    return None
-
-
 def disk_coordinate_values(z, s) -> np.ndarray:
     """Disk eigenfunction coordinate X_s(z) = J1(zeta |z|) (z . s)/|z|.
 
@@ -397,7 +419,7 @@ def moment_vector_raw(space: str, points, weights) -> np.ndarray:
 def moment_vector(m: DiscreteMeasure) -> np.ndarray:
     """First-order moments (integral of X_{e_i}) for each coordinate direction."""
     if m.space == "disk":
-        cols = _grid_columns(m) or _disk_xy_factors(m.points)
+        cols = _disk_xy_factors(m.points) if m.rule is None else m.rule.columns
         return np.array([np.sum(m.weights * col) for col in cols])
     return moment_vector_raw(m.space, m.points, m.weights)
 
@@ -455,10 +477,11 @@ class DirectionForm:
 
 
 def direction_form(m: DiscreteMeasure) -> DirectionForm:
-    """Assemble and diagonalize the matrix of second moments of X; on atoms
-    that are a ``disk_grid`` array itself, X is that grid's cached columns."""
+    """Assemble and diagonalize the matrix of second moments of X; on a
+    disk measure with a rule, X is the rule's cached columns."""
     if m.space == "disk":
-        cols = np.stack(_grid_columns(m) or _disk_xy_factors(m.points), axis=1)
+        cols = _disk_xy_factors(m.points) if m.rule is None else m.rule.columns
+        cols = np.stack(cols, axis=1)
     else:
         cols = m.points
     return _form_from_columns(cols, m.weights)

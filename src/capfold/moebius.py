@@ -17,7 +17,6 @@ from .measures import (
     _atom_blocks,
     _disk_xy_factors,
     _form_from_columns,
-    _grid_columns,
     _row_blocks,
     direction_form,
     moment_scale,
@@ -198,8 +197,8 @@ class RenormResult:
     ``measure`` is ``pushforward(m, xi)`` and ``form`` its ``direction_form``,
     bitwise, each built on first read and never writing an array of ``m``.
     On the disk both reuse the moved atoms and J1 factors of the residual at
-    ``xi``; at ``xi`` = 0 on a grid measure ``measure`` shares the grid's
-    read-only atoms.  On the sphere a caller that reads neither builds no
+    ``xi``; at ``xi`` = 0 on a measure with a rule ``measure`` shares the
+    rule's read-only atoms.  On the sphere a caller that reads neither builds no
     moved atoms here (``caps.rearrange`` transports its own folded atoms in
     place instead).  ``evaluations`` counts moment-map evaluations, one per
     closed-form ball Jacobian and one per moment vector of a disk central
@@ -324,8 +323,8 @@ def renormalize(
     its direction form, built when first read (``RenormResult``); on the
     disk from the moved atoms and J1 factors of the residual at the returned
     ``xi``, which the Jacobian's evaluations and rejected line-search
-    candidates leave alone; at ``xi`` = 0 a grid measure skips the map and
-    keeps its grid's read-only atoms and cached columns.  ``m`` is never written.
+    candidates leave alone; at ``xi`` = 0 a measure with a rule skips the map
+    and keeps the rule's read-only atoms and cached columns.  ``m`` is never written.
 
     Raises
     ------
@@ -350,12 +349,11 @@ def renormalize(
     points, weights = m.points, m.weights
     if m.space == "disk":
         fd = 1e-6
-        grid_cols = _grid_columns(m)
 
         def moments(xi):
             # moved atoms and J1 factors, kept for the result; xi = 0 moves nothing
-            if grid_cols is not None and not xi.any():
-                moved, cols = points, grid_cols
+            if m.rule is not None and not xi.any():
+                moved, cols = points, m.rule.columns
             else:
                 moved = disk_moebius(complex(xi[0], xi[1]), points)
                 cols = _disk_xy_factors(moved)

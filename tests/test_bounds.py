@@ -248,7 +248,7 @@ def test_certificate_multiple_direct_evaluates_the_kernel_once(monkeypatch):
             planar_bound_certificate(quintic, "quintic").as_dict(),
         ]
 
-    capfold.measures._grid_xy_factors.cache_clear()
+    capfold.measures.disk_grid.cache_clear()
     cold = certify_both()
     assert [x.size for x in kernel_calls] == [16 * 32, 96 * 192]
     kernel_calls.clear()

@@ -433,25 +433,28 @@ def test_rearranged_density_matches_atoms(bent_canonical):
     cap = Cap(0.45, np.exp(2.2j))
     nu, trace = rearrange(canon, cap)
     dens = rearranged_density(base, cap, trace)
-    pts, w, _, _ = disk_grid(96, 192)
-    grid_mass = float(np.sum(w * dens(pts)))
+    grid = disk_grid(96, 192)
+    grid_mass = float(np.sum(grid.weights * dens(grid.points)))
     # the density concentrates at the two image-cap corners on the boundary,
     # so the grid quadrature carries a small boundary-layer deficit
     assert grid_mass == pytest.approx(canon.total_mass, rel=1e-2)
-    finer = float(np.sum(disk_grid(256, 384)[1] * dens(disk_grid(256, 384)[0])))
+    finer_grid = disk_grid(256, 384)
+    finer = float(np.sum(finer_grid.weights * dens(finer_grid.points)))
     assert abs(finer - canon.total_mass) < abs(grid_mass - canon.total_mass)
 
 
 def test_subharmonic_grid_mismatch(uniform_disk):
-    off_grid = DiscreteMeasure(
-        "disk", uniform_disk.points * 0.5, uniform_disk.weights,
-        grid_shape=uniform_disk.grid_shape,
-    )
+    # atoms off the rule cannot carry it; a measure without a polar rule,
+    # on the grid's own atoms or on a sphere rule, is refused
     with pytest.raises(GridMismatchError):
-        subharmonic_diagnostics(off_grid)
-    no_shape = DiscreteMeasure("disk", uniform_disk.points, uniform_disk.weights)
-    with pytest.raises(GridMismatchError):
-        subharmonic_diagnostics(no_shape)
+        DiscreteMeasure(
+            "disk", uniform_disk.points * 0.5, uniform_disk.weights, uniform_disk.rule
+        )
+    no_rule = DiscreteMeasure("disk", uniform_disk.points, uniform_disk.weights)
+    moved = uniform_disk.with_points(uniform_disk.points)
+    for m in (no_rule, moved, sphere_quadrature(3, 4)):
+        with pytest.raises(GridMismatchError):
+            subharmonic_diagnostics(m)
 
 
 def test_reflection_factor_is_jacobian(rng):

@@ -229,13 +229,13 @@ def test_fem_disk(tmp_path):
 
 
 def test_certify_report_is_the_same_with_a_cold_or_warm_grid_cache(tmp_path):
-    # the first certify at a grid shape fills the cached grid columns, the
-    # second reads them; both write the same bytes
-    from capfold.measures import _grid_xy_factors
+    # the first certify at a grid shape builds its rule and fills the rule's
+    # cached columns, the second reads them; both write the same bytes
+    from capfold.measures import disk_grid
 
     domain = tmp_path / "quartic.json"
     domain.write_text(json.dumps({"schema": 1, "coeffs": [[1, 0], [0, 0], [0, 0], [0.03, 0.01]]}))
-    _grid_xy_factors.cache_clear()
+    disk_grid.cache_clear()
     cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
     for out in (cold, warm):
         argv = ["certify", str(domain), "--n-r", "48", "--n-theta", "96", "--output", str(out)]

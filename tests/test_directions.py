@@ -7,6 +7,7 @@ import pytest
 from capfold import directions
 from capfold.caps import Cap, fold_measure, rearrange
 from capfold.directions import (
+    SCAN_GAP_TOL,
     _cap_rearrange,
     _compressed_traceless,
     _field,
@@ -15,7 +16,6 @@ from capfold.directions import (
     _tangents,
     _turning_cell,
     canonicalize,
-    classify,
     scan_caps,
     sphere_cap_search,
     sphere_degree_check,
@@ -33,26 +33,26 @@ from capfold.measures import (
 from capfold.moebius import pushforward, renormalize
 
 
-def test_classify_uniform_multiple(uniform_disk):
-    assert classify(uniform_disk).multiple
+def test_form_uniform_multiple(uniform_disk):
+    assert direction_form(uniform_disk).gap < SCAN_GAP_TOL
 
 
-def test_classify_uniform_multiple_any_resolution():
+def test_form_uniform_multiple_any_resolution():
     for res in ((24, 48), (48, 96)):
-        assert classify(disk_quadrature(*res)).multiple
+        assert direction_form(disk_quadrature(*res)).gap < SCAN_GAP_TOL
 
 
-def test_classify_uniform_sphere_multiple():
+def test_form_uniform_sphere_multiple():
     g = sphere_quadrature(3, resolution=8)
-    assert classify(g).multiple
+    assert direction_form(g).gap < SCAN_GAP_TOL
 
 
-def test_classify_balanced_bent_simple(bent_canonical):
+def test_form_balanced_bent_simple(bent_canonical):
     canon, _ = bent_canonical
-    cls = classify(canon)
-    assert not cls.multiple
+    form = direction_form(canon)
+    assert form.gap >= SCAN_GAP_TOL
     # canonical position: the maximizing direction is the first axis
-    assert abs(abs(cls.direction[0]) - 1.0) < 1e-9
+    assert abs(abs(form.max_direction[0]) - 1.0) < 1e-9
 
 
 def test_canonicalize_conventions(bent_canonical):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from capfold.exceptions import (
+    GridMismatchError,
     InvalidInputError,
     NegativeDensityError,
     SpaceMismatchError,
@@ -14,8 +15,6 @@ from capfold.measures import (
     DiscreteMeasure,
     _disk_xy_factors,
     _form_from_columns,
-    _grid_columns,
-    _grid_xy_factors,
     coordinate_values,
     direction_form,
     disk_grid,
@@ -26,6 +25,7 @@ from capfold.measures import (
     moment_vector,
     pullback_measure,
     sphere_quadrature,
+    sphere_rule,
 )
 from capfold.specfun import bessel_j1, find_zeta, radial_profile, radial_square_integral
 
@@ -43,26 +43,43 @@ def test_negative_density_rejected():
         disk_quadrature(8, 8, lambda z: np.real(z) - 2.0)
 
 
-def test_disk_grid_is_shared_read_only_and_unchanged():
-    # one set of arrays per grid shape, bitwise the uncached computation;
-    # a caller cannot write into the copy every other caller shares
-    first = disk_grid(12, 20)
-    fresh = disk_grid.__wrapped__(12, 20)
-    assert all(a is b for a, b in zip(first, disk_grid(12, 20)))
-    for arr, ref in zip(first, fresh):
-        assert not arr.flags.writeable
-        assert np.array_equal(arr, ref)
+def _assert_shared_read_only_and_unchanged(build, *args):
+    # one rule per shape, bitwise the uncached computation; a caller cannot
+    # write into the arrays every other caller shares
+    rule = build(*args)
+    fresh = build.__wrapped__(*args)
+    assert build(*args) is rule
+    assert rule.shape == fresh.shape
+    for name in ("points", "weights", "radii", "radial_weights"):
+        arr, ref = getattr(rule, name), getattr(fresh, name)
+        if ref is None:
+            assert arr is None, name
+            continue
+        assert not arr.flags.writeable, name
+        assert arr.tobytes() == ref.tobytes(), name
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
 
+def test_disk_grid_is_shared_read_only_and_unchanged():
+    _assert_shared_read_only_and_unchanged(disk_grid, 12, 20)
+
+
+def test_sphere_rule_is_shared_read_only_and_unchanged():
+    _assert_shared_read_only_and_unchanged(sphere_rule, 3, 4)
+    # sphere_quadrature builds its measure on the shared rule
+    g, rule = sphere_quadrature(3, 4), sphere_rule(3, 4)
+    assert g.rule is rule and g.points is rule.points and g.weights is rule.weights
+
+
 def test_grid_columns_are_cached_read_only_and_unchanged():
-    # X_e1, X_e2 of a standard grid: one pair per grid shape, bitwise the
-    # kernel's values at the grid's atoms, and read-only like the grid
+    # X_e1, X_e2 of a polar rule: one pair per rule, cached on it, bitwise
+    # the kernel's values at the rule's atoms, and read-only like the atoms
     for shape in ((12, 20), (96, 192)):
-        cols = _grid_xy_factors(*shape)
-        fresh = _disk_xy_factors(disk_grid(*shape)[0])
-        assert all(a is b for a, b in zip(cols, _grid_xy_factors(*shape)))
+        rule = disk_grid(*shape)
+        cols = rule.columns
+        fresh = _disk_xy_factors(rule.points)
+        assert all(a is b for a, b in zip(cols, disk_grid(*shape).columns))
         for col, ref in zip(cols, fresh):
             assert col.tobytes() == ref.tobytes()
             assert not col.flags.writeable
@@ -71,11 +88,11 @@ def test_grid_columns_are_cached_read_only_and_unchanged():
 
 
 def test_grid_columns_serve_only_the_grid_array():
-    # only a measure whose atoms are the grid's own array reads the cached
-    # columns; a copy of the grid or a with_points measure evaluates the
+    # only a measure that keeps its rule reads the cached columns; a copy of
+    # the grid or a with_points measure has no rule and evaluates the
     # kernel, and every one of them gets the fresh evaluation's numbers
     grid = disk_quadrature(12, 20, lambda z: np.abs(1.0 + 0.4 * z) ** 2)
-    copy = DiscreteMeasure("disk", grid.points.copy(), grid.weights, grid.grid_shape)
+    copy = DiscreteMeasure("disk", grid.points.copy(), grid.weights)
     cases = {
         "grid": (grid, True),
         "scaled": (grid.scaled(2.0), True),
@@ -83,7 +100,7 @@ def test_grid_columns_serve_only_the_grid_array():
         "with_points": (grid.with_points(grid.points), False),
     }
     for name, (m, cached) in cases.items():
-        assert (_grid_columns(m) is _grid_xy_factors(12, 20)) == cached, name
+        assert (m.rule is disk_grid(12, 20)) == cached, name
         fresh = _disk_xy_factors(m.points)
         moments = np.array([np.sum(m.weights * col) for col in fresh])
         form = _form_from_columns(np.stack(fresh, axis=1), m.weights)
@@ -91,9 +108,20 @@ def test_grid_columns_serve_only_the_grid_array():
         assert direction_form(m).matrix.tobytes() == form.matrix.tobytes(), name
 
 
+def test_measure_given_a_rule_must_sit_on_its_atoms():
+    rule = disk_grid(12, 20)
+    assert DiscreteMeasure("disk", rule.points, rule.weights, rule).rule is rule
+    for points in (rule.points.copy(), 0.5 * rule.points):
+        with pytest.raises(GridMismatchError):
+            DiscreteMeasure("disk", points, rule.weights, rule)
+    sphere = sphere_rule(3, 4)
+    with pytest.raises(GridMismatchError):
+        DiscreteMeasure("sphere", np.array(sphere.points), sphere.weights, sphere)
+
+
 def test_measure_keeps_atoms_of_the_right_dtype_uncopied():
-    points, base, _, _ = disk_grid(12, 20)
-    assert DiscreteMeasure("disk", points, base).points is points
+    rule = disk_grid(12, 20)
+    assert DiscreteMeasure("disk", rule.points, rule.weights).points is rule.points
     sphere = sphere_quadrature(3, 4)
     assert DiscreteMeasure("sphere", sphere.points, sphere.weights).points is sphere.points
 
@@ -222,7 +250,7 @@ def test_uniform_sphere_moments_vanish():
 def test_sphere_mass():
     from capfold.specfun import omega_n
 
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 5):
         g = sphere_quadrature(n, resolution=12)
         assert g.total_mass == pytest.approx(omega_n(n), rel=1e-12)
 
