@@ -20,7 +20,7 @@ from .caps import (
     rearrange_map,
     reflection_renormalizer,
 )
-from .directions import SCAN_GAP_TOL, canonicalize, scan_caps
+from .directions import SCAN_GAP_TOL, _canonical, scan_caps
 from .exceptions import (
     DimensionUnsupportedError,
     InvalidInputError,
@@ -33,7 +33,7 @@ from .measures import (
     disk_coordinate_values,
     pullback_measure,
 )
-from .moebius import ball_moebius
+from .moebius import ball_moebius, renormalize
 from .specfun import (
     bound_constants,
     gauss_legendre,
@@ -186,24 +186,27 @@ def planar_bound_certificate(
 ) -> BoundReport:
     """Run the full test-function pipeline for one planar domain.
 
-    Canonicalize the pullback measure; a multiple measure is certified
-    directly with the eigenfunction coordinates against mu_1 (k = 1), a
-    simple one through the cap scan with the lifted test functions, of twice
+    Balance the pullback measure once.  A multiple one is certified from
+    that solve's form, with no canonical measure, with the eigenfunction
+    coordinates against mu_1 (k = 1); a simple one is canonicalized and
+    certified through the cap scan with the lifted test functions, of twice
     the energy, against 2 mu_1 (k = 2).  The quotient k mu_1 pi E / ((pi /
     area) m), E the radial square integral and m the runner-up eigenvalue,
     has its denominator at unit-area scale, so the bound k mu_1 is
-    dimensionless and the margin is bound - quotient.
+    dimensionless and the margin is bound - quotient.  The map is sampled
+    over the power of two nearest |c1| (exact; quotient and gap are scale-free).
     """
     area = domain.area
-    raw = pullback_measure(domain, n_r, n_theta)
-    canon, cmap = canonicalize(raw)
-    if cmap.form.gap < SCAN_GAP_TOL:
-        branch, k, form, cap = "multiple-direct", 1.0, cmap.form, None
+    scale = 2.0 ** round(np.log2(abs(domain.coeffs[0])))
+    sampled = domain if scale == 1.0 else ConformalDomain(domain.coeffs / scale)
+    balanced = renormalize(pullback_measure(sampled, n_r, n_theta))
+    if balanced.form.gap < SCAN_GAP_TOL:
+        branch, k, form, cap = "multiple-direct", 1.0, balanced.form, None
     else:
-        scan = scan_caps(canon)
+        scan = scan_caps(_canonical(balanced)[0])
         branch, k, form, cap = "simple-folded", 2.0, scan.form, scan.cap
     bound = k * mu1_disk()
-    denom = (np.pi / area) * form.eig_second
+    denom = (np.pi / sampled.area) * form.eig_second
     quotient = bound * np.pi * radial_square_integral() / denom
     return BoundReport(
         domain_id=domain_id,

@@ -18,7 +18,7 @@ from .exceptions import (
     InvalidInputError,
 )
 from .measures import DirectionForm, DiscreteMeasure, _row_blocks, direction_form
-from .moebius import _disk_matrix, _lft, _scaled_sum, renormalize
+from .moebius import RenormResult, _disk_matrix, _lft, _scaled_sum, renormalize
 
 __all__ = [
     "CanonicalMap",
@@ -74,11 +74,15 @@ def canonicalize(m: DiscreteMeasure) -> tuple[DiscreteMeasure, CanonicalMap]:
 
     After this both normalization conventions hold: all first moments vanish
     (to ``renormalize``'s default tolerance) and the first coordinate
-    direction maximizes the quadratic form.
+    direction maximizes the quadratic form.  ``cmap.form`` has the
+    eigenvalues of ``renormalize(m).form`` bitwise.
     """
-    result = renormalize(m)
+    return _canonical(renormalize(m))
+
+
+def _canonical(result: RenormResult) -> tuple[DiscreteMeasure, CanonicalMap]:
     balanced, form = result.measure, result.form
-    if m.space == "disk":
+    if balanced.space == "disk":
         s = form.max_direction
         angle = np.arctan2(s[1], s[0])
         rot = np.exp(-1j * angle)

@@ -66,7 +66,8 @@ class QuadratureRule:
     """Read-only atoms ``points`` and base ``weights``, shared per shape.
 
     A polar rule (``disk_grid``) also holds its Gauss-Legendre ``radii``,
-    their ``radial_weights`` and its ``shape`` (n_r, n_theta).
+    their ``radial_weights`` and its ``shape`` (n_r, n_theta).  The atoms
+    pass the ``DiscreteMeasure`` checks once, when the rule is built.
     """
 
     points: np.ndarray
@@ -76,17 +77,19 @@ class QuadratureRule:
     shape: tuple | None = None
 
     def __post_init__(self):
+        DiscreteMeasure("disk" if np.iscomplexobj(self.points) else "sphere",
+                        self.points, self.weights)
         for arr in (self.points, self.weights, self.radii, self.radial_weights):
             if arr is not None:
                 arr.flags.writeable = False
 
     @functools.cached_property
     def columns(self):
-        """The J1 columns X_{e1}, X_{e2} at the atoms of a disk rule,
-        computed once and read-only like the atoms."""
-        x1, x2 = _disk_xy_factors(self.points)
-        x1.flags.writeable = x2.flags.writeable = False
-        return x1, x2
+        """The J1 columns X_{e1}, X_{e2} at the atoms of a disk rule, one
+        (N, 2) array, computed once and read-only like the atoms."""
+        cols = _disk_xy_factors(self.points)
+        cols.flags.writeable = False
+        return cols
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,8 @@ class DiscreteMeasure:
     weights : ndarray
         Nonnegative weights, one per atom.
     rule : QuadratureRule, optional
-        The rule whose own array ``points`` must be (else ``GridMismatchError``).
+        The rule whose own array ``points`` must be (else ``GridMismatchError``);
+        those atoms were checked when the rule was built, and are not again.
 
     Sphere atoms keep one row per atom, but each coordinate is a contiguous
     column: with only n+1 = 4 or 6 floats per row, row-major storage runs
@@ -137,10 +141,10 @@ class DiscreteMeasure:
         # each check is written to fail on NaN
         if not np.all(self.weights >= 0):
             raise NegativeDensityError("atom weights must be nonnegative")
-        if self.space == "disk":
+        if self.rule is None and self.space == "disk":
             if not np.all(np.abs(points) <= 1.0 + _BOUNDARY_SLACK):
                 raise InvalidInputError("disk atoms must lie in the closed unit disk")
-        else:
+        elif self.rule is None:
             for rows in _row_blocks(*points.shape):
                 x = points[rows]
                 norms = np.sqrt(np.einsum("ij,ij->i", x, x))
@@ -235,26 +239,27 @@ def sphere_rule(n: int, resolution: int = 24) -> QuadratureRule:
     az = 2.0 * np.pi * np.arange(m_az) / m_az
     az_w = np.full(m_az, 2.0 * np.pi / m_az)
 
-    angle_arrays = [0.5 * np.pi * (x + 1.0)] * (n - 1) + [az]
-    weight_arrays = [0.5 * np.pi * w] * (n - 1) + [az_w]
-    mesh = np.meshgrid(*angle_arrays, indexing="ij")
-    wmesh = np.meshgrid(*weight_arrays, indexing="ij")
+    # 1-D factors broadcast along their axes, with no full grid per angle
+    polar = [(-1,) + (1,) * (n - 1 - k) for k in range(n - 1)]
+    angles = [(0.5 * np.pi * (x + 1.0)).reshape(axis) for axis in polar] + [az]
+    factors = [(0.5 * np.pi * w).reshape(axis) for axis in polar] + [az_w]
 
     # one coordinate per leading index, so that the transpose of the
     # flattened array holds the atoms column-major
-    shape = mesh[0].shape
+    shape = (resolution,) * (n - 1) + (m_az,)
     coords = np.empty((n + 1,) + shape, dtype=float)
-    sin_prod = np.ones(shape)
-    for k in range(n):
-        coords[k] = sin_prod * np.cos(mesh[k])
-        sin_prod = sin_prod * np.sin(mesh[k])
+    sin_prod = 1.0
+    for k, angle in enumerate(angles):
+        np.multiply(sin_prod, np.cos(angle), out=coords[k])
+        sin_prod = sin_prod * np.sin(angle)
     coords[n] = sin_prod
+    del sin_prod
 
-    weight = np.ones(shape)
+    weight = 1.0
     for k in range(n - 1):
-        weight = weight * np.sin(mesh[k]) ** (n - 1 - k)
-    for wm in wmesh:
-        weight = weight * wm
+        weight = weight * np.sin(angles[k]) ** (n - 1 - k)
+    for factor in factors:
+        weight = weight * factor
 
     return QuadratureRule(coords.reshape(n + 1, -1).T, weight.ravel())
 
@@ -284,6 +289,8 @@ class ConformalDomain:
             raise InvalidInputError("map coefficients must be finite")
         if len(c) == 0 or c[0] == 0:
             raise UnivalenceError("leading coefficient c1 must be nonzero")
+        if not np.finfo(float).tiny <= self.area < np.inf:
+            raise InvalidInputError(f"domain area {self.area} is not a normal float")
         if not self._certificate() and not self._grid_check():
             raise UnivalenceError("could not certify univalence of the map")
 
@@ -322,6 +329,7 @@ class ConformalDomain:
         return not _polyline_self_intersects(bnd)
 
     @property
+    @np.errstate(over="ignore")
     def area(self) -> float:
         """Area of the image domain: pi * sum k |c_k|^2."""
         c = self.coeffs
@@ -334,10 +342,13 @@ class ConformalDomain:
         return out
 
     def derivative(self, z):
+        # Horner in place; skipping zero coefficients only moves signs of zeros
         z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for k in range(len(self.coeffs), 0, -1):
-            out = out * z + k * self.coeffs[k - 1]
+        out = np.full_like(z, len(self.coeffs) * self.coeffs[-1])
+        for k in range(len(self.coeffs) - 1, 0, -1):
+            out *= z
+            if self.coeffs[k - 1] != 0:
+                out += k * self.coeffs[k - 1]
         return out
 
     def density(self, z):
@@ -380,10 +391,13 @@ def pullback_measure(
     return disk_quadrature(n_r, n_theta, domain.density)
 
 
-def _disk_xy_factors(points: np.ndarray):
-    # X_{e1}, X_{e2} at disk points: the J1 kernel behind every disk moment
+def _disk_xy_factors(points: np.ndarray) -> np.ndarray:
+    # X_{e1}, X_{e2} at disk points on a last axis: the J1 kernel of every disk moment
     amp = find_zeta() * j1_over_x(find_zeta() * np.abs(points))
-    return amp * points.real, amp * points.imag
+    out = np.empty(points.shape + (2,))
+    np.multiply(amp, points.real, out=out[..., 0])
+    np.multiply(amp, points.imag, out=out[..., 1])
+    return out
 
 
 def disk_coordinate_values(z, s) -> np.ndarray:
@@ -392,8 +406,8 @@ def disk_coordinate_values(z, s) -> np.ndarray:
     ``s`` is a complex unit; the J1(x)/x form keeps the origin stable.
     """
     s = complex(s)
-    x1, x2 = _disk_xy_factors(np.asarray(z, dtype=complex))
-    return x1 * s.real + x2 * s.imag
+    xy = _disk_xy_factors(np.asarray(z, dtype=complex))
+    return xy[..., 0] * s.real + xy[..., 1] * s.imag
 
 
 def coordinate_values(m: DiscreteMeasure, s) -> np.ndarray:
@@ -410,9 +424,9 @@ def coordinate_values(m: DiscreteMeasure, s) -> np.ndarray:
 def moment_vector_raw(space: str, points, weights) -> np.ndarray:
     """Moment vector on raw arrays (no measure validation); solver internals."""
     if space == "disk":
-        x1, x2 = _disk_xy_factors(np.asarray(points, dtype=complex))
+        cols = _disk_xy_factors(np.asarray(points, dtype=complex))
         weights = np.asarray(weights, dtype=float)
-        return np.array([np.sum(weights * x1), np.sum(weights * x2)])
+        return np.array([np.sum(weights * col) for col in cols.T])
     return np.asarray(points, dtype=float).T @ np.asarray(weights, dtype=float)
 
 
@@ -420,7 +434,7 @@ def moment_vector(m: DiscreteMeasure) -> np.ndarray:
     """First-order moments (integral of X_{e_i}) for each coordinate direction."""
     if m.space == "disk":
         cols = _disk_xy_factors(m.points) if m.rule is None else m.rule.columns
-        return np.array([np.sum(m.weights * col) for col in cols])
+        return np.array([np.sum(m.weights * col) for col in cols.T])
     return moment_vector_raw(m.space, m.points, m.weights)
 
 
@@ -478,10 +492,9 @@ class DirectionForm:
 
 def direction_form(m: DiscreteMeasure) -> DirectionForm:
     """Assemble and diagonalize the matrix of second moments of X; on a
-    disk measure with a rule, X is the rule's cached columns."""
+    disk measure with a rule, X is the rule's cached (N, 2) columns."""
     if m.space == "disk":
         cols = _disk_xy_factors(m.points) if m.rule is None else m.rule.columns
-        cols = np.stack(cols, axis=1)
     else:
         cols = m.points
     return _form_from_columns(cols, m.weights)
@@ -556,15 +569,10 @@ def _number_rows(rows, what: str) -> np.ndarray:
 
 def measure_to_json(m: DiscreteMeasure) -> str:
     """Versioned JSON document {schema, space, n, atoms: [[x..., w], ...]}."""
+    points = m.points
     if m.space == "disk":
-        atoms = [
-            [float(z.real), float(z.imag), float(w)]
-            for z, w in zip(m.points, m.weights)
-        ]
-    else:
-        atoms = [
-            [*map(float, x), float(w)] for x, w in zip(m.points, m.weights)
-        ]
+        points = np.column_stack([points.real, points.imag])
+    atoms = [[*map(float, x), float(w)] for x, w in zip(points, m.weights)]
     doc = {
         "schema": 1,
         "space": m.space,

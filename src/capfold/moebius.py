@@ -225,7 +225,7 @@ class RenormResult:
     def form(self) -> DirectionForm:
         if self._kept is None:
             return direction_form(self.measure)
-        return _form_from_columns(np.stack(self._kept[1], axis=1), self._source.weights)
+        return _form_from_columns(self._kept[1], self._source.weights)
 
 
 def _ball_moments(points, sq, weights, xi, jacobian=False):
@@ -357,7 +357,7 @@ def renormalize(
             else:
                 moved = disk_moebius(complex(xi[0], xi[1]), points)
                 cols = _disk_xy_factors(moved)
-            return np.array([np.sum(weights * c) for c in cols]), (moved, cols)
+            return np.array([np.sum(weights * c) for c in cols.T]), (moved, cols)
 
         def jacobian(xi):
             return np.column_stack([

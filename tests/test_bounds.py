@@ -259,6 +259,120 @@ def test_certificate_multiple_direct_evaluates_the_kernel_once(monkeypatch):
     assert cold == warm
 
 
+def _symmetric(k, c=0.04 * np.exp(1j)):
+    # z + c z^(k+1): k-fold symmetric, multiple on a grid whose n_theta k divides
+    return ConformalDomain([1.0] + [0.0] * (k - 1) + [c])
+
+
+def test_multiple_direct_certificate_balances_once_and_builds_nothing_else(monkeypatch):
+    # the multiple-direct branch reads only the balancing solve's form: one
+    # renormalize, no canonical measure, no kernel call once the grid's
+    # columns are cached, and the pullback is the one measure built
+    import capfold.bounds
+    import capfold.directions
+    import capfold.measures
+
+    domain = _symmetric(4)
+    planar_bound_certificate(domain)
+    calls = {"renormalize": 0, "canonical": 0, "kernel": 0, "measures": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(capfold.bounds, "renormalize",
+                        counted("renormalize", capfold.bounds.renormalize))
+    monkeypatch.setattr(capfold.bounds, "_canonical",
+                        counted("canonical", capfold.bounds._canonical))
+    monkeypatch.setattr(capfold.directions, "_canonical",
+                        counted("canonical", capfold.directions._canonical))
+    monkeypatch.setattr(capfold.measures, "j1_over_x",
+                        counted("kernel", capfold.measures.j1_over_x))
+    monkeypatch.setattr(DiscreteMeasure, "__post_init__",
+                        counted("measures", DiscreteMeasure.__post_init__))
+    report = planar_bound_certificate(domain)
+    assert report.branch == "multiple-direct"
+    assert calls == {"renormalize": 1, "canonical": 0, "kernel": 0, "measures": 1}
+
+
+def test_simple_folded_certificate_balances_the_pullback_once(monkeypatch):
+    # the scan gets the canonical measure built from the one balancing solve
+    # of the pullback, bitwise what canonicalize gives; the scan itself is
+    # replaced, as it balances other measures only
+    import types
+
+    import capfold.bounds
+
+    domain = ConformalDomain([1.0, 0.3])
+    raw = pullback_measure(domain, 16, 32)
+    expected = canonicalize(raw)[0]
+    pullbacks, solved, scanned = [], [], []
+
+    def recorded_pullback(*args):
+        pullbacks.append(pullback_measure(*args))
+        return pullbacks[-1]
+
+    def counted_renormalize(m, *args, renormalize=capfold.bounds.renormalize, **kwargs):
+        solved.append(m)
+        return renormalize(m, *args, **kwargs)
+
+    def fake_scan(m):
+        scanned.append(m)
+        return types.SimpleNamespace(form=direction_form(m), cap=Cap(0.0, 1.0, "disk"))
+
+    monkeypatch.setattr(capfold.bounds, "pullback_measure", recorded_pullback)
+    monkeypatch.setattr(capfold.bounds, "renormalize", counted_renormalize)
+    monkeypatch.setattr(capfold.bounds, "scan_caps", fake_scan)
+    report = planar_bound_certificate(domain, n_r=16, n_theta=32)
+    assert report.branch == "simple-folded"
+    assert len(pullbacks) == 1 and [m is pullbacks[0] for m in solved] == [True]
+    (canon,) = scanned
+    assert canon.points.tobytes() == expected.points.tobytes()
+    assert canon.weights.tobytes() == expected.weights.tobytes()
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [ConformalDomain([1.0]), ConformalDomain([1.0, 0.0, 0.0, 0.0, 0.05]),
+     _symmetric(3), _symmetric(4), _symmetric(6)],
+    ids=["identity", "z+0.05z^5", "k3", "k4", "k6"],
+)
+def test_multiple_direct_certificate_matches_the_canonical_form_bitwise(domain):
+    report = planar_bound_certificate(domain)
+    form = canonicalize(pullback_measure(domain))[1].form
+    quotient = mu1_disk() * np.pi * radial_square_integral() / (
+        (np.pi / domain.area) * form.eig_second
+    )
+    assert report.branch == "multiple-direct"
+    assert report.gap == form.gap
+    assert report.quotient_sup == quotient
+
+
+def _certificate_fields(report):
+    return report.branch, report.quotient_sup, report.gap, report.margin
+
+
+@pytest.mark.parametrize("c", [2.0**400, 2.0**-400, -(2.0**400) * 1j])
+def test_certificate_of_a_power_of_two_scale_is_bitwise_unscaled(c):
+    unit = planar_bound_certificate(ConformalDomain([1.0]))
+    report = planar_bound_certificate(ConformalDomain([c]))
+    assert _certificate_fields(report) == _certificate_fields(unit)
+    assert report.area == np.pi * abs(c) ** 2
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-100, 1e100, 1e150])
+def test_certificate_does_not_depend_on_the_scale_of_the_map(c):
+    unit = planar_bound_certificate(ConformalDomain([1.0]))
+    report = planar_bound_certificate(ConformalDomain([c]))
+    assert report.branch == unit.branch
+    assert report.quotient_sup == pytest.approx(unit.quotient_sup, rel=1e-13)
+    assert report.gap == pytest.approx(unit.gap, abs=1e-13)
+    assert report.area == pytest.approx(np.pi * c * c, rel=1e-15)
+    assert report.holds
+
+
 def test_certificate_bent_simple_folded(bent_certificate):
     report = bent_certificate
     assert report.branch == "simple-folded"

@@ -173,6 +173,17 @@ def test_bad_domain_file_exit_code(tmp_path, capsys, command, text):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("c", [1e-170, 1e-156, 1e154])
+def test_certify_rejects_a_map_whose_area_leaves_the_normal_floats(tmp_path, capsys, c):
+    # an area that under- or overflows would make the certificate's weights
+    # and pi / area meaningless: an input error, with no report written
+    path, out = tmp_path / "domain.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"schema": 1, "coeffs": [[c, 0.0]]}))
+    assert run(["certify", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_renormalize_roundtrip(measure_file, tmp_path):
     out = tmp_path / "renorm.json"
     code = run(["renormalize", measure_file, "--output", str(out)])

@@ -1,5 +1,7 @@
 """Measure construction, moments, direction forms, and the moment metric."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from capfold.exceptions import (
 from capfold.measures import (
     ConformalDomain,
     DiscreteMeasure,
+    QuadratureRule,
     _disk_xy_factors,
     _form_from_columns,
     coordinate_values,
@@ -27,7 +30,13 @@ from capfold.measures import (
     sphere_quadrature,
     sphere_rule,
 )
-from capfold.specfun import bessel_j1, find_zeta, radial_profile, radial_square_integral
+from capfold.specfun import (
+    bessel_j1,
+    find_zeta,
+    gauss_legendre,
+    radial_profile,
+    radial_square_integral,
+)
 
 
 def test_uniform_mass_is_pi(uniform_disk):
@@ -65,26 +74,67 @@ def test_disk_grid_is_shared_read_only_and_unchanged():
     _assert_shared_read_only_and_unchanged(disk_grid, 12, 20)
 
 
+def _meshgrid_sphere_rule(n, resolution):
+    # the product-angle rule built on full meshgrids, the reference for the
+    # broadcast build: same factors, same order of products
+    x, w = gauss_legendre(resolution)
+    m_az = 2 * resolution
+    angles = [0.5 * np.pi * (x + 1.0)] * (n - 1) + [2.0 * np.pi * np.arange(m_az) / m_az]
+    factors = [0.5 * np.pi * w] * (n - 1) + [np.full(m_az, 2.0 * np.pi / m_az)]
+    mesh = np.meshgrid(*angles, indexing="ij")
+    coords = np.empty((n + 1,) + mesh[0].shape)
+    sin_prod = np.ones(mesh[0].shape)
+    for k in range(n):
+        coords[k] = sin_prod * np.cos(mesh[k])
+        sin_prod = sin_prod * np.sin(mesh[k])
+    coords[n] = sin_prod
+    weight = np.ones(mesh[0].shape)
+    for k in range(n - 1):
+        weight = weight * np.sin(mesh[k]) ** (n - 1 - k)
+    for wm in np.meshgrid(*factors, indexing="ij"):
+        weight = weight * wm
+    return coords.reshape(n + 1, -1).T, weight.ravel()
+
+
 def test_sphere_rule_is_shared_read_only_and_unchanged():
     _assert_shared_read_only_and_unchanged(sphere_rule, 3, 4)
     # sphere_quadrature builds its measure on the shared rule
     g, rule = sphere_quadrature(3, 4), sphere_rule(3, 4)
     assert g.rule is rule and g.points is rule.points and g.weights is rule.weights
+    # broadcast 1-D factors give the meshgrid build's atoms and weights
+    # bitwise, column-major
+    for n, res in ((1, 6), (2, 5), (3, 16), (5, 8), (7, 5)):
+        fresh = sphere_rule.__wrapped__(n, res)
+        points, weights = _meshgrid_sphere_rule(n, res)
+        assert fresh.points.flags.f_contiguous, (n, res)
+        assert fresh.points.tobytes(order="A") == points.tobytes(order="A"), (n, res)
+        assert fresh.weights.tobytes() == weights.tobytes(), (n, res)
+    # with no full grid per angle, the build's peak stays near its atoms'
+    # size: the meshgrid build peaked at 10.5, 79.6 and 32.5 MB
+    for n, res, limit_mb in ((5, 8, 5.0), (5, 12, 36.0), (7, 5, 15.0)):
+        tracemalloc.start()
+        try:
+            sphere_rule.__wrapped__(n, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6, (n, res, peak)
 
 
 def test_grid_columns_are_cached_read_only_and_unchanged():
-    # X_e1, X_e2 of a polar rule: one pair per rule, cached on it, bitwise
-    # the kernel's values at the rule's atoms, and read-only like the atoms
+    # X_e1, X_e2 of a polar rule: one (N, 2) array per rule, cached on it,
+    # bitwise the kernel's values at the rule's atoms, and read-only like
+    # the atoms
     for shape in ((12, 20), (96, 192)):
         rule = disk_grid(*shape)
         cols = rule.columns
         fresh = _disk_xy_factors(rule.points)
-        assert all(a is b for a, b in zip(cols, disk_grid(*shape).columns))
-        for col, ref in zip(cols, fresh):
-            assert col.tobytes() == ref.tobytes()
-            assert not col.flags.writeable
-            with pytest.raises(ValueError):
-                col[0] = 0.0
+        assert cols is disk_grid(*shape).columns
+        assert cols.shape == (len(rule.points), 2) and cols.flags.c_contiguous
+        assert cols.tobytes() == fresh.tobytes()
+        assert not cols.flags.writeable
+        with pytest.raises(ValueError):
+            cols[0, 0] = 0.0
 
 
 def test_grid_columns_serve_only_the_grid_array():
@@ -102,8 +152,8 @@ def test_grid_columns_serve_only_the_grid_array():
     for name, (m, cached) in cases.items():
         assert (m.rule is disk_grid(12, 20)) == cached, name
         fresh = _disk_xy_factors(m.points)
-        moments = np.array([np.sum(m.weights * col) for col in fresh])
-        form = _form_from_columns(np.stack(fresh, axis=1), m.weights)
+        moments = np.array([np.sum(m.weights * col) for col in fresh.T])
+        form = _form_from_columns(fresh, m.weights)
         assert moment_vector(m).tobytes() == moments.tobytes(), name
         assert direction_form(m).matrix.tobytes() == form.matrix.tobytes(), name
 
@@ -117,6 +167,47 @@ def test_measure_given_a_rule_must_sit_on_its_atoms():
     sphere = sphere_rule(3, 4)
     with pytest.raises(GridMismatchError):
         DiscreteMeasure("sphere", np.array(sphere.points), sphere.weights, sphere)
+
+
+def test_rule_checks_its_atoms_once():
+    # a rule's atoms pass the measure checks when it is built; a measure on
+    # the rule's own array does not scan them again
+    with pytest.raises(InvalidInputError):
+        QuadratureRule(np.array([0.5, 1.5j]), np.ones(2))
+    with pytest.raises(InvalidInputError):
+        QuadratureRule(np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]]), np.ones(2))
+    with pytest.raises(NegativeDensityError):
+        QuadratureRule(np.array([0.5, 0.5j]), np.array([1.0, -1.0]))
+    # the check is not repeated: atoms moved off after the rule was built
+    # (which only a writer that unlocks the array can do) pass on the rule,
+    # and fail as a copy
+    sphere = np.asfortranarray([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+    for points in (np.array([0.5, 0.5j]), sphere):
+        rule = QuadratureRule(points, np.ones(2))
+        space = "disk" if points.ndim == 1 else "sphere"
+        rule.points.flags.writeable = True
+        rule.points[0] *= 3.0
+        assert DiscreteMeasure(space, rule.points, rule.weights, rule).rule is rule
+        with pytest.raises(InvalidInputError):
+            DiscreteMeasure(space, rule.points.copy(), rule.weights)
+
+
+def test_derivative_is_plain_horner_up_to_the_sign_of_zeros(rng):
+    # in-place Horner that skips zero coefficients: a skipped addition of
+    # zero can change only the sign of a zero, which |phi'| removes
+    z = disk_grid(12, 20).points
+    for degree in (1, 2, 3, 5, 7):
+        for _ in range(4):
+            c = rng.uniform(0.5, 2.0, degree) * np.exp(2j * np.pi * rng.random(degree))
+            c[1:] *= 0.1 * abs(c[0]) / np.arange(2, degree + 1) ** 2
+            c[1:][rng.random(degree - 1) < 0.5] = 0.0
+            domain = ConformalDomain(c)
+            ref = np.zeros_like(z)
+            for k in range(degree, 0, -1):
+                ref = ref * z + k * c[k - 1]
+            got = domain.derivative(z)
+            assert np.array_equal(got, ref)
+            assert np.abs(got).tobytes() == np.abs(ref).tobytes()
 
 
 def test_measure_keeps_atoms_of_the_right_dtype_uncopied():
@@ -187,6 +278,13 @@ def test_pullback_mass_matches_coefficient_formula(rng):
         dom = ConformalDomain(coeffs)
         m = pullback_measure(dom, 96, 192)
         assert m.total_mass == pytest.approx(dom.area, rel=1e-8)
+
+
+@pytest.mark.parametrize("c", [1e-170, 1e-156, 1e154, 1e200])
+def test_domain_whose_area_leaves_the_normal_floats_is_rejected(c):
+    # pi |c|^2 under the smallest normal float, or infinite
+    with pytest.raises(InvalidInputError):
+        ConformalDomain([c])
 
 
 def test_univalence_certificate_rejects_folding_map():
