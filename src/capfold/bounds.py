@@ -299,8 +299,8 @@ def sphere_modified_quotient(
     n = g.sphere_dim
     if not abs(g.total_mass - 1.0) <= 1e-8:
         raise InvalidInputError("sphere measure must be normalized to unit mass")
-    if not abs(float(np.linalg.norm(s)) - 1.0) <= 1e-12:
-        raise InvalidInputError("direction s must be a unit vector")
+    if np.shape(s) != (g.ambient_dim,) or not abs(float(np.linalg.norm(s)) - 1.0) <= 1e-12:
+        raise InvalidInputError(f"direction s must be a unit vector of length {g.ambient_dim}")
     if trace is None:
         _, trace = rearrange(g, cap)
     elif not (

@@ -79,8 +79,8 @@ class Cap:
         elif self.space == "sphere":
             p = np.asarray(self.p, dtype=float)
             norm = float(np.linalg.norm(p))
-            if not abs(norm - 1.0) <= 1e-12:
-                raise InvalidInputError("cap direction p must be a unit vector")
+            if p.ndim != 1 or not abs(norm - 1.0) <= 1e-12:
+                raise InvalidInputError("cap direction p must be a 1-D unit vector")
             object.__setattr__(self, "p", p / norm)
         else:
             raise InvalidInputError(f"unknown space {self.space!r}")
@@ -92,7 +92,10 @@ class Cap:
 
 
 def _points(cap: Cap, x) -> np.ndarray:
-    return np.asarray(x, dtype=complex if cap.space == "disk" else float)
+    x = np.asarray(x, dtype=complex if cap.space == "disk" else float)
+    if cap.space == "sphere" and x.shape[-1:] != cap.p.shape:
+        raise SpaceMismatchError(f"a cap in R^{len(cap.p)} and points of shape {x.shape}")
+    return x
 
 
 def cap_contains(cap: Cap, x) -> np.ndarray:
@@ -382,8 +385,6 @@ def rearrange(
     a rearrangement allocates, and the output measure holds it, with the
     weights of ``m``.
     """
-    if m.space != cap.space:
-        raise SpaceMismatchError("measure and cap live on different spaces")
     folded = fold_measure(m, cap)
     first = renormalize(folded, start=start)
     b = image_cap(cap, first.xi)

@@ -123,6 +123,7 @@ def cmd_renormalize(args) -> int:
         "residual": result.residual,
         "iterations": result.iterations,
         "evaluations": result.evaluations,
+        "jacobians": result.jacobians,
         "halvings": result.halvings,
     })
 

@@ -201,14 +201,16 @@ class RenormResult:
     rule's read-only atoms.  On the sphere a caller that reads neither builds no
     moved atoms here (``caps.rearrange`` transports its own folded atoms in
     place instead).  ``evaluations`` counts moment-map evaluations, one per
-    closed-form ball Jacobian and one per moment vector of a disk central
-    difference; ``halvings`` counts the Newton line-search step halvings.
+    closed-form ball Jacobian (several moment passes of work) and one per
+    moment vector of a disk central difference; ``jacobians`` counts the
+    Jacobians built and ``halvings`` the Newton line-search step halvings.
     """
 
     xi: object  # complex (disk) or ndarray (sphere)
     residual: float
     iterations: int
     evaluations: int = 0
+    jacobians: int = 0
     halvings: int = 0
     # the measure that was balanced, and on the disk the moved atoms and
     # their J1 factors at xi
@@ -315,10 +317,15 @@ def renormalize(
 
     One loop serves both spaces, with xi a real vector composed by
     ``ball_moebius``; only the moment map and its Jacobian are picked by
-    space.  A damped drift brings the residual under 1e-3, then Newton with
-    a halving line search finishes.  On the ball the moments and the Newton
-    Jacobian are closed form (``_ball_moments``); the disk still builds its
-    Jacobian from central differences (ROADMAP item 2).  The returned ``xi`` is
+    space.  On the ball a damped drift brings the residual under 1e-1, then
+    secant steps with a halving line search finish: one closed-form Jacobian
+    (``_ball_moments``) at the first point, updated by Broyden's rank-one
+    formula after each step; a step that first lands in (tol/100, tol] gets
+    one more try, without halvings, so that the solve ends far below
+    ``tol``, as a Newton step does.  The disk drifts to 1e-3, then takes
+    Newton steps, each with a fresh central-difference Jacobian (ROADMAP
+    item 2): a faster disk solve would shorten the planar scans and move the
+    planar benchmark's tail onto another op (item 1).  The returned ``xi`` is
     complex on the disk.  The result also gives the balanced measure and
     its direction form, built when first read (``RenormResult``); on the
     disk from the moved atoms and J1 factors of the residual at the returned
@@ -337,7 +344,9 @@ def renormalize(
     ZeroMassError
         If the measure has no mass.
     InvalidInputError
-        If ``tol`` is not finite and positive.
+        If ``tol`` is not finite and positive, or ``start`` is not a number
+        (disk) or a real vector of the ambient dimension (ball) inside the
+        open disk/ball.
     """
     if not 0.0 < tol < np.inf:
         raise InvalidInputError(f"tol must be finite and positive, got {tol}")
@@ -365,8 +374,10 @@ def renormalize(
                 for e in np.eye(dim)
             ])
 
-        jacobian_cost = 2 * dim
+        jacobian_cost, drift_tol, secant = 2 * dim, 1e-3, False
         if start is not None:
+            if isinstance(start, bool) or not isinstance(start, (int, float, complex, np.number)):
+                raise InvalidInputError(f"a disk start must be a number, got {start!r}")
             start = complex(start)
             start = (start.real, start.imag)
     else:
@@ -378,10 +389,13 @@ def renormalize(
         def jacobian(xi):
             return _ball_moments(points, sq, weights, xi, jacobian=True)[1]
 
-        jacobian_cost = 1
+        jacobian_cost, drift_tol, secant = 1, 1e-1, True
 
     if start is not None:
-        xi = np.array(start, dtype=float)
+        xi = np.asarray(start)
+        if xi.shape != (dim,) or xi.dtype.kind not in "iuf":
+            raise InvalidInputError(f"a sphere start must be a real vector of length {dim}")
+        xi = xi.astype(float)
         # written so that a NaN start fails it too
         if not float(np.linalg.norm(xi)) < _BOUNDARY_GUARD:
             raise InvalidInputError("start must lie in the open unit disk/ball")
@@ -395,8 +409,7 @@ def renormalize(
         if norm_xi >= 0.9:
             xi = xi * (0.9 / norm_xi)
 
-    evaluations = 0
-    halvings = 0
+    evaluations = jacobians = halvings = 0
 
     def resid(xi):
         nonlocal evaluations
@@ -420,7 +433,7 @@ def renormalize(
     # stage 1: damped drift toward the balancing point; the new map is the
     # Moebius map with the composed parameter up to a rotation, which leaves
     # residual norms unchanged
-    while rn > 1e-3 and iterations < _MAX_ITERATIONS:
+    while rn > drift_tol and iterations < _MAX_ITERATIONS:
         step = -0.5 * mom / scale
         size = float(np.linalg.norm(step))
         if size > 0.9:
@@ -431,11 +444,14 @@ def renormalize(
         mom, rn, kept = resid(xi)
         iterations += 1
 
-    # stage 2: Newton with a halving line search
+    # stage 2: Newton (disk) or secant (ball) steps with a halving line search
     while rn > tol and iterations < _MAX_ITERATIONS:
-        evaluations += jacobian_cost
+        if not (secant and jacobians):
+            evaluations += jacobian_cost
+            jacobians += 1
+            jac = jacobian(xi)
         try:
-            step = np.linalg.solve(jacobian(xi), -mom)
+            step = np.linalg.solve(jac, -mom)
         except np.linalg.LinAlgError:
             raise failure("singular moment Jacobian") from None
         lam = 1.0
@@ -444,6 +460,9 @@ def renormalize(
             if float(np.linalg.norm(cand)) < _BOUNDARY_GUARD:
                 cand_mom, cand_rn, cand_kept = resid(cand)
                 if cand_rn < rn:
+                    if secant:  # Broyden: J + (dF - J dxi) dxi^T / |dxi|^2
+                        dxi = cand - xi
+                        jac += np.outer(cand_mom - mom - jac @ dxi, dxi / (dxi @ dxi))
                     xi, mom, rn, kept = cand, cand_mom, cand_rn, cand_kept
                     break
             lam *= 0.5
@@ -451,6 +470,14 @@ def renormalize(
         else:
             raise failure("Newton stage stalled near the boundary")
         iterations += 1
+    if secant and jacobians and tol / 100 < rn <= tol:
+        # the one extra secant try, so that restarts agree far below tol
+        cand = xi + np.linalg.solve(jac, -mom)
+        if float(np.linalg.norm(cand)) < _BOUNDARY_GUARD:
+            cand_mom, cand_rn, cand_kept = resid(cand)
+            if cand_rn < rn:
+                xi, mom, rn, kept = cand, cand_mom, cand_rn, cand_kept
+                iterations += 1
 
     # written so that a NaN residual (moments of a point pushed onto the
     # boundary by rounding) fails it too
@@ -458,7 +485,8 @@ def renormalize(
         raise failure("renormalization did not reach tolerance")
     return RenormResult(
         xi=_public(m, xi), residual=rn, iterations=iterations,
-        evaluations=evaluations, halvings=halvings, _source=m, _kept=kept,
+        evaluations=evaluations, jacobians=jacobians, halvings=halvings,
+        _source=m, _kept=kept,
     )
 
 

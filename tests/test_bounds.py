@@ -571,6 +571,14 @@ def test_modified_quotient_needs_a_unit_direction():
             sphere_modified_quotient(g, cap, scaled, trace=trace)
 
 
+def test_modified_quotient_needs_a_direction_of_the_ambient_dimension():
+    # a unit 3-vector on S^3 raised numpy's ValueError
+    g = sphere_quadrature(3, resolution=6)
+    g = g.scaled(1.0 / g.total_mass)
+    with pytest.raises(InvalidInputError):
+        sphere_modified_quotient(g, Cap(0.2, np.eye(4)[0], "sphere"), np.eye(3)[0])
+
+
 def test_modified_quotient_rejects_a_trace_of_another_cap():
     # the trace of A = Cap(0.3, e0) read at B = Cap(-0.4, e1) gave 50.18,
     # above the theorem constant, for B's own 30.99; a hemisphere's trace

@@ -22,7 +22,12 @@ from capfold.caps import (
     _fold_points,
     _tangent_frame,
 )
-from capfold.exceptions import EvaluationOutsideCapError, GridMismatchError
+from capfold.exceptions import (
+    EvaluationOutsideCapError,
+    GridMismatchError,
+    InvalidInputError,
+    SpaceMismatchError,
+)
 from capfold.measures import (
     DiscreteMeasure,
     disk_quadrature,
@@ -320,10 +325,25 @@ def test_rearrange_uniform_basics(uniform_disk):
 
 
 def test_rearrange_requires_matching_space(uniform_disk):
-    from capfold.exceptions import SpaceMismatchError
-
     with pytest.raises(SpaceMismatchError):
         rearrange(uniform_disk, Cap(0.3, np.array([1.0, 0, 0]), "sphere"))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [fold_measure, rearrange, lambda m, cap: cap_contains(cap, m.points)],
+    ids=["fold_measure", "rearrange", "cap_contains"],
+)
+def test_cap_of_another_dimension_is_a_space_mismatch(sphere3_uniform, call):
+    # an S^2 cap on S^3 atoms raised numpy's ValueError
+    with pytest.raises(SpaceMismatchError):
+        call(sphere3_uniform, Cap(0.2, np.eye(3)[0], "sphere"))
+
+
+def test_sphere_cap_direction_is_one_dimensional():
+    # a (1, 4) direction was accepted as a cap on S^3
+    with pytest.raises(InvalidInputError):
+        Cap(0.2, np.eye(4)[:1], "sphere")
 
 
 def test_flipflop_trend_uniform(uniform_disk):

@@ -193,6 +193,7 @@ def test_renormalize_roundtrip(measure_file, tmp_path):
     assert doc["residual"] < 1e-10
     # already balanced: one moment evaluation, no Newton step
     assert (doc["iterations"], doc["evaluations"], doc["halvings"]) == (0, 1, 0)
+    assert doc["jacobians"] == 0
 
 
 def test_renormalize_sphere_seeded_start(tmp_path):
@@ -206,6 +207,8 @@ def test_renormalize_sphere_seeded_start(tmp_path):
     assert doc["residual"] < 1e-10
     assert doc["evaluations"] >= doc["iterations"] + 1
     assert doc["halvings"] >= 0
+    # one closed-form Jacobian, updated by the secant steps after it
+    assert doc["jacobians"] == 1
 
 
 def test_rearrange_subcommand(measure_file, tmp_path):

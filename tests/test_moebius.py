@@ -191,14 +191,50 @@ def test_renormalize_restart_uniqueness_s5():
         assert np.max(np.abs(renormalize(m, seed=seed).xi - base)) < 1e-12
 
 
+def test_renormalize_restart_uniqueness_s3_bench_densities():
+    # densities 1 + (a, x) + b x0^2, the form of the benchmark's quotient
+    # ops: the secant stage's last step must land as far below tol as a
+    # Newton step, or seeded restarts disagree at the 1e-11 level
+    g = sphere_quadrature(3, resolution=16)
+    for a, b in (
+        ([0.1, -0.2, 0.15, 0.05], 0.1),
+        ([0.0, 0.3, 0.0, 0.0], 0.05),
+        ([-0.2, 0.05, -0.1, 0.15], 0.0),
+    ):
+        density = 1.0 + g.points @ np.array(a) + b * g.points[:, 0] ** 2
+        m = DiscreteMeasure("sphere", g.points, g.weights * density)
+        base = renormalize(m)
+        assert base.residual <= 1e-12
+        for seed in range(1, 21):
+            res = renormalize(m, seed=seed)
+            assert res.residual <= 1e-12
+            assert np.max(np.abs(res.xi - base.xi)) < 1e-12
+
+
 def test_renormalize_counts_its_work(uniform_disk, sphere3_uniform):
     # drift steps cost one evaluation each, a Newton step one for the
-    # residual plus its Jacobian: one in closed form on the ball, four
-    # central-difference moment vectors on the disk
+    # residual; the disk adds four central-difference moment vectors per
+    # step for its Jacobian, the ball one evaluation for its single
+    # closed-form Jacobian, which the secant steps after it update
     disk = renormalize(pushforward(uniform_disk, 0.3 + 0j))
     ball = renormalize(pushforward(sphere3_uniform, np.array([0.25, -0.1, 0.3, 0.05])))
     assert (disk.iterations, disk.evaluations, disk.halvings) == (9, 18, 0)
-    assert (ball.iterations, ball.evaluations, ball.halvings) == (7, 10, 0)
+    assert (ball.iterations, ball.evaluations, ball.halvings) == (6, 8, 0)
+
+
+def test_renormalize_builds_one_ball_jacobian(uniform_disk, sphere3_uniform):
+    # from the origin, a seeded start and a warm start, each solve takes
+    # several secant steps after the one closed-form Jacobian
+    moved = pushforward(sphere3_uniform, np.array([0.25, -0.1, 0.3, 0.05]))
+    warm = renormalize(moved).xi + 0.01
+    for res in (renormalize(moved), renormalize(moved, seed=3), renormalize(moved, start=warm)):
+        assert res.jacobians == 1
+        assert res.evaluations == res.iterations + 2
+    # the disk builds a central-difference Jacobian at each of its 2 Newton
+    # steps: 1 + 9 residuals and 2 x 4 moment vectors
+    disk = renormalize(pushforward(uniform_disk, 0.3 + 0j))
+    assert disk.jacobians == 2
+    assert disk.evaluations == 1 + disk.iterations + 4 * disk.jacobians
 
 
 def test_renormalize_idempotent(bent_canonical):
@@ -361,6 +397,23 @@ def test_renormalize_start_must_lie_inside(uniform_disk, sphere3_uniform):
     # a disk start is honoured too: the planted point is found from near it
     res = renormalize(pushforward(uniform_disk, 0.3 + 0j), start=-0.29 + 0.01j)
     assert abs(res.xi + 0.3) < 1e-8
+
+
+@pytest.mark.parametrize("space, start", [
+    ("sphere", [0.1, 0.2]),
+    ("sphere", np.zeros((2, 4))),
+    ("sphere", ["0.1", "0", "0", "0"]),
+    ("disk", "0.1"),
+    ("disk", [0.1, 0.2]),
+    ("disk", False),
+])
+def test_renormalize_start_must_match_the_space(uniform_disk, sphere3_uniform, space, start):
+    # a sphere start is a real vector of the ambient dimension, a disk start
+    # a number: a string was parsed and solved from, a wrong shape raised
+    # numpy's ValueError or a TypeError
+    m = sphere3_uniform if space == "sphere" else uniform_disk
+    with pytest.raises(InvalidInputError):
+        renormalize(m, start=start)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
