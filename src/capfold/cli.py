@@ -31,7 +31,9 @@ from .measures import (
     sphere_quadrature,
 )
 from .moebius import renormalize
-from .specfun import bound_constants, find_zeta, inequality, mu1_disk, product_bounds
+from .specfun import (
+    bound_constants, find_zeta, inequality, mu1_disk, omega_n, product_bounds,
+)
 
 USAGE_ERROR, BOUND_VIOLATION, NUMERICAL_FAILURE = 1, 2, 3
 
@@ -224,10 +226,16 @@ def cmd_sphere(args) -> int:
         },
     }
     if n % 2 == 1:
-        degrees = sphere_degree_check(n, seed=args.seed)
-        doc["degrees"] = degrees
         g = sphere_quadrature(n, resolution=args.resolution)
+        # a coarse rule's quotient is far off yet can still hold
+        mass_error = abs(g.total_mass / omega_n(n) - 1.0)
+        if mass_error > 1e-3:
+            raise InvalidInputError(
+                f"the resolution-{args.resolution} rule misses the area of the "
+                f"{n}-sphere by {mass_error:.2g}; use a finer resolution"
+            )
         g = g.scaled(1.0 / g.total_mass)
+        doc["degrees"] = sphere_degree_check(n, seed=args.seed)
         cap = Cap(0.3, np.eye(n + 1)[0], "sphere")
         _, trace = rearrange(g, cap)
         quotient = bounds_mod.sphere_modified_quotient(
@@ -300,43 +308,30 @@ def _subparsers(parser: argparse.ArgumentParser):
     return next(a for a in parser._actions if a.dest == "command")
 
 
-def _dests_on_command_line(argv) -> set:
-    """Destinations the command line itself set, abbreviated flags included.
-
-    A second parse of ``argv`` by a fresh parser whose defaults are all
-    suppressed leaves only what argparse matched.
-    """
-    parser = build_parser.__wrapped__()
-    for p in (parser, *_subparsers(parser).choices.values()):
-        for action in p._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _merge_config(parser: argparse.ArgumentParser, args, argv) -> None:
-    """Set each option named in the ``--config`` file that no flag set.
+def _parse_with_config(args, argv) -> argparse.Namespace:
+    """Parse ``argv`` again, with the ``--config`` file's entries as the
+    subcommand's defaults, so that flags still win over them.
 
     A value converts by its option's ``type`` and ``choices``, as the flag's
     would; only the subcommand's options, not its positionals, are keys.
     """
-    options = {
-        a.dest: a for a in _subparsers(parser).choices[args.command]._actions
-        if a.option_strings and a.dest != "help"
-    }
-    given = _dests_on_command_line(argv)
+    parser = build_parser.__wrapped__()
+    sub = _subparsers(parser).choices[args.command]
+    options = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    defaults = {}
     for key, value in _load_config_file(args.config).items():
         action = options.get(key.replace("-", "_"))
         if action is None:
             raise InvalidInputError(f"unknown config key {key!r}")
-        if action.dest in given:
-            continue
         try:
             value = value if action.type is None else action.type(value)
         except ValueError as exc:
             raise InvalidInputError(f"config key {key!r}: {exc}") from exc
         if action.choices is not None and value not in action.choices:
             raise InvalidInputError(f"config key {key!r}: invalid choice {value!r}")
-        setattr(args, action.dest, value)
+        defaults[action.dest] = value
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def run(argv=None) -> int:
@@ -349,7 +344,7 @@ def run(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         if args.config:
-            _merge_config(parser, args, argv)
+            args = _parse_with_config(args, argv)
         return args.func(args)
     except NumericalFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,8 @@ __all__ = [
 ]
 
 SCAN_GAP_TOL = 1e-3
-REFINED_GAP_TOL = 1e-6
+SOLVED_GAP = 1e-10  # a start of the multiple-cap solver ends at this gap
+STALL_FACTOR = 0.6  # or after a step that leaves more than this of its gap
 # the (r, theta) grid of caps that scan_caps evaluates, and how many times
 # it subdivides the cell where the direction field turns
 SCAN_R_GRID = np.linspace(-0.8, 0.8, 9)
@@ -144,10 +145,10 @@ def scan_caps(m: DiscreteMeasure) -> CapScanResult:
     turn (such a cell must contain a degeneracy) and, of several, the one
     with the smallest corner gap; the first cell is the grid cell around the
     best grid cap when no grid cell turns.  Then the multiple-cap solver
-    shared with ``sphere_cap_search`` (``_gauss_newton``) runs from the
-    smallest-gap cap of the descent and, if that ends at gap
-    ``REFINED_GAP_TOL`` or above, from the best grid cap too.  Returns the
-    cap with the smaller gap, that of a cold ``rearrange`` of it, if below
+    shared with ``sphere_cap_search`` (``_first_multiple_cap``) runs from
+    the smallest-gap cap of the descent and, unless that reaches gap
+    ``SOLVED_GAP``, from the best grid cap too.  Returns the cap with the
+    smaller gap, that of a cold ``rearrange`` of it, if below
     ``SCAN_GAP_TOL``; raises ``CapScanError`` with the smallest gap reached
     when both starts end at ``SCAN_GAP_TOL`` or above.
     """
@@ -188,9 +189,7 @@ def scan_caps(m: DiscreteMeasure) -> CapScanResult:
         if cell is None:
             break
 
-    cap, form = _first_multiple_cap(
-        m, [refined, best_cap], SCAN_GAP_TOL, enough=REFINED_GAP_TOL
-    )
+    cap, form = _first_multiple_cap(m, [refined, best_cap], SCAN_GAP_TOL)
     return CapScanResult(
         cap=cap, gap=float(form.gap), form=form, direction_field=rows,
         winding_numbers=windings,
@@ -268,10 +267,10 @@ def _compressed_traceless(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def _difference_jacobian(m, cap, moved, trace, basis, f, tangents):
     """Forward-difference Jacobian (step 1e-5) of ``_compressed_traceless``
-    on ``basis`` in r and the ``tangents`` of p: one rearrangement per
-    column, each started at the current cap's ``xi_a``, a Newton step or
-    two from the nearby cap's balancing point.  ``moved`` (the current
-    cap's rearranged measure) is not needed."""
+    on ``basis`` in r and the tangent of p, for a disk cap: one
+    rearrangement per column, each started at the current cap's ``xi_a``,
+    a Newton step or two from the nearby cap's balancing point.  ``moved``
+    (the current cap's rearranged measure) is not needed."""
     h = 1e-5
     trials = [(cap.r + h, cap.p)] + [
         (cap.r, (cap.p + h * t) / np.linalg.norm(cap.p + h * t)) for t in tangents
@@ -417,56 +416,54 @@ def _gauss_newton(m: DiscreteMeasure, start: Cap):
     Unknowns are r and a tangent step of p (one on the disk, n on the
     n-sphere), retracted onto the circle or sphere; the residual is
     ``_compressed_traceless`` on the top-2 eigenspace picked at the current
-    cap and held fixed for the step (on the disk the whole plane).  On the
-    sphere the Jacobian is closed form (``_sphere_cap_jacobian``), so a step
-    costs one rearrangement plus that Jacobian; on the disk it is a forward
-    difference (``_difference_jacobian``), and a step costs 1 + 2
-    rearrangements.  Line-search halvings cost one rearrangement each.
-    Every rearrangement starts its balancing solve at the current cap's
-    ``xi_a``; that point is unique, so the start moves the solve's result
-    by no more than its tolerance.  When no halving of a closed-form step
-    lowers the gap, one forward-difference step is tried before the solver
-    gives up.  Stops at gap 1e-10, after 20 steps, or when no halving of the
-    step lowers the gap.  Returns the final cap and the direction form of a
-    cold ``rearrange`` of it, so its gap is exactly recomputable.
+    cap and held fixed for the step (on the disk the whole plane).  The
+    Jacobian is closed form on the sphere (``_sphere_cap_jacobian``), so a
+    step costs one rearrangement plus that Jacobian, and a forward
+    difference on the disk (``_difference_jacobian``), so a step costs
+    1 + 2 rearrangements.  Line-search halvings cost one rearrangement
+    each.  Every rearrangement starts its balancing solve at the current
+    cap's ``xi_a``; that point is unique, so the start moves the solve's
+    result by no more than its tolerance.  Stops at gap ``SOLVED_GAP``,
+    after 20 steps, when no halving of the step lowers the gap, or when an
+    accepted step leaves more than ``STALL_FACTOR`` of the gap (near a
+    degenerate multiple cap the steps shrink and first-order steps stall,
+    so another start does better).  Returns the final cap and the
+    direction form of a cold ``rearrange`` of it, so its gap is exactly
+    recomputable.
     """
+    jacobian = _sphere_cap_jacobian if m.space == "sphere" else _difference_jacobian
     cap, moved, trace = (start,) + rearrange(m, start)
     warm = False
     for _ in range(20):
         form = trace.form
-        if form.gap <= 1e-10:
+        if form.gap <= SOLVED_GAP:
             break
         basis = np.linalg.eigh(form.matrix)[1][:, -2:]
         f = _compressed_traceless(form.matrix, basis)
         tangents = _tangents(cap.p)
-        jacobians = (_difference_jacobian,)
-        if m.space == "sphere":
-            jacobians = (_sphere_cap_jacobian,) + jacobians
-        for jacobian in jacobians:
-            jac = jacobian(m, cap, moved, trace, basis, f, tangents)
-            found = _line_search(m, cap, trace, -np.linalg.pinv(jac) @ f, tangents)
-            if found is not None:
-                break
-        else:
+        jac = jacobian(m, cap, moved, trace, basis, f, tangents)
+        found = _line_search(m, cap, trace, -np.linalg.pinv(jac) @ f, tangents)
+        if found is None:
             break
         (cap, moved, trace), warm = found, True
+        if trace.form.gap > STALL_FACTOR * form.gap:
+            break
     if warm:
         trace = rearrange(m, cap)[1]
     return cap, trace.form
 
 
-def _first_multiple_cap(m: DiscreteMeasure, starts, eps: float, enough=None):
-    """``_gauss_newton`` from each start cap in turn until one ends below
-    ``enough`` (default and at most ``eps``); returns the cap with the
-    smallest gap reached and its form if that gap is below ``eps``, else
-    raises ``CapScanError`` with it."""
-    enough = eps if enough is None else min(enough, eps)
+def _first_multiple_cap(m: DiscreteMeasure, starts, eps: float):
+    """``_gauss_newton`` from each start cap in turn until one ends at gap
+    ``SOLVED_GAP``; returns the cap with the smallest gap reached and its
+    form if that gap is below ``eps``, else raises ``CapScanError`` with
+    it."""
     best_cap, best_form, best_gap = None, None, np.inf
     for start in starts:
         cap, form = _gauss_newton(m, start)
         if form.gap < best_gap:
             best_cap, best_form, best_gap = cap, form, form.gap
-        if best_gap < enough:
+        if best_gap <= SOLVED_GAP:
             break
     if best_gap < eps:
         return best_cap, best_form
@@ -487,14 +484,15 @@ def sphere_cap_search(
     step costs one rearrangement plus the closed-form Jacobian
     (``_sphere_cap_jacobian``), and each line-search halving one more.  The
     first start is the hemisphere r = 0 around the top eigenvector of
-    ``direction_form(m)`` (e1 for a canonicalized measure).  If that stalls
-    at gap ``eps`` or above, the search restarts from r = +-0.3 around the
-    top and the second eigenvector; the caps (r, p) and (-r, -p) fold to the
-    same gap, so these four starts also cover -p.  Each start vector has its
-    largest-magnitude component positive, so the result does not depend on
-    the sign ``eigh`` returns.  Returns the cap and the
-    gap of ``direction_form(rearrange(m, cap))``; raises ``CapScanError``
-    with the smallest gap reached when every start ends at ``eps`` or above.
+    ``direction_form(m)`` (e1 for a canonicalized measure).  Unless that
+    reaches gap ``SOLVED_GAP``, the search restarts from r = +-0.3 around
+    the top and the second eigenvector, in turn until one does; the caps
+    (r, p) and (-r, -p) fold to the same gap, so these four starts also
+    cover -p.  Each start vector has its largest-magnitude component
+    positive, so the result does not depend on the sign ``eigh`` returns.
+    Returns the cap with the smallest gap reached and the gap of
+    ``direction_form(rearrange(m, cap))`` if that is below ``eps``; raises
+    ``CapScanError`` with it otherwise.
     """
     if m.space != "sphere":
         raise DimensionUnsupportedError("sphere_cap_search needs a sphere measure")

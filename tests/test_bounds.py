@@ -15,7 +15,7 @@ from capfold.bounds import (
     sphere_modified_quotient,
 )
 from capfold.caps import Cap, cap_contains, fold_measure, rearrange
-from capfold.directions import REFINED_GAP_TOL, canonicalize
+from capfold.directions import canonicalize
 from capfold.exceptions import InvalidInputError, NotMultipleError
 from capfold.measures import (
     ConformalDomain,
@@ -400,7 +400,7 @@ def test_certificate_wavy_coarse_grid_reaches_a_multiple_cap(wavy_coarse_certifi
 def test_certificate_wavy_coarse_grid_gap_below_refined_tolerance(wavy_coarse_certificate):
     # the solve from the refined cap stalls at gap 4.7e-4 on this grid; the
     # scan then also solves from the best grid cap, which reaches 3e-13
-    assert wavy_coarse_certificate.gap < REFINED_GAP_TOL
+    assert wavy_coarse_certificate.gap < 1e-10
 
 
 def test_certificate_cubic_is_simple():

@@ -675,3 +675,22 @@ def test_tiny_bound_makes_sphere_exit_2(tmp_path, monkeypatch):
     doc = json.loads(out.read_text())
     assert doc["inequalities"] == [doc["modified_quotient"]["inequality"]]
     assert not doc["inequalities"][0]["holds"]
+
+
+@pytest.mark.parametrize(
+    "n, resolution",
+    [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (5, 4), (5, 5)],
+)
+def test_sphere_refuses_a_rule_that_misses_the_sphere_area(tmp_path, capsys, n, resolution):
+    # the S^3 rule at resolution 1 has 3.1 times the sphere's area, and its
+    # quotient read 7.74 against 29.22 at resolution 16, marked as holding
+    out = tmp_path / "sphere.json"
+    argv = ["sphere", "--n", str(n), "--resolution", str(resolution), "--output", str(out)]
+    assert run(argv) == 1
+    assert not out.exists()
+    assert "area" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, resolution", [(3, 5), (5, 6)])
+def test_sphere_accepts_the_coarsest_rule_within_a_thousandth_of_the_area(n, resolution):
+    assert run(["sphere", "--n", str(n), "--resolution", str(resolution)]) == 0
