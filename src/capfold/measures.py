@@ -23,7 +23,7 @@ from .exceptions import (
     SpaceMismatchError,
     UnivalenceError,
 )
-from .specfun import bessel_j1, find_zeta, gauss_legendre, j1_over_x
+from .specfun import J1_AT_ZETA, find_zeta, gauss_legendre, j1_over_x
 
 __all__ = [
     "QuadratureRule",
@@ -438,16 +438,10 @@ def moment_vector(m: DiscreteMeasure) -> np.ndarray:
     return moment_vector_raw(m.space, m.points, m.weights)
 
 
-@functools.cache
-def _j1_at_zeta() -> float:
-    # once per process: every disk ``renormalize`` asks for it
-    return bessel_j1(find_zeta())
-
-
 def moment_scale(m: DiscreteMeasure) -> float:
     """Natural scale of first moments, used to normalize solver residuals."""
     if m.space == "disk":
-        return m.total_mass * _j1_at_zeta()
+        return m.total_mass * J1_AT_ZETA
     return m.total_mass
 
 

@@ -45,6 +45,17 @@ def test_constants_odd_dimension(tmp_path, capsys):
     assert doc["planar_bound_two_disk"] == pytest.approx(21.2997, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "argv", [["constants", "--n", "131"], ["constants", "--n", "200"], ["sphere", "--n", "201"]]
+)
+def test_sphere_constants_refuse_n_beyond_double_precision(argv, capsys):
+    # unchecked, 131 reads ratio 0.0 (a failed bound) and 200 overflows Gamma
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_constants_n1_flags_violation(tmp_path):
     # arithmetic puts the dimension-1 ratio outside the theorem window
     out = tmp_path / "report.json"
@@ -525,12 +536,37 @@ def test_cli_import_leaves_lazy_scipy_subpackages_unloaded():
     assert _scipy_loaded_after("import capfold.cli") == []
 
 
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Paths of a bent domain, a multiple-direct domain and a disk measure."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    docs = {
+        "bent": {"schema": 1, "coeffs": [[1.0, 0.0], [0.3, 0.0]]},
+        "quartic": {"schema": 1, "coeffs": [[1.0, 0.0], [0, 0], [0, 0], [0.03, 0.02]]},
+    }
+    for name, doc in docs.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    (root / "measure.json").write_text(measure_to_json(disk_quadrature(8, 16)))
+    return {name: str(root / f"{name}.json") for name in ("bent", "quartic", "measure")}
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
-    [(["sphere", "--n", "3"], []), (["constants"], ["scipy.special"])],
-    ids=["sphere", "constants"],
+    [
+        (["sphere", "--n", "3"], []),
+        (["constants"], []),
+        (["certify", "{quartic}", "--n-r", "16", "--n-theta", "32"], []),
+        (["certify", "{bent}", "--n-r", "16", "--n-theta", "32"], []),
+        (["scan", "{bent}", "--n-r", "16", "--n-theta", "32"], []),
+        (["renormalize", "{measure}"], []),
+        (["rearrange", "{measure}", "--r", "0.3", "--angle", "0.5"], []),
+        (["fem", "square", "--h", "0.1"], ["scipy.sparse", "scipy.sparse.linalg"]),
+    ],
+    ids=["sphere", "constants", "certify-multiple-direct", "certify-simple-folded",
+         "scan", "renormalize", "rearrange", "fem"],
 )
-def test_cli_command_loads_only_the_scipy_it_uses(argv, loaded):
+def test_cli_command_loads_only_the_scipy_it_uses(argv, loaded, cli_inputs):
+    argv = [a.format(**cli_inputs) for a in argv] + ["--output", os.devnull]
     code = f"from capfold.cli import run; assert run({argv!r}) == 0"
     assert _scipy_loaded_after(code) == loaded
 

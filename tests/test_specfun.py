@@ -88,7 +88,28 @@ def test_find_zeta_residual_and_interval():
     assert 1.8 < z < 1.9
     assert abs(sp.jvp(1, z)) < 1e-12
     assert abs(z - ZETA_REF) < 1e-9
-    assert z is not None and specfun.find_zeta() == z  # cached
+    assert z is not None and specfun.find_zeta() == z
+
+
+def _scipy_zeta() -> float:
+    # the route that fixed the literal: jnp_zeros, then one Newton step on J1'
+    z = sp.jnp_zeros(1, 1)[0]
+    return float(z - sp.jvp(1, z) / sp.jvp(1, z, 2))
+
+
+def test_find_zeta_is_scipy_newton_step():
+    assert specfun.find_zeta() == specfun.ZETA == _scipy_zeta()
+    # one ulp below the correctly rounded zero 1.8411837813406593
+    assert math.nextafter(specfun.ZETA, 2.0) == ZETA_REF
+
+
+def test_disk_constants_are_the_scipy_values_bitwise():
+    z = _scipy_zeta()
+    j = float(sp.j1(z))
+    assert specfun.J1_AT_ZETA == j
+    assert specfun.mu1_disk() == z * z
+    assert specfun.planar_bound() == 2.0 * (z * z) * math.pi
+    assert specfun.radial_square_integral() == (z * z - 1.0) * j * j / (2.0 * z * z)
 
 
 def test_zeta_squared_value():
@@ -108,6 +129,12 @@ def test_gamma_against_scipy_and_half_integers():
 
 @pytest.mark.parametrize("x", [0.0, -1.5, float("nan")])
 def test_gamma_rejects_non_positive_argument(x):
+    with pytest.raises(InvalidInputError):
+        specfun.gamma(x)
+
+
+@pytest.mark.parametrize("x", [171.6, 172.0, 1e3, float("inf")])
+def test_gamma_rejects_arguments_that_overflow(x):
     with pytest.raises(InvalidInputError):
         specfun.gamma(x)
 
@@ -166,6 +193,19 @@ def test_bound_constants_ratio_trend():
     assert all(a > b for a, b in zip(ratios[1:], ratios[2:]))
     assert specfun.bound_constants(51).ratio < specfun.bound_constants(3).ratio
     assert ratios[-1] < 1.0031  # slow approach to 1
+
+
+def test_bound_constants_hold_to_n130_and_refuse_beyond():
+    # 130 is the largest n whose Gamma(n/2) Gamma(n + 1/2) is finite; past it
+    # the closed form reads 0.0 (131-169), NaN (170-171) or overflows Gamma
+    n = 130
+    log_k = (math.log(2.0) + 0.5 * (n + 1) * math.log(math.pi) + math.lgamma(n)
+             - math.lgamma(n / 2.0) - math.lgamma(n + 0.5))
+    theorem = (n + 1) * math.exp((2.0 / n) * (math.log(2.0) + log_k))
+    assert specfun.bound_constants(n).theorem_constant == pytest.approx(theorem, rel=1e-12)
+    for n in (131, 171, 172, 400):
+        with pytest.raises(InvalidInputError):
+            specfun.bound_constants(n)
 
 
 def test_bound_constants_even_dimension_flag():
