@@ -9,7 +9,9 @@ original, which the distance ladder below makes visible.
 
 import numpy as np
 
-from capfold import Cap, ConformalDomain, measure_distance, rearrange
+from capfold import (
+    Cap, ConformalDomain, measure_distance, rearrange, reflection_renormalizer,
+)
 from capfold.directions import canonicalize
 from capfold.measures import pullback_measure
 from capfold.moebius import reflection_disk
@@ -24,7 +26,7 @@ print(f"\nrearranged at cap (r=0.5, p=1):")
 print(f"  folded-measure balancing point   xi  = {trace.xi_a:.6f}")
 print(f"  image cap parameter              r_b = {trace.b.r:+.6f}")
 print(f"  post-map balancing point         eta = {trace.eta_a:.6f}")
-print(f"  reflected-surrogate closed form zeta = {trace.zeta_predicted:.6f}")
+print(f"  reflected-surrogate closed form zeta = {reflection_renormalizer(cap):.6f}")
 print(f"  mass preserved: {nu.total_mass:.12f}")
 
 print("\nflip-flop ladder (distance to the reflected measure):")

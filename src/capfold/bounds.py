@@ -15,10 +15,8 @@ from .caps import (
     Cap,
     RearrangeTrace,
     _fold_points,
-    image_cap,
     rearrange,
     rearrange_map,
-    reflection_renormalizer,
 )
 from .directions import SCAN_GAP_TOL, _canonical, scan_caps
 from .exceptions import (
@@ -64,22 +62,24 @@ CERTIFICATE_SLACK = 1e-2
 class TestFunction:
     """Eigenfunction coordinate transported to a cap through the pipeline.
 
-    On the cap the value is X_s composed with the recorded cap-to-disk
-    pipeline; the lift extends it across the geodesic by composing with the
-    cap reflection, which is continuous because the reflection fixes the
-    geodesic pointwise.
+    On the cap ``trace.cap`` the value is X_s composed with the recorded
+    cap-to-disk pipeline; the lift extends it across the geodesic by
+    composing with the cap reflection, which is continuous because the
+    reflection fixes the geodesic pointwise.
     """
 
     __test__ = False  # name collides with pytest's collector prefix
 
-    cap: Cap
     direction: object  # complex unit (disk) or unit vector (sphere)
     trace: RearrangeTrace
 
+    @property
+    def cap(self) -> Cap:
+        return self.trace.cap
+
     def on_cap(self, y):
         if self.cap.space == "disk":
-            pipeline = rearrange_map(self.cap, self.trace)
-            img, _ = pipeline(y)
+            img, _ = rearrange_map(self.trace)(y)
             return disk_coordinate_values(img, self.direction)
         img = ball_moebius(self.trace.xi_a, y)
         return img @ np.asarray(self.direction, dtype=float)
@@ -282,8 +282,8 @@ def sphere_modified_quotient(
     ``Cap`` asks of ``p``: the numerator sees only the direction of ``s``
     and the denominator also its length, so any other norm raises
     ``InvalidInputError``.  ``trace``, if given, must come from
-    ``rearrange(g, cap)``; a trace of another cap raises
-    ``InvalidInputError``.  The numerator integrates the exact gradient
+    ``rearrange(g, cap)``: a trace whose ``cap`` has another ``r`` or ``p``
+    raises ``InvalidInputError``.  The numerator integrates the exact gradient
     power over the image cap (a strict subset of the sphere), the
     denominator is the lifted-coordinate second moment against ``g``.  The
     lift folds and transports each atom of ``g`` exactly as the
@@ -303,12 +303,7 @@ def sphere_modified_quotient(
         raise InvalidInputError(f"direction s must be a unit vector of length {g.ambient_dim}")
     if trace is None:
         _, trace = rearrange(g, cap)
-    elif not (
-        np.array_equal(trace.zeta_predicted, reflection_renormalizer(cap))
-        # zeta = -2r/(1+r^2) p is the same for (r, p) and (-r, -p), and 0 for
-        # every hemisphere; the image cap's direction tells those apart
-        and np.array_equal(image_cap(cap, trace.xi_a).p, trace.b.p)
-    ):
+    elif trace.cap.r != cap.r or not np.array_equal(trace.cap.p, cap.p):
         raise InvalidInputError("trace comes from the rearrangement at another cap")
     denominator = trace.form.value(s)
     integral = cap_gradient_integral(n, trace.b, s)

@@ -350,22 +350,19 @@ def cap_to_disk(cap: Cap) -> CapDiskMap:
 class RearrangeTrace:
     """Solver data of one rearrangement.
 
-    ``xi_a``: balancing point of the folded measure; ``b``: image cap after
-    the first Moebius stage; ``eta_a``: balancing point after the cap map
-    (None on the sphere, where no cap-map stage exists);
-    ``zeta_predicted``: closed-form balancing point of the purely reflected
-    measure; ``q_norm``: modulus of the unimodular factor tying the two
-    Moebius stages together (1 up to rounding, and 1 on the sphere);
-    ``form``: the direction form of the rearranged measure, so that its
-    consumers (the cap scan and search, the planar certificate, the modified
-    quotient's denominator) need not build it again.
+    ``cap``: the cap the measure was folded into, which every reader of the
+    trace takes from here; ``xi_a``: balancing point of the folded measure;
+    ``b``: image cap after the first Moebius stage; ``eta_a``: balancing
+    point after the cap map (None on the sphere, where no cap-map stage
+    exists); ``form``: the direction form of the rearranged measure, so that
+    its consumers (the cap scan and search, the planar certificate, the
+    modified quotient's denominator) need not build it again.
     """
 
+    cap: Cap
     xi_a: object
     b: Cap
     eta_a: object
-    zeta_predicted: object
-    q_norm: float
     form: DirectionForm | None = None
 
 
@@ -388,27 +385,19 @@ def rearrange(
     folded = fold_measure(m, cap)
     first = renormalize(folded, start=start)
     b = image_cap(cap, first.xi)
-    zeta_pred = reflection_renormalizer(cap)
-    eta, q_norm = None, 1.0
+    eta = None
     if m.space == "disk":
         moved = first.measure
         opened = moved.with_points(CapDiskMap(b)(moved.points, check=False))
         last = renormalize(opened)
         eta = last.xi
-        zeta = complex(zeta_pred)
-        q = (np.conj(zeta) * eta + 1.0) / (zeta * np.conj(eta) + 1.0)
-        q_norm = float(abs(q))
         nu, form = last.measure, last.form
     else:
         # nothing else holds the folded atoms; ``first`` would build its
         # measure and form from them, so neither is read
         nu = folded.with_points(_ball_transport(first.xi, folded.points, folded.points))
         form = direction_form(nu)
-    trace = RearrangeTrace(
-        xi_a=first.xi, b=b, eta_a=eta, zeta_predicted=zeta_pred,
-        q_norm=q_norm, form=form,
-    )
-    return nu, trace
+    return nu, RearrangeTrace(cap=cap, xi_a=first.xi, b=b, eta_a=eta, form=form)
 
 
 def _pipeline(trace: RearrangeTrace):
@@ -420,12 +409,12 @@ def _pipeline(trace: RearrangeTrace):
     )
 
 
-def rearrange_map(cap: Cap, trace: RearrangeTrace):
+def rearrange_map(trace: RearrangeTrace):
     """Forward pipeline map (cap -> disk) together with its distortion.
 
     Returns a callable giving (psi_a^{-1}(y), |d psi_a^{-1}(y)|) for points
-    ``y`` of the cap; this is the composition Moebius -> cap map -> Moebius
-    recorded in the trace.
+    ``y`` of ``trace.cap``; this is the composition Moebius -> cap map ->
+    Moebius recorded in the trace.
     """
     pre, post = _pipeline(trace)
 
@@ -436,21 +425,21 @@ def rearrange_map(cap: Cap, trace: RearrangeTrace):
     return apply
 
 
-def rearranged_density(base_density, cap: Cap, trace: RearrangeTrace):
+def rearranged_density(base_density, trace: RearrangeTrace):
     """Exact pullback density of the rearranged measure on the full disk.
 
     ``base_density`` is the density of the original measure (for a conformal
-    pullback, |phi'|^2).  The rearranged density at z is the folded density
-    at psi_a(z) times the squared distortion of psi_a, where psi_a inverts
-    the recorded pipeline.
+    pullback, |phi'|^2).  The rearranged density at z is the density folded
+    into ``trace.cap`` at psi_a(z) times the squared distortion of psi_a,
+    where psi_a inverts the recorded pipeline.
     """
     pre, post = _pipeline(trace)
 
     def density(z):
         y, der = _close(pre, post, np.asarray(z, dtype=complex))
         folded = base_density(y) + base_density(
-            cap_reflection(cap, y)
-        ) * cap_reflection_factor(cap, y) ** 2
+            cap_reflection(trace.cap, y)
+        ) * cap_reflection_factor(trace.cap, y) ** 2
         return folded * np.abs(der) ** 2
 
     return density
@@ -458,7 +447,6 @@ def rearranged_density(base_density, cap: Cap, trace: RearrangeTrace):
 
 def rearranged_grid_measure(
     base_density,
-    cap: Cap,
     trace: RearrangeTrace,
     semantic_mass: float,
     n_r: int = 96,
@@ -470,7 +458,7 @@ def rearranged_grid_measure(
     being sampled carries ``semantic_mass``, preserved by rearrangement).
     """
     rule = disk_grid(n_r, n_theta)
-    dens = rearranged_density(base_density, cap, trace)
+    dens = rearranged_density(base_density, trace)
     vals = np.asarray(dens(rule.points), dtype=float) * (np.pi / semantic_mass)
     return DiscreteMeasure("disk", rule.points, rule.weights * vals, rule)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import fem as fem_mod
-from .caps import Cap, rearrange
+from .caps import Cap, rearrange, reflection_renormalizer
 from .directions import canonicalize, scan_caps, sphere_degree_check
 from .exceptions import CapfoldError, InvalidInputError, NumericalFailureError
 from .measures import (
@@ -135,16 +135,13 @@ def cmd_rearrange(args) -> int:
         m = measure_from_json(fh.read())
     cap = Cap(args.r, np.exp(1j * args.angle), "disk")
     nu, trace = rearrange(m, cap)
+    zeta = reflection_renormalizer(cap)
     doc = {
         "trace": {
             "xi_a": [trace.xi_a.real, trace.xi_a.imag],
             "eta_a": [trace.eta_a.real, trace.eta_a.imag],
             "b": {"r": trace.b.r, "theta": float(np.angle(trace.b.p))},
-            "zeta_predicted": [
-                trace.zeta_predicted.real,
-                trace.zeta_predicted.imag,
-            ],
-            "q_norm": trace.q_norm,
+            "zeta_predicted": [zeta.real, zeta.imag],
         },
         "measure": json.loads(measure_to_json(nu)),
     }

@@ -18,7 +18,7 @@ from .exceptions import (
     InvalidInputError,
 )
 from .measures import DirectionForm, DiscreteMeasure, _row_blocks, direction_form
-from .moebius import RenormResult, _disk_matrix, _lft, _scaled_sum, renormalize
+from .moebius import RenormResult, _checked_seed, _disk_matrix, _lft, _scaled_sum, renormalize
 
 __all__ = [
     "CanonicalMap",
@@ -520,7 +520,7 @@ def sphere_degree_check(n: int, n_targets: int = 6, seed: int = 0) -> dict:
         raise InvalidInputError(f"need n, n_targets >= 1, got {n}, {n_targets}")
     if n % 2 == 0:
         raise EvenDimensionError("degree diagnostics require odd sphere dimension")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     e1 = np.zeros(n + 1)
     e1[0] = 1.0
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,15 +54,17 @@ def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Triangulation with positively oriented triangles."""
+    """Triangulation with positively oriented triangles; ``areas``, the
+    signed triangle areas, are computed unless given, and given ones must
+    equal ``_signed_areas`` bit for bit."""
 
     vertices: np.ndarray
     triangles: np.ndarray
+    areas: np.ndarray = field(default=None, repr=False, compare=False)
 
-    @functools.cached_property
-    def areas(self) -> np.ndarray:
-        """Signed triangle areas, computed on first read."""
-        return _signed_areas(self.vertices, self.triangles)
+    def __post_init__(self):
+        if self.areas is None:
+            object.__setattr__(self, "areas", _signed_areas(self.vertices, self.triangles))
 
     @property
     def area(self) -> float:
@@ -81,13 +83,6 @@ class Mesh:
         return np.stack([once // n, once % n], axis=1)
 
 
-def _with_areas(mesh: Mesh, areas: np.ndarray) -> Mesh:
-    """``mesh`` with ``areas`` as its cached ``Mesh.areas``, which they must
-    equal bit for bit."""
-    mesh.__dict__["areas"] = areas
-    return mesh
-
-
 def _orient_and_wrap(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
@@ -97,7 +92,7 @@ def _orient_and_wrap(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     # swapping two vertices negates the signed area exactly
     areas[flip] = -areas[flip]
-    return _with_areas(Mesh(vertices, triangles), areas)
+    return Mesh(vertices, triangles, areas)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +545,7 @@ def _relabelled(mesh: Mesh, perm: np.ndarray) -> Mesh:
     rank[perm] = np.arange(len(perm), dtype=np.int32)
     triangles = rank[mesh.triangles]
     order = np.argsort(triangles.min(axis=1), kind="stable")
-    return _with_areas(Mesh(mesh.vertices[perm], triangles[order]), mesh.areas[order])
+    return Mesh(mesh.vertices[perm], triangles[order], mesh.areas[order])
 
 
 # largest relative residual of an accepted eigenpair

@@ -221,6 +221,10 @@ def disk_quadrature(n_r: int, n_theta: int, density=None) -> DiscreteMeasure:
     return DiscreteMeasure("disk", rule.points, weights, rule)
 
 
+# the most coordinates a sphere rule may hold: 2^25 floats, 256 MB
+SPHERE_RULE_MAX_FLOATS = 2**25
+
+
 @functools.cache
 def sphere_rule(n: int, resolution: int = 24) -> QuadratureRule:
     """Product-angle rule for the round measure on the unit n-sphere.
@@ -231,9 +235,19 @@ def sphere_rule(n: int, resolution: int = 24) -> QuadratureRule:
     the angle, so the total mass is not exactly omega_n: its relative error
     decays spectrally in the resolution, from 2.3e-2 at n = 3, resolution 3
     to 4.9e-13 at n = 5, resolution 12.
+
+    A rule of more than ``SPHERE_RULE_MAX_FLOATS`` atom coordinates raises
+    ``InvalidInputError`` before anything is allocated: resolution 16 admits
+    n <= 5, where n = 7 would need 34 GB.
     """
     if n < 1 or resolution < 1:
         raise InvalidInputError(f"need n, resolution >= 1, got {n}, {resolution}")
+    floats = resolution ** (n - 1) * 2 * resolution * (n + 1)
+    if floats > SPHERE_RULE_MAX_FLOATS:
+        raise InvalidInputError(
+            f"a resolution-{resolution} rule on the {n}-sphere needs {floats:.3g} "
+            f"atom coordinates, over the limit of {SPHERE_RULE_MAX_FLOATS}"
+        )
     x, w = gauss_legendre(resolution)
     m_az = 2 * resolution
     az = 2.0 * np.pi * np.arange(m_az) / m_az

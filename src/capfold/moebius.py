@@ -67,6 +67,14 @@ def _adjugate(mat):
     return np.array([[d, -b], [-c, a]])
 
 
+def _checked_seed(seed):
+    """``seed``, checked to be a non-negative integer: on another, numpy's
+    ``default_rng`` raises a bare ``ValueError`` or ``TypeError``."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def _disk_matrix(xi: complex):
     """Matrix of ``disk_moebius(xi, .)``."""
     return np.array([[1.0, xi], [np.conj(xi), 1.0]], dtype=complex)
@@ -344,12 +352,13 @@ def renormalize(
     ZeroMassError
         If the measure has no mass.
     InvalidInputError
-        If ``tol`` is not finite and positive, or ``start`` is not a number
-        (disk) or a real vector of the ambient dimension (ball) inside the
-        open disk/ball.
+        If ``tol`` is not finite and positive, ``seed`` is not a
+        non-negative integer, or ``start`` is not a number (disk) or a real
+        vector of the ambient dimension (ball) inside the open disk/ball.
     """
     if not 0.0 < tol < np.inf:
         raise InvalidInputError(f"tol must be finite and positive, got {tol}")
+    _checked_seed(seed)
     mass = m.total_mass
     if mass <= 0:
         raise ZeroMassError("cannot renormalize a zero measure")

@@ -209,13 +209,13 @@ def test_c08_subharmonic_growth(bent_canonical, bent_scan):
     corpus = []
     for cap in (Cap(0.5, np.exp(0.8j)), Cap(-0.3, 1j)):
         _, trace = rearrange(uniform, cap)
-        corpus.append((lambda z: np.ones_like(np.real(z)), cap, trace, np.pi))
+        corpus.append((lambda z: np.ones_like(np.real(z)), trace, np.pi))
     caps_bent = [bent_scan.cap, Cap(0.4, np.exp(2.0j))]
     for cap in caps_bent:
         _, trace = rearrange(canon, cap)
-        corpus.append((bent_density, cap, trace, canon.total_mass))
-    for dens, cap, trace, mass in corpus:
-        grid_nu = rearranged_grid_measure(dens, cap, trace, mass)
+        corpus.append((bent_density, trace, canon.total_mass))
+    for dens, trace, mass in corpus:
+        grid_nu = rearranged_grid_measure(dens, trace, mass)
         rep = subharmonic_diagnostics(grid_nu)
         assert rep.monotonicity_violation < 1e-6
         assert rep.growth_violation < 1e-6
@@ -356,7 +356,7 @@ def test_c12_sphere_pipeline():
         for cap in caps:
             nu, trace = rearrange(g, cap)
             s = direction_form(nu).max_direction
-            tf = TestFunction(cap=cap, direction=s, trace=trace)
+            tf = TestFunction(direction=s, trace=trace)
 
             def u(x, tf=tf):
                 return lift_evaluate(tf, x)

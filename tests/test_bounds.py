@@ -53,7 +53,7 @@ def test_lift_continuous_across_geodesic(uniform_disk):
 
     cap = Cap(0.4, np.exp(0.6j))
     _, trace = rearrange(uniform_disk, cap)
-    tf = TestFunction(cap=cap, direction=1.0 + 0j, trace=trace)
+    tf = TestFunction(direction=1.0 + 0j, trace=trace)
     t = np.linspace(-0.9, 0.9, 15)
     geod = disk_moebius(cap.r * cap.p, 1j * cap.p * t)
     direct = tf.on_cap(geod)
@@ -68,7 +68,7 @@ def test_lift_pairing_identity(uniform_disk, rng):
     _, trace = rearrange(uniform_disk, cap)
     folded = fold_measure(uniform_disk, cap)
     for s in (1.0 + 0j, np.exp(0.77j)):
-        tf = TestFunction(cap=cap, direction=s, trace=trace)
+        tf = TestFunction(direction=s, trace=trace)
         lifted = lift_evaluate(tf, uniform_disk.points)
         on_fold = tf.on_cap(folded.points)
         lhs = float(np.sum(uniform_disk.weights * lifted))
@@ -138,7 +138,7 @@ def test_energy_matches_cap_quadrature(uniform_disk):
     for r, th in [(0.3, 0.5), (-0.4, 2.0), (0.6, 4.0), (0.85, 1.1), (-0.75, 5.3)]:
         cap = Cap(r, np.exp(1j * th))
         _, trace = rearrange(uniform_disk, cap)
-        fwd = rearrange_map(cap, trace)
+        fwd = rearrange_map(trace)
         zq, wq = cap_quadrature(cap)
         img, dist = fwd(zq)
         for s in (1.0 + 0j, 1j):
@@ -183,7 +183,7 @@ def test_l2_integration_by_parts(uniform_disk):
     cap = Cap(0.5, np.exp(0.8j))
     nu, trace = rearrange(uniform_disk, cap)
     grid_nu = rearranged_grid_measure(
-        lambda z: np.ones_like(np.real(z)), cap, trace, uniform_disk.total_mass
+        lambda z: np.ones_like(np.real(z)), trace, uniform_disk.total_mass
     )
     report = subharmonic_diagnostics(grid_nu)
     # diagnostics renormalize to mass pi exactly; scale the atom route the
@@ -541,7 +541,7 @@ def test_modified_quotient_denominator_is_the_lifted_second_moment(n, res):
         t = rng.normal(size=n + 1)
         for s in (direction_form(nu).max_direction, t / np.linalg.norm(t)):
             out = sphere_modified_quotient(g, cap, s, trace=trace)
-            tf = TestFunction(cap=cap, direction=s, trace=trace)
+            tf = TestFunction(direction=s, trace=trace)
             lifted = float(np.sum(g.weights * lift_evaluate(tf, g.points) ** 2))
             assert out["denominator"] == pytest.approx(lifted, rel=1e-12)
         # without a trace the quotient rearranges g itself

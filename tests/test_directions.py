@@ -299,6 +299,11 @@ def test_sphere_degree_check_n5():
     assert out == {"deg_psi": 2, "deg_phi": 4}
 
 
+def test_sphere_degree_check_rejects_a_negative_seed():
+    with pytest.raises(InvalidInputError, match="seed"):
+        sphere_degree_check(3, seed=-1)
+
+
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_sphere_degree_check_any_tangent_frame(n):
     # the sign product does not depend on the orientation of the frames

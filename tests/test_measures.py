@@ -12,6 +12,7 @@ from capfold.exceptions import (
     SpaceMismatchError,
     UnivalenceError,
 )
+from capfold import measures
 from capfold.measures import (
     ConformalDomain,
     DiscreteMeasure,
@@ -94,6 +95,18 @@ def _meshgrid_sphere_rule(n, resolution):
     for wm in np.meshgrid(*factors, indexing="ij"):
         weight = weight * wm
     return coords.reshape(n + 1, -1).T, weight.ravel()
+
+
+def test_sphere_rule_refuses_more_than_its_size_limit(monkeypatch):
+    # at resolution 16, n = 7 asked for 34 GB of atoms and n = 9 for 11 TB
+    for n in (7, 9):
+        with pytest.raises(InvalidInputError, match="limit"):
+            sphere_rule(n, 16)
+    # the limit counts the atom coordinates: a rule of exactly that many builds
+    monkeypatch.setattr(measures, "SPHERE_RULE_MAX_FLOATS", 4**2 * 8 * 4)
+    assert sphere_rule.__wrapped__(3, 4).points.size == 4**2 * 8 * 4
+    with pytest.raises(InvalidInputError, match="limit"):
+        sphere_rule.__wrapped__(3, 5)
 
 
 def test_sphere_rule_is_shared_read_only_and_unchanged():

@@ -172,6 +172,13 @@ def test_renormalize_random_plants(uniform_disk, rng):
         assert abs(res.xi + xi0) < 1e-8
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "3"])
+def test_renormalize_rejects_a_seed_that_is_not_a_non_negative_integer(uniform_disk, seed):
+    # numpy's default_rng raised a bare ValueError or TypeError
+    with pytest.raises(InvalidInputError, match="seed"):
+        renormalize(uniform_disk, seed=seed)
+
+
 def test_renormalize_restart_uniqueness(bent_canonical):
     canon, _ = bent_canonical
     # perturb out of balance, then check all restarts land together

@@ -474,9 +474,9 @@ def test_rearrange_map_is_the_composed_stages(r, angle, xi_len, eta_len, seed):
     xi = xi_len * np.exp(2j * np.pi * rng.uniform())
     eta = eta_len * np.exp(2j * np.pi * rng.uniform())
     b = image_cap(cap, xi)
-    trace = RearrangeTrace(xi_a=xi, b=b, eta_a=eta, zeta_predicted=None, q_norm=1.0)
+    trace = RearrangeTrace(cap=cap, xi_a=xi, b=b, eta_a=eta)
     y = _cap_points(rng, cap)
-    val, dist = rearrange_map(cap, trace)(y)
+    val, dist = rearrange_map(trace)(y)
     g1 = disk_moebius(xi, y)
     g2, f2 = cap_to_disk(b).with_derivative(g1, check=False)
     f1 = np.abs(disk_moebius_derivative(xi, y))
