@@ -46,15 +46,12 @@ class CanonicalMap:
 
     Disk: atoms move by the Moebius map at ``xi`` followed by multiplication
     with ``rotation`` (a unit complex number).  Sphere: the Moebius stage is
-    followed by the orthogonal matrix ``rotation``.  ``form`` is the
-    direction form of the canonical measure: the balanced measure's form
-    rotated, with its eigenvalues as computed before the rotation.
+    followed by the orthogonal matrix ``rotation``.
     """
 
     space: str
     xi: object
     rotation: object
-    form: DirectionForm = field(compare=False, repr=False)
 
     def density(self, base_density):
         """Density of the canonicalized pushforward, for a disk base density."""
@@ -75,8 +72,7 @@ def canonicalize(m: DiscreteMeasure) -> tuple[DiscreteMeasure, CanonicalMap]:
 
     After this both normalization conventions hold: all first moments vanish
     (to ``renormalize``'s default tolerance) and the first coordinate
-    direction maximizes the quadratic form.  ``cmap.form`` has the
-    eigenvalues of ``renormalize(m).form`` bitwise.
+    direction maximizes the quadratic form.
     """
     return _canonical(renormalize(m))
 
@@ -88,13 +84,12 @@ def _canonical(result: RenormResult) -> tuple[DiscreteMeasure, CanonicalMap]:
         angle = np.arctan2(s[1], s[0])
         rot = np.exp(-1j * angle)
         canon = balanced.with_points(rot * balanced.points)
-        rmat = np.array([[rot.real, -rot.imag], [rot.imag, rot.real]])
-        cmap = CanonicalMap("disk", complex(result.xi), complex(rot), form.rotated(rmat))
+        cmap = CanonicalMap("disk", complex(result.xi), complex(rot))
     else:
         rmat = _rotation_to_e1(form.max_direction)
         # the product of the column-major points stays column-major
         canon = balanced.with_points((rmat @ balanced.points.T).T)
-        cmap = CanonicalMap("sphere", result.xi, rmat, form.rotated(rmat))
+        cmap = CanonicalMap("sphere", result.xi, rmat)
     return canon, cmap
 
 
@@ -189,10 +184,10 @@ def scan_caps(m: DiscreteMeasure) -> CapScanResult:
         if cell is None:
             break
 
-    cap, form = _first_multiple_cap(m, [refined, best_cap], SCAN_GAP_TOL)
+    trace = _first_multiple_cap(m, [refined, best_cap], SCAN_GAP_TOL)
     return CapScanResult(
-        cap=cap, gap=float(form.gap), form=form, direction_field=rows,
-        winding_numbers=windings,
+        cap=trace.cap, gap=float(trace.form.gap), form=trace.form,
+        direction_field=rows, winding_numbers=windings,
     )
 
 
@@ -245,11 +240,6 @@ def winding_diagnostic(m: DiscreteMeasure, r: float, n_theta: int = 24) -> int:
 # the multiple-cap solver shared by the disk scan and the sphere search
 # ---------------------------------------------------------------------------
 
-def _cap_rearrange(m: DiscreteMeasure, r: float, p, start=None):
-    cap = Cap(float(r), p, m.space)
-    return (cap,) + rearrange(m, cap, start=start)
-
-
 def _tangents(p) -> np.ndarray:
     """Orthonormal tangent directions at p of the unit circle (p complex,
     tangent i p) or of the unit sphere (rows)."""
@@ -265,28 +255,28 @@ def _compressed_traceless(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.array([c[0, 0] - c[1, 1], 2.0 * c[0, 1]]) / (c[0, 0] + c[1, 1])
 
 
-def _difference_jacobian(m, cap, moved, trace, basis, f, tangents):
+def _difference_jacobian(m, moved, trace, basis, f, tangents):
     """Forward-difference Jacobian (step 1e-5) of ``_compressed_traceless``
-    on ``basis`` in r and the tangent of p, for a disk cap: one
-    rearrangement per column, each started at the current cap's ``xi_a``,
-    a Newton step or two from the nearby cap's balancing point.  ``moved``
-    (the current cap's rearranged measure) is not needed."""
-    h = 1e-5
-    trials = [(cap.r + h, cap.p)] + [
-        (cap.r, (cap.p + h * t) / np.linalg.norm(cap.p + h * t)) for t in tangents
+    on ``basis`` in r and the tangent of p, at the disk cap ``trace.cap``:
+    one rearrangement per column, each started at the current cap's
+    ``xi_a``, a Newton step or two from the nearby cap's balancing point.
+    ``moved`` (the current cap's rearranged measure) is not needed."""
+    cap, h = trace.cap, 1e-5
+    trials = [Cap(cap.r + h, cap.p)] + [
+        Cap(cap.r, (cap.p + h * t) / np.linalg.norm(cap.p + h * t)) for t in tangents
     ]
     return np.column_stack([
         (_compressed_traceless(
-            _cap_rearrange(m, rk, pk, trace.xi_a)[2].form.matrix, basis
+            rearrange(m, trial, start=trace.xi_a)[1].form.matrix, basis
         ) - f) / h
-        for rk, pk in trials
+        for trial in trials
     ])
 
 
-def _sphere_cap_jacobian(m, cap, moved, trace, basis, f, tangents):
+def _sphere_cap_jacobian(m, moved, trace, basis, f, tangents):
     """Closed-form Jacobian of ``_compressed_traceless`` on ``basis`` in r
-    and the ``tangents`` of p, for a sphere cap whose rearrangement of
-    ``m`` is ``moved``; no trial measure is built.
+    and the ``tangents`` of p, at the sphere cap ``trace.cap`` whose
+    rearrangement of ``m`` is ``moved``; no trial measure is built.
 
     Each parameter moves the folded atoms y = (a x + c p) / d outside the
     cap (``moebius._inversion_terms``; on the sphere c = 2 (h - (x, p)))
@@ -308,7 +298,7 @@ def _sphere_cap_jacobian(m, cap, moved, trace, basis, f, tangents):
     temporary, the 3 (n+1) values (v, dy), so no pass builds an array as
     long as the measure.
     """
-    p, h, r = cap.p, cap.height, cap.r
+    p, h, r = trace.cap.p, trace.cap.height, trace.cap.r
     xi = np.asarray(trace.xi_a, dtype=float)
     s = float(xi @ xi)
     dim = len(xi)
@@ -390,11 +380,11 @@ def _sphere_cap_jacobian(m, cap, moved, trace, basis, f, tangents):
     ]) / trace_c
 
 
-def _line_search(m, cap, trace, step, tangents):
-    """Halve ``step`` up to five times until the cap it reaches has a
-    smaller gap than ``trace``; returns that cap with its rearrangement, or
-    None."""
-    gap = trace.form.gap
+def _line_search(m, trace, step, tangents):
+    """Halve ``step`` up to five times, from ``trace.cap``, until the cap it
+    reaches has a smaller gap than ``trace``; returns that cap's
+    ``rearrange`` (measure, trace) pair, or None."""
+    cap, gap = trace.cap, trace.form.gap
     for lam in 0.5 ** np.arange(6):
         r_new = cap.r + lam * step[0]
         if abs(r_new) >= 0.95:
@@ -404,8 +394,10 @@ def _line_search(m, cap, trace, step, tangents):
             # boundary on 1 of 6 seeded S^3 res-16 caps
             continue
         p_new = cap.p + lam * (step[1:] @ tangents)
-        found = _cap_rearrange(m, r_new, p_new / np.linalg.norm(p_new), trace.xi_a)
-        if found[2].form.gap < gap:
+        # a float r, not numpy's float64, reaches the reported cap
+        trial = Cap(float(r_new), p_new / np.linalg.norm(p_new), m.space)
+        found = rearrange(m, trial, start=trace.xi_a)
+        if found[1].form.gap < gap:
             return found
     return None
 
@@ -427,49 +419,48 @@ def _gauss_newton(m: DiscreteMeasure, start: Cap):
     after 20 steps, when no halving of the step lowers the gap, or when an
     accepted step leaves more than ``STALL_FACTOR`` of the gap (near a
     degenerate multiple cap the steps shrink and first-order steps stall,
-    so another start does better).  Returns the final cap and the
-    direction form of a cold ``rearrange`` of it, so its gap is exactly
+    so another start does better).  Returns the trace of a cold
+    ``rearrange`` of the final cap, so its ``form.gap`` is exactly
     recomputable.
     """
     jacobian = _sphere_cap_jacobian if m.space == "sphere" else _difference_jacobian
-    cap, moved, trace = (start,) + rearrange(m, start)
-    warm = False
+    moved, trace = rearrange(m, start)
     for _ in range(20):
         form = trace.form
         if form.gap <= SOLVED_GAP:
             break
         basis = np.linalg.eigh(form.matrix)[1][:, -2:]
         f = _compressed_traceless(form.matrix, basis)
-        tangents = _tangents(cap.p)
-        jac = jacobian(m, cap, moved, trace, basis, f, tangents)
-        found = _line_search(m, cap, trace, -np.linalg.pinv(jac) @ f, tangents)
+        tangents = _tangents(trace.cap.p)
+        jac = jacobian(m, moved, trace, basis, f, tangents)
+        found = _line_search(m, trace, -np.linalg.pinv(jac) @ f, tangents)
         if found is None:
             break
-        (cap, moved, trace), warm = found, True
+        moved, trace = found
         if trace.form.gap > STALL_FACTOR * form.gap:
             break
-    if warm:
-        trace = rearrange(m, cap)[1]
-    return cap, trace.form
+    if trace.cap is not start:  # the trace of a warm-started rearrange
+        trace = rearrange(m, trace.cap)[1]
+    return trace
 
 
 def _first_multiple_cap(m: DiscreteMeasure, starts, eps: float):
     """``_gauss_newton`` from each start cap in turn until one ends at gap
-    ``SOLVED_GAP``; returns the cap with the smallest gap reached and its
-    form if that gap is below ``eps``, else raises ``CapScanError`` with
-    it."""
-    best_cap, best_form, best_gap = None, None, np.inf
+    ``SOLVED_GAP``; returns the trace with the smallest gap reached if that
+    is below ``eps``, else raises ``CapScanError`` with its cap and gap."""
+    best, best_gap = None, np.inf
     for start in starts:
-        cap, form = _gauss_newton(m, start)
-        if form.gap < best_gap:
-            best_cap, best_form, best_gap = cap, form, form.gap
+        trace = _gauss_newton(m, start)
+        # strict, from infinity: a NaN gap is never picked
+        if trace.form.gap < best_gap:
+            best, best_gap = trace, trace.form.gap
         if best_gap <= SOLVED_GAP:
             break
     if best_gap < eps:
-        return best_cap, best_form
+        return best
     raise CapScanError(
         f"no multiple cap below gap {eps}",
-        best_cap=best_cap, best_gap=float(best_gap),
+        best_cap=None if best is None else best.cap, best_gap=float(best_gap),
     )
 
 
@@ -503,8 +494,8 @@ def sphere_cap_search(
     starts = [Cap(0.0, evecs[:, -1], "sphere")] + [
         Cap(r, evecs[:, k], "sphere") for k in (-1, -2) for r in (0.3, -0.3)
     ]
-    cap, form = _first_multiple_cap(m, starts, eps)
-    return cap, float(form.gap)
+    trace = _first_multiple_cap(m, starts, eps)
+    return trace.cap, float(trace.form.gap)
 
 
 def sphere_degree_check(n: int, n_targets: int = 6, seed: int = 0) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,11 +100,26 @@ def _orient_and_wrap(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
 # mesh generators
 # ---------------------------------------------------------------------------
 
+# the most vertices a mesh may have, counted before any array is built
+MESH_MAX_VERTICES = 2**22
+
+
+def _within_budget(vertices: float, h: float) -> None:
+    # written to fail on an infinite or NaN count
+    if not vertices <= MESH_MAX_VERTICES:
+        raise InvalidSpecError(
+            f"the mesh at h = {h} needs about {vertices:.3g} vertices, "
+            f"over the limit of {MESH_MAX_VERTICES}"
+        )
+
+
 def _disk_vertices(h: float, radius: float = 1.0):
     """The centre, then ring ``i = 1 .. rings`` of radius ``radius i / rings``
     with ``count_i`` equally spaced vertices from angle 0; ``ring_index``
     lists each ring's (first vertex, count)."""
-    rings = max(2, int(round(radius / h)))
+    ratio = radius / h
+    _within_budget(np.pi * ratio * ratio, h)
+    rings = max(2, int(round(ratio)))
     r = radius * np.arange(1, rings + 1) / rings
     counts = np.maximum(6, np.round(2.0 * np.pi * r / h).astype(np.int64))
     starts = np.cumsum(counts) - counts + 1
@@ -141,6 +157,7 @@ def _disk_mesh(h: float, radius: float = 1.0) -> Mesh:
 
 
 def _rectangle_mesh(a: float, b: float, h: float) -> Mesh:
+    _within_budget((a / h + 1.0) * (b / h + 1.0), h)
     nx = max(2, int(round(a / h)))
     ny = max(2, int(round(b / h)))
     xs = np.linspace(0.0, a, nx + 1)
@@ -245,6 +262,12 @@ def _two_disk_mesh(eps: float, neck_length: float, h: float) -> Mesh:
         raise NeckTooNarrowError(
             f"passage width {eps} under-resolved at mesh size {h} (need eps >= 4h)"
         )
+    # lattice node (j, i) is grid entry j * cols + i
+    x_min, x_max = -2.0 - neck_length, 2.0 + neck_length
+    row_step = h * np.sqrt(3.0) / 2.0
+    _within_budget((2.1 / row_step + 1.0) * ((x_max - x_min) / h + 1.0), h)
+    rows = int(2.1 / row_step) + 1
+    cols = int((x_max - x_min) / h) + 1
     delta = neck_length / 2.0
     t = 1.0 - np.sqrt(1.0 - eps**2 / 4.0)
     alpha = np.arcsin(eps / 2.0)
@@ -263,11 +286,6 @@ def _two_disk_mesh(eps: float, neck_length: float, h: float) -> Mesh:
     boundary = np.concatenate([right, left, top, bottom])
     nb = len(boundary)
 
-    # lattice node (j, i) is grid entry j * cols + i
-    x_min, x_max = -2.0 - neck_length, 2.0 + neck_length
-    row_step = h * np.sqrt(3.0) / 2.0
-    rows = int(2.1 / row_step) + 1
-    cols = int((x_max - x_min) / h) + 1
     row = np.arange(rows)
     y = -1.02 + row * row_step
     offset = (row % 2) * h / 2.0
@@ -325,10 +343,11 @@ _POSITIVE = (lambda v: 0.0 < v < np.inf, "finite and positive")
 
 def _parameter(spec: dict, key: str, default, accept, rule: str) -> float:
     """``spec[key]`` (or ``default`` if given and the key is absent) as a
-    float that ``accept`` admits; anything else is an ``InvalidSpecError``."""
+    float that ``accept`` admits; anything else, a boolean included, is an
+    ``InvalidSpecError``."""
     raw = spec[key] if default is None else spec.get(key, default)
     try:
-        value = float(raw)
+        value = float("nan") if isinstance(raw, bool) else float(raw)
     except (TypeError, ValueError):
         value = float("nan")
     if not accept(value):
@@ -341,9 +360,15 @@ def build_mesh(spec, h: float) -> Mesh:
 
     ``spec`` is a dict with a ``kind`` key: ``disk`` (radius), ``rectangle``
     (a, b), ``conformal`` (coeffs), or ``two_disks_neck`` (eps, neck_length).
-    A ``ConformalDomain`` may be passed directly.
+    A ``ConformalDomain`` may be passed directly.  A mesh of more than
+    ``MESH_MAX_VERTICES`` vertices raises ``InvalidSpecError`` before any
+    array is built: pi rings^2 count for a disk or conformal mesh,
+    (nx + 1)(ny + 1) for a rectangle, and rows x cols for the whole
+    ``two_disks_neck`` lattice, which is built before it is filtered.
     """
-    if not isinstance(h, (int, float)) or not 0.0 < h < np.inf:
+    # an int past the float range is no finite mesh size either
+    if (isinstance(h, bool) or not isinstance(h, (int, float))
+            or not 0.0 < h <= sys.float_info.max):
         raise InvalidSpecError(f"mesh size must be positive and finite, got {h!r}")
     if isinstance(spec, ConformalDomain):
         return _conformal_mesh(spec, h)

@@ -65,21 +65,20 @@ def _atom_blocks(x):
 class QuadratureRule:
     """Read-only atoms ``points`` and base ``weights``, shared per shape.
 
-    A polar rule (``disk_grid``) also holds its Gauss-Legendre ``radii``,
-    their ``radial_weights`` and its ``shape`` (n_r, n_theta).  The atoms
-    pass the ``DiscreteMeasure`` checks once, when the rule is built.
+    A polar rule (``disk_grid``) also holds its Gauss-Legendre ``radii`` and
+    its ``shape`` (n_r, n_theta).  The atoms pass the ``DiscreteMeasure``
+    checks once, when the rule is built.
     """
 
     points: np.ndarray
     weights: np.ndarray
     radii: np.ndarray | None = None
-    radial_weights: np.ndarray | None = None
     shape: tuple | None = None
 
     def __post_init__(self):
         DiscreteMeasure("disk" if np.iscomplexobj(self.points) else "sphere",
                         self.points, self.weights)
-        for arr in (self.points, self.weights, self.radii, self.radial_weights):
+        for arr in (self.points, self.weights, self.radii):
             if arr is not None:
                 arr.flags.writeable = False
 
@@ -184,6 +183,16 @@ class DiscreteMeasure:
         )
 
 
+# the most floats a disk or sphere rule may build: 2^25, 256 MB
+RULE_MAX_FLOATS = 2**25
+
+
+def _within_rule_limit(floats: int, rule: str) -> None:
+    # no count in the message: a Python int past 1e308 has no float format
+    if floats > RULE_MAX_FLOATS:
+        raise InvalidInputError(f"{rule} needs more floats than the limit of {RULE_MAX_FLOATS}")
+
+
 @functools.cache
 def disk_grid(n_r: int = 96, n_theta: int = 192) -> QuadratureRule:
     """Standard polar rule: Gauss-Legendre radii x uniform angles.
@@ -191,9 +200,15 @@ def disk_grid(n_r: int = 96, n_theta: int = 192) -> QuadratureRule:
     Its weights already contain the r dr dtheta area element, so that a
     density-1 measure has total mass pi.  Built once per shape and shared
     by every measure on it, as are its cached J1 columns.
+
+    A rule of more than ``RULE_MAX_FLOATS`` floats, the budget
+    ``sphere_rule`` shares, raises ``InvalidInputError`` before anything is
+    allocated.  They count as n_r^2, for the companion matrix of
+    ``gauss_legendre``, plus 2 n_r n_theta for the complex atoms.
     """
     if n_r < 4 or n_theta < 4:
         raise InvalidInputError(f"need n_r, n_theta >= 4, got {n_r}, {n_theta}")
+    _within_rule_limit(n_r * n_r + 2 * n_r * n_theta, f"a {n_r} x {n_theta} polar rule")
     x, wx = gauss_legendre(n_r)
     radii = 0.5 * (x + 1.0)
     wr = 0.5 * wx
@@ -201,7 +216,7 @@ def disk_grid(n_r: int = 96, n_theta: int = 192) -> QuadratureRule:
     r_mat, th_mat = np.meshgrid(radii, theta, indexing="ij")
     points = (r_mat * np.exp(1j * th_mat)).ravel()
     base = np.outer(radii * wr, np.full(n_theta, 2.0 * np.pi / n_theta)).ravel()
-    return QuadratureRule(points, base, radii, wr, (n_r, n_theta))
+    return QuadratureRule(points, base, radii, (n_r, n_theta))
 
 
 def disk_quadrature(n_r: int, n_theta: int, density=None) -> DiscreteMeasure:
@@ -221,10 +236,6 @@ def disk_quadrature(n_r: int, n_theta: int, density=None) -> DiscreteMeasure:
     return DiscreteMeasure("disk", rule.points, weights, rule)
 
 
-# the most coordinates a sphere rule may hold: 2^25 floats, 256 MB
-SPHERE_RULE_MAX_FLOATS = 2**25
-
-
 @functools.cache
 def sphere_rule(n: int, resolution: int = 24) -> QuadratureRule:
     """Product-angle rule for the round measure on the unit n-sphere.
@@ -236,18 +247,16 @@ def sphere_rule(n: int, resolution: int = 24) -> QuadratureRule:
     decays spectrally in the resolution, from 2.3e-2 at n = 3, resolution 3
     to 4.9e-13 at n = 5, resolution 12.
 
-    A rule of more than ``SPHERE_RULE_MAX_FLOATS`` atom coordinates raises
-    ``InvalidInputError`` before anything is allocated: resolution 16 admits
-    n <= 5, where n = 7 would need 34 GB.
+    A rule of more than ``RULE_MAX_FLOATS`` atom coordinates, the budget
+    ``disk_grid`` shares, raises ``InvalidInputError`` before anything is
+    allocated: resolution 16 admits n <= 5, where n = 7 would need 34 GB.
     """
     if n < 1 or resolution < 1:
         raise InvalidInputError(f"need n, resolution >= 1, got {n}, {resolution}")
-    floats = resolution ** (n - 1) * 2 * resolution * (n + 1)
-    if floats > SPHERE_RULE_MAX_FLOATS:
-        raise InvalidInputError(
-            f"a resolution-{resolution} rule on the {n}-sphere needs {floats:.3g} "
-            f"atom coordinates, over the limit of {SPHERE_RULE_MAX_FLOATS}"
-        )
+    _within_rule_limit(
+        resolution ** (n - 1) * 2 * resolution * (n + 1),
+        f"a resolution-{resolution} rule on the {n}-sphere",
+    )
     x, w = gauss_legendre(resolution)
     m_az = 2 * resolution
     az = 2.0 * np.pi * np.arange(m_az) / m_az
@@ -484,18 +493,6 @@ class DirectionForm:
     def value(self, s) -> float:
         s = np.asarray(s, dtype=float)
         return float(s @ self.matrix @ s)
-
-    def rotated(self, rotation) -> "DirectionForm":
-        """The form after the atoms move by the orthogonal matrix ``rotation``:
-        matrix R V R^T and top direction R s, with the same eigenvalues."""
-        rot = np.asarray(rotation, dtype=float)
-        mat = rot @ self.matrix @ rot.T
-        return DirectionForm(
-            matrix=0.5 * (mat + mat.T),
-            eig_max=self.eig_max,
-            eig_second=self.eig_second,
-            max_direction=rot @ self.max_direction,
-        )
 
 
 def direction_form(m: DiscreteMeasure) -> DirectionForm:

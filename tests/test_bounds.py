@@ -25,7 +25,7 @@ from capfold.measures import (
     pullback_measure,
     sphere_quadrature,
 )
-from capfold.moebius import disk_moebius, disk_moebius_derivative
+from capfold.moebius import disk_moebius, disk_moebius_derivative, renormalize
 from capfold.specfun import (
     bound_constants,
     k_n,
@@ -341,7 +341,7 @@ def test_simple_folded_certificate_balances_the_pullback_once(monkeypatch):
 )
 def test_multiple_direct_certificate_matches_the_canonical_form_bitwise(domain):
     report = planar_bound_certificate(domain)
-    form = canonicalize(pullback_measure(domain))[1].form
+    form = renormalize(pullback_measure(domain)).form
     quotient = mu1_disk() * np.pi * radial_square_integral() / (
         (np.pi / domain.area) * form.eig_second
     )

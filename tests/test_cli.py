@@ -62,14 +62,25 @@ def test_sphere_constants_refuse_n_beyond_double_precision(argv, capsys):
         ["sphere", "--n", "7"],
         ["sphere", "--n", "9"],
         ["sphere", "--n", "3", "--seed", "-1"],
-        ["renormalize", None, "--seed", "-1"],
+        ["renormalize", "MEASURE", "--seed", "-1"],
+        ["fem", '{"kind": "disk", "radius": true}'],
+        ["fem", '{"kind": "two_disks_neck", "eps": true, "neck_length": false}'],
+        ["fem", "disk", "--h", "1e-4"],
+        ["certify", "DOMAIN", "--n-r", "20000", "--n-theta", "40000"],
+        ["scan", "DOMAIN", "--n-r", "20000", "--n-theta", "40000"],
+        ["sphere", "--n", "3", "--resolution", str(10**200)],
     ],
-    ids=["sphere-n7", "sphere-n9", "sphere-seed", "renormalize-seed"],
+    ids=["sphere-n7", "sphere-n9", "sphere-seed", "renormalize-seed", "fem-radius-true",
+         "fem-eps-true", "fem-h-1e-4", "certify-20000", "scan-20000", "sphere-res-1e200"],
 )
-def test_out_of_range_input_is_one_error_line(argv, measure_file, capsys):
-    # n = 7 allocated 34 GB before any check, and a negative seed ended in
-    # numpy's ValueError traceback
-    assert run([measure_file if a is None else a for a in argv]) == 1
+def test_out_of_range_input_is_one_error_line(argv, measure_file, domain_file, capsys):
+    # n = 7 allocated 34 GB before any check, a negative seed ended in
+    # numpy's ValueError traceback, booleans meshed as the numbers 1 and 0,
+    # h = 1e-4 asked for 20 GB of mesh, a 20000-node radial rule for a
+    # 3.2 GB companion matrix and 13 GB of atoms, and a size past 1e308
+    # broke the error message's float format
+    files = {"MEASURE": measure_file, "DOMAIN": domain_file}
+    assert run([files.get(a, a) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -305,8 +316,9 @@ def test_certify_subcommand(domain_file, tmp_path):
     [
         {"kind": "rectangle", "a": 1.0, "b": 1.0},
         [{"kind": "rectangle", "a": 1.0, "b": 1.0, "h": None, "name": "bad"}],
+        [{"kind": "disk", "h": True, "name": "bad"}],
     ],
-    ids=["not-a-list", "h-null"],
+    ids=["not-a-list", "h-null", "h-true"],
 )
 def test_corpus_bad_specs_exit_code(tmp_path, capsys, specs):
     # a file that is no list is an input error; a bad spec in a list lands

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from capfold import directions
-from capfold.caps import Cap, fold_measure, rearrange
+from capfold.caps import Cap, RearrangeTrace, fold_measure, rearrange
 from capfold.directions import (
     SCAN_GAP_TOL,
-    _cap_rearrange,
     _compressed_traceless,
     _field,
     _loop_rotation,
@@ -24,6 +23,7 @@ from capfold.directions import (
 from capfold.exceptions import CapScanError, EvenDimensionError, InvalidInputError
 from capfold.measures import (
     ConformalDomain,
+    DirectionForm,
     direction_form,
     disk_quadrature,
     moment_vector,
@@ -133,6 +133,8 @@ def test_winding_stable_under_angle_doubling(bent_canonical):
 def test_scan_finds_multiple_cap(bent_scan):
     assert bent_scan.gap < 1e-3
     assert bent_scan.cap is not None
+    # a numpy float64 r would print as np.float64(...) in the scan CSV
+    assert type(bent_scan.cap.r) is float
 
 
 def test_scan_carries_the_form_of_a_cold_rearrange(bent_canonical, bent_scan):
@@ -171,6 +173,19 @@ def test_scan_reports_best_gap_when_every_start_stalls(bent_domain, monkeypatch)
     best = info.value
     assert best.best_gap < 1e-8
     assert best.best_gap == rearrange(canon, best.best_cap)[1].form.gap
+
+
+def test_first_multiple_cap_never_picks_a_nan_gap(monkeypatch):
+    def trace(r, eig_max):
+        form = DirectionForm(np.eye(2), eig_max, 1.0, np.array([1.0, 0.0]))
+        return RearrangeTrace(Cap(r, 1.0), 0j, Cap(r, 1.0), 0j, form)
+
+    traces = [trace(0.1, np.nan), trace(0.2, 3.0)]
+    monkeypatch.setattr(directions, "_gauss_newton", lambda m, start: traces[start])
+    assert directions._first_multiple_cap(None, [0, 1], 1.0) is traces[1]
+    with pytest.raises(CapScanError) as info:
+        directions._first_multiple_cap(None, [0], 1.0)
+    assert info.value.best_cap is None and info.value.best_gap == np.inf
 
 
 HALF_TURNS = [-2, -1, 0, 1, 3]
@@ -475,11 +490,11 @@ def test_sphere_cap_jacobian_matches_central_differences(n, resolution):
         nu, trace = rearrange(canon, cap)
         basis = np.linalg.eigh(trace.form.matrix)[1][:, -2:]
         f = _compressed_traceless(trace.form.matrix, basis)
-        jac = _sphere_cap_jacobian(canon, cap, nu, trace, basis, f, tangents)
+        jac = _sphere_cap_jacobian(canon, nu, trace, basis, f, tangents)
 
         def residual(dr, dp):
-            moved = _cap_rearrange(canon, r + dr, (p + dp) / np.linalg.norm(p + dp))
-            return _compressed_traceless(moved[2].form.matrix, basis)
+            moved = rearrange(canon, Cap(r + dr, (p + dp) / np.linalg.norm(p + dp), "sphere"))
+            return _compressed_traceless(moved[1].form.matrix, basis)
 
         central = np.column_stack(
             [(residual(step, 0.0) - residual(-step, 0.0)) / (2.0 * step)]

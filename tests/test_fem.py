@@ -286,6 +286,41 @@ def test_invalid_spec():
         build_mesh({"no": "kind"}, 0.1)
     with pytest.raises(InvalidSpecError):
         build_mesh({"kind": "disk"}, float("nan"))
+    # a boolean is no number, though float() takes it for 1 or 0
+    for spec, h in (
+        ({"kind": "disk"}, True),
+        ({"kind": "disk", "radius": True}, 0.1),
+        ({"kind": "rectangle", "a": 1.0, "b": True}, 0.1),
+        ({"kind": "two_disks_neck", "eps": True, "neck_length": 0.2}, 0.1),
+        ({"kind": "two_disks_neck", "eps": 0.5, "neck_length": False}, 0.1),
+    ):
+        with pytest.raises(InvalidSpecError):
+            build_mesh(spec, h)
+    # nor is an int past the float range, which overflowed in h's first use
+    with pytest.raises(InvalidSpecError):
+        build_mesh({"kind": "disk"}, 10**400)
+
+
+@pytest.mark.parametrize(
+    "spec, h",
+    [
+        ({"kind": "disk"}, 1e-4),
+        ({"kind": "disk", "radius": 1e308}, 1e-10),
+        ({"kind": "conformal", "coeffs": [[1.0, 0.0], [0.3, 0.0]]}, 1e-4),
+        ({"kind": "rectangle", "a": 1e3, "b": 1e3}, 0.1),
+        ({"kind": "rectangle", "a": 1e308, "b": 1.0}, 1e-10),
+        ({"kind": "two_disks_neck", "eps": 0.1, "neck_length": 0.2}, 1e-3),
+        ({"kind": "two_disks_neck", "eps": 0.1, "neck_length": 1e308}, 0.01),
+    ],
+    ids=["disk", "disk-inf", "conformal", "rectangle", "rectangle-inf", "two-disk",
+         "two-disk-inf"],
+)
+def test_build_mesh_refuses_more_than_its_vertex_budget(spec, h):
+    # unchecked, h = 1e-4 asked for pi 10^8 disk vertices and the two-disk
+    # lattice at h = 1e-3 for 10.7 M nodes; a count past float range ended
+    # in an OverflowError
+    with pytest.raises(InvalidSpecError, match="limit"):
+        build_mesh(spec, h)
 
 
 def test_conformal_mesh_area(bent_domain):

@@ -60,7 +60,7 @@ def _assert_shared_read_only_and_unchanged(build, *args):
     fresh = build.__wrapped__(*args)
     assert build(*args) is rule
     assert rule.shape == fresh.shape
-    for name in ("points", "weights", "radii", "radial_weights"):
+    for name in ("points", "weights", "radii"):
         arr, ref = getattr(rule, name), getattr(fresh, name)
         if ref is None:
             assert arr is None, name
@@ -103,10 +103,23 @@ def test_sphere_rule_refuses_more_than_its_size_limit(monkeypatch):
         with pytest.raises(InvalidInputError, match="limit"):
             sphere_rule(n, 16)
     # the limit counts the atom coordinates: a rule of exactly that many builds
-    monkeypatch.setattr(measures, "SPHERE_RULE_MAX_FLOATS", 4**2 * 8 * 4)
+    monkeypatch.setattr(measures, "RULE_MAX_FLOATS", 4**2 * 8 * 4)
     assert sphere_rule.__wrapped__(3, 4).points.size == 4**2 * 8 * 4
     with pytest.raises(InvalidInputError, match="limit"):
         sphere_rule.__wrapped__(3, 5)
+
+
+def test_disk_grid_refuses_more_than_the_rule_limit(monkeypatch):
+    # unchecked, 20000 radial nodes built a 3.2 GB companion matrix, then
+    # 8e8 complex atoms
+    with pytest.raises(InvalidInputError, match="limit"):
+        disk_grid(20000, 40000)
+    # the limit counts n_r^2 + 2 n_r n_theta floats: a rule of exactly
+    # that many builds
+    monkeypatch.setattr(measures, "RULE_MAX_FLOATS", 4 * 4 + 2 * 4 * 8)
+    assert disk_grid.__wrapped__(4, 8).points.size == 4 * 8
+    with pytest.raises(InvalidInputError, match="limit"):
+        disk_grid.__wrapped__(4, 9)
 
 
 def test_sphere_rule_is_shared_read_only_and_unchanged():

@@ -388,7 +388,7 @@ def test_sphere_rearrangement_and_cap_jacobian_allocate_one_atom_array(
         nu, trace = rearrange(g, cap)
         basis = np.linalg.eigh(trace.form.matrix)[1][:, -2:]
         f = _compressed_traceless(trace.form.matrix, basis)
-        args = (g, cap, nu, trace, basis, f, _tangents(p))
+        args = (g, nu, trace, basis, f, _tangents(p))
         assert peak_bytes(lambda: _sphere_cap_jacobian(*args)) <= 6 * 2**20
 
 

@@ -13,8 +13,9 @@ per checkout in a fresh interpreter started in that directory, with
 For every command it prints one JSON line per output (stdout, stderr and
 the exit code), marked ``same`` or not; a same output carries its length
 in bytes, and a differing one the first differing line number and up to
-``CONTEXT`` lines of each side from there.  It exits 1 if any output
-differs.
+``CONTEXT`` lines of each side from there.  A final JSON line gives the
+line count of ``src/capfold/*.py`` in each checkout.  It exits 1 if any
+output differs.
 """
 
 import json
@@ -92,6 +93,12 @@ def compare(name: str, parent: str, change: str) -> dict:
     }
 
 
+def source_lines(root: Path) -> int:
+    return sum(
+        len(path.read_text().splitlines()) for path in (root / "src" / "capfold").glob("*.py")
+    )
+
+
 def main(argv: list) -> int:
     if len(argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
@@ -112,6 +119,8 @@ def main(argv: list) -> int:
                 line = compare(f"{name} {stream}", parent[stream], change[stream])
                 differs |= not line["same"]
                 print(json.dumps(line), flush=True)
+    parent_lines, change_lines = map(source_lines, roots)
+    print(json.dumps({"src_lines": {"parent": parent_lines, "change": change_lines}}))
     return 1 if differs else 0
 
 
